@@ -26,7 +26,6 @@ from .oracle import (
     conditional_click_probability,
     enumerate_outcomes,
     outcome_probability,
-    permanent_naive,
     permanent_ryser,
     sequence_probability,
 )
@@ -43,7 +42,6 @@ from .trajectory import (
     attach_waiting_times,
     clicks_to_counts,
     run_trajectory,
-    sample_next_click,
 )
 from .unitary import (
     BeamSplitterParams,
@@ -82,11 +80,9 @@ __all__ = [
     "max_averaged_entropy",
     "mixture_entropy_report",
     "outcome_probability",
-    "permanent_naive",
     "permanent_ryser",
     "run_trajectory",
     "sample_haar_brickwall",
-    "sample_next_click",
     "scaling_sweep",
     "sequence_probability",
     "site_occupations",

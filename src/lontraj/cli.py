@@ -23,15 +23,15 @@ from .experiments import (
     UnitarySource,
     averaged_entropy_grid,
     derive_rng,
-    derive_seed,
     distribution_comparison,
     distribution_csv,
     grid_csv,
     mixture_entropy_report,
     scaling_csv,
     scaling_sweep,
+    trajectory_records,
 )
-from .trajectory import attach_waiting_times, record_to_json, run_trajectory
+from .trajectory import record_to_json
 from .unitary import load_unitary, unitary_to_json
 
 MODES = (
@@ -258,6 +258,8 @@ def _parse_point(spec: str) -> tuple[int, str]:
 
 def _resolve_fixed_unitary(source: UnitarySource, n_sites: int, seed: int) -> np.ndarray:
     # Stream (0, 2) is never used by per-trajectory derivations (i, 0) / (i, 1).
+    # It is also trajectory 0's waiting-time stream, but only trajectory-dump
+    # attaches waiting times, and it never draws a fixed unitary.
     if source.kind == "fixed":
         return source.matrix
     return source.draw(n_sites, derive_rng(seed, 0, 2))
@@ -316,22 +318,17 @@ def execute(config: RunConfig) -> int:
         u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
         _write_atomic(config.output, unitary_to_json(u) + "\n")
     elif config.mode == "trajectory-dump":
-        lines = []
-        for i in range(config.n_samples):
-            u = source.draw(config.n_sites, derive_rng(config.seed, i, 0))
-            record = run_trajectory(
-                config.n_sites,
-                config.n_excited,
-                u,
-                config.cut,
-                derive_seed(config.seed, i, 1),
-            )
-            if config.waiting_times:
-                record = attach_waiting_times(
-                    record, config.n_excited, derive_rng(config.seed, i, 2)
-                )
-            lines.append(record_to_json(record))
-        _write_atomic(config.output, "\n".join(lines) + "\n")
+        records = trajectory_records(
+            config.n_sites,
+            config.n_excited,
+            source,
+            config.cut,
+            config.n_samples,
+            config.seed,
+            waiting_times=config.waiting_times,
+            threads=config.threads,
+        )
+        _write_atomic(config.output, "\n".join(map(record_to_json, records)) + "\n")
     elif config.mode == "entropy-grid":
         grid = averaged_entropy_grid(
             config.n_sites,

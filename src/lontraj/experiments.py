@@ -6,28 +6,32 @@ against the exact permanent-based probabilities, and check the sandwich
 relation between mean trajectory entropy, the entropy of the averaged state,
 and the Shannon entropy of the trajectory mixture.
 
-Every estimator consumes trajectories in fixed-size chunks whose partial
-sums are merged in chunk order, so results are byte-identical for any worker
-count.  Randomness is derived per trajectory index from the master seed, so
-they are also independent of chunking.
+Every estimator, and the trajectory dump, feeds its trajectories to an
+accumulator in fixed-size chunks whose parts are merged in chunk order, so
+results are byte-identical for any worker count.  Randomness is derived per
+trajectory index from the master seed, so they are also independent of
+chunking.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .oracle import enumerate_outcomes, outcome_probability
-from .state import (
-    dense_cut_matrix,
-    entanglement_entropy,
-    entropy_profile,
-    initial_state,
+from .state import _dense_cut_matrix, _entropy, _entropy_profile, _initial_amplitudes
+from .trajectory import (
+    TrajectoryRecord,
+    _click_walk,
+    attach_waiting_times,
+    run_trajectory,
+    sample_click_sequence,
 )
-from .trajectory import evolve_clicks, sample_click_sequence
 from .unitary import check_unitary, compose_brickwall, haar_unitary, sample_haar_brickwall
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
@@ -91,31 +95,95 @@ class UnitarySource:
             return compose_brickwall(sample_haar_brickwall(n_modes, self.depth, rng))
         raise ValueError(f"unknown unitary source {self.kind!r}")
 
-    def describe(self) -> dict:
-        info = {"kind": self.kind}
-        if self.depth is not None:
-            info["depth"] = self.depth
-        return info
-
 
 def _chunks(n_samples: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_SIZE, n_samples)) for lo in range(0, n_samples, CHUNK_SIZE)]
 
 
-def _run_chunked(worker, task: tuple, n_samples: int, threads: int) -> list:
+def _worker_count(threads: int, n_chunks: int) -> int:
+    # The pool starts all its workers up front, so the requested count alone
+    # must not decide how many processes are made.
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, n_chunks, cores))
+
+
+def _accumulate(args):
+    (make, source, n_sites, master_seed), lo, hi = args
+    part = make()
+    fresh = source.fresh_per_sample
+    for i in range(lo, hi):
+        u = source.draw(n_sites, derive_rng(master_seed, i, 0)) if fresh else source.matrix
+        part.add(i, u, derive_rng(master_seed, i, 1))
+    return part
+
+
+def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed: int, threads: int):
+    """Feed trajectories 0..n_samples-1 to accumulators made by ``make``; merge them in chunk order.
+
+    Trajectory i runs under unitary stream (i, 0), drawn only for fresh
+    sources, and click stream (i, 1).
+    """
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
     spans = _chunks(n_samples)
-    if threads <= 1 or len(spans) <= 1:
-        return [worker((task, lo, hi)) for lo, hi in spans]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, [(task, lo, hi) for lo, hi in spans]))
+    tasks = [((make, source, n_sites, master_seed), lo, hi) for lo, hi in spans]
+    workers = _worker_count(threads, len(spans))
+    if workers <= 1:
+        parts = [_accumulate(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_accumulate, tasks))
+    total = make()
+    for part in parts:
+        total.merge(part)
+    return total
 
 
-def _trajectory_unitary(source: UnitarySource, n_sites: int, master_seed: int, index: int):
-    return source.draw(n_sites, derive_rng(master_seed, index, 0))
+class _Records:
+    """Trajectory records in index order, with waiting times from stream (i, 2) if asked."""
+
+    def __init__(
+        self, n_sites: int, n_excited: int, cut: int, master_seed: int, waiting_times: bool
+    ) -> None:
+        self.n_sites = n_sites
+        self.n_excited = n_excited
+        self.cut = cut
+        self.master_seed = master_seed
+        self.waiting_times = waiting_times
+        self.records: list[TrajectoryRecord] = []
+
+    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+        record = run_trajectory(self.n_sites, self.n_excited, u, self.cut, rng)
+        if self.waiting_times:
+            waiting_rng = derive_rng(self.master_seed, index, 2)
+            record = attach_waiting_times(record, self.n_excited, waiting_rng)
+        self.records.append(record)
+
+    def merge(self, other: "_Records") -> None:
+        self.records.extend(other.records)
 
 
-def _trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    return derive_rng(master_seed, index, 1)
+def trajectory_records(
+    n_sites: int,
+    n_excited: int,
+    source: UnitarySource,
+    cut: int,
+    n_samples: int,
+    master_seed: int,
+    waiting_times: bool = False,
+    threads: int = 1,
+) -> list[TrajectoryRecord]:
+    """The records of trajectories 0..n_samples-1, the same ones the estimators average.
+
+    Record i has the clicks that trajectory i of an estimator with the same
+    master seed and source draws; ``waiting_times`` attaches exponential
+    waiting times from the separate stream (i, 2).
+    """
+    make = partial(_Records, n_sites, n_excited, cut, master_seed, waiting_times)
+    return _run(make, source, n_sites, n_samples, master_seed, threads).records
 
 
 @dataclass(frozen=True)
@@ -133,24 +201,32 @@ class EntropyGrid:
     n_samples: int
 
 
-def _entropy_grid_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    (n_sites, n_excited, source, master_seed), lo, hi = args
-    shape = (n_excited + 1, n_sites - 1)
-    sums = np.zeros(shape)
-    square_sums = np.zeros(shape)
-    for i in range(lo, hi):
-        u = _trajectory_unitary(source, n_sites, master_seed, i)
-        rng = _trajectory_rng(master_seed, i)
-        profile = np.empty(shape)
-        state = initial_state(n_sites, n_excited)
-        profile[0] = entropy_profile(state)
-        k = 0
-        for _, state in evolve_clicks(state, u, rng):
-            k += 1
-            profile[k] = entropy_profile(state)
-        sums += profile
-        square_sums += profile * profile
-    return sums, square_sums
+class _GridSums:
+    """Sums and squared sums of the entropy profile after each click count.
+
+    Every part starts from zeros and adds nonnegative entropies, so no sum
+    is -0.0 and merging into a zero total adds exactly the parts' values.
+    """
+
+    def __init__(self, n_sites: int, n_excited: int) -> None:
+        self.n_sites = n_sites
+        self.n_excited = n_excited
+        self.sums = np.zeros((n_excited + 1, n_sites - 1))
+        self.square_sums = np.zeros_like(self.sums)
+
+    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+        n, e = self.n_sites, self.n_excited
+        profile = np.empty_like(self.sums)
+        amplitudes = _initial_amplitudes(n, e)
+        profile[0] = _entropy_profile(n, e, amplitudes)
+        for k, (_, amplitudes) in enumerate(_click_walk(n, e, amplitudes, u, rng), start=1):
+            profile[k] = _entropy_profile(n, e - k, amplitudes)
+        self.sums += profile
+        self.square_sums += profile * profile
+
+    def merge(self, other: "_GridSums") -> None:
+        self.sums = self.sums + other.sums
+        self.square_sums = self.square_sums + other.square_sums
 
 
 def _mean_stderr(sums: np.ndarray, square_sums: np.ndarray, n: int):
@@ -174,18 +250,11 @@ def averaged_entropy_grid(
     For ``haar``/``brickwall`` sources each trajectory first draws its own
     unitary, then samples the click record under it.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if n_sites < 2:
         raise ValueError("entropy grids need at least 2 sites")
-    task = (n_sites, n_excited, source, master_seed)
-    parts = _run_chunked(_entropy_grid_chunk, task, n_samples, threads)
-    sums = parts[0][0]
-    square_sums = parts[0][1]
-    for s, q in parts[1:]:
-        sums = sums + s
-        square_sums = square_sums + q
-    mean, stderr = _mean_stderr(sums, square_sums, n_samples)
+    make = partial(_GridSums, n_sites, n_excited)
+    total = _run(make, source, n_sites, n_samples, master_seed, threads)
+    mean, stderr = _mean_stderr(total.sums, total.square_sums, n_samples)
     return EntropyGrid(
         n_sites=n_sites,
         n_excited=n_excited,
@@ -223,15 +292,20 @@ class DistributionReport:
     n_samples: int
 
 
-def _distribution_chunk(args) -> np.ndarray:
-    (n_sites, n_excited, u, master_seed, index_of), lo, hi = args
-    counts = np.zeros(len(index_of), dtype=np.int64)
-    for i in range(lo, hi):
-        rng = _trajectory_rng(master_seed, i)
-        clicks = sample_click_sequence(n_sites, n_excited, u, rng)
-        outcome = tuple(np.bincount(clicks, minlength=n_sites))
-        counts[index_of[outcome]] += 1
-    return counts
+class _OutcomeCounts:
+    """How often each click outcome (per-detector counts) occurred."""
+
+    def __init__(self, n_sites: int, n_excited: int) -> None:
+        self.n_sites = n_sites
+        self.n_excited = n_excited
+        self.counts: Counter = Counter()
+
+    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+        clicks = sample_click_sequence(self.n_sites, self.n_excited, u, rng)
+        self.counts[tuple(np.bincount(clicks, minlength=self.n_sites))] += 1
+
+    def merge(self, other: "_OutcomeCounts") -> None:
+        self.counts.update(other.counts)
 
 
 def distribution_comparison(
@@ -243,14 +317,11 @@ def distribution_comparison(
     threads: int = 1,
 ) -> DistributionReport:
     """Sample trajectories under a fixed unitary and compare to the exact outcome law."""
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
     outcomes = enumerate_outcomes(n_sites, n_excited)
     exact = np.array([outcome_probability(u, c, n_excited) for c in outcomes])
-    index_of = {outcome: i for i, outcome in enumerate(outcomes)}
-    task = (n_sites, n_excited, np.asarray(u, dtype=complex), master_seed, index_of)
-    parts = _run_chunked(_distribution_chunk, task, n_samples, threads)
-    counts = np.sum(parts, axis=0)
+    make = partial(_OutcomeCounts, n_sites, n_excited)
+    seen = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads).counts
+    counts = np.array([seen[outcome] for outcome in outcomes], dtype=np.int64)
     empirical = counts / n_samples
     tvd = 0.5 * float(np.abs(exact - empirical).sum())
     return DistributionReport(
@@ -291,28 +362,40 @@ class MixtureEntropyReport:
     tolerance: float
 
 
-def _mixture_chunk(args):
-    (n_sites, n_excited, u, k, cut, master_seed), lo, hi = args
-    entropy_sum = 0.0
-    entropy_square_sum = 0.0
-    rho_sum = np.zeros((1 << cut, 1 << cut), dtype=complex)
-    histogram: Counter = Counter()
-    for i in range(lo, hi):
-        rng = _trajectory_rng(master_seed, i)
-        state = initial_state(n_sites, n_excited)
+class _MixtureSums:
+    """Entropy sums, the summed reduced state and the click-sequence histogram after k clicks."""
+
+    def __init__(self, n_sites: int, n_excited: int, k: int, cut: int) -> None:
+        self.n_sites = n_sites
+        self.n_excited = n_excited
+        self.k = k
+        self.cut = cut
+        self.entropy_sum = 0.0
+        self.entropy_square_sum = 0.0
+        self.rho_sum = np.zeros((1 << cut, 1 << cut), dtype=complex)
+        self.histogram: Counter = Counter()
+
+    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+        n, e = self.n_sites, self.n_excited - self.k
+        amplitudes = _initial_amplitudes(n, self.n_excited)
         clicks: list[int] = []
-        if k > 0:
-            for detector, state in evolve_clicks(state, u, rng):
+        if self.k > 0:
+            for detector, amplitudes in _click_walk(n, self.n_excited, amplitudes, u, rng):
                 clicks.append(detector)
-                if len(clicks) == k:
+                if len(clicks) == self.k:
                     break
-        entropy = entanglement_entropy(state, cut)
-        entropy_sum += entropy
-        entropy_square_sum += entropy * entropy
-        cut_matrix = dense_cut_matrix(state, cut)
-        rho_sum += cut_matrix @ cut_matrix.conj().T
-        histogram[tuple(clicks)] += 1
-    return entropy_sum, entropy_square_sum, rho_sum, histogram
+        entropy = _entropy(n, e, amplitudes, self.cut)
+        self.entropy_sum += entropy
+        self.entropy_square_sum += entropy * entropy
+        cut_matrix = _dense_cut_matrix(n, e, amplitudes, self.cut)
+        self.rho_sum += cut_matrix @ cut_matrix.conj().T
+        self.histogram[tuple(clicks)] += 1
+
+    def merge(self, other: "_MixtureSums") -> None:
+        self.entropy_sum += other.entropy_sum
+        self.entropy_square_sum += other.entropy_square_sum
+        self.rho_sum = self.rho_sum + other.rho_sum
+        self.histogram.update(other.histogram)
 
 
 def _spectrum_entropy(weights: np.ndarray) -> float:
@@ -343,26 +426,11 @@ def mixture_entropy_report(
         raise ValueError(f"cut {cut} outside [1, {n_sites - 1}]")
     if cut > MIXTURE_MAX_SUBSYSTEM:
         raise ValueError(f"subsystem of {cut} sites too large to accumulate densely")
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    task = (n_sites, n_excited, np.asarray(u, dtype=complex), k, cut, master_seed)
-    parts = _run_chunked(_mixture_chunk, task, n_samples, threads)
-    entropy_sum = 0.0
-    entropy_square_sum = 0.0
-    rho_sum = np.zeros((1 << cut, 1 << cut), dtype=complex)
-    histogram: Counter = Counter()
-    for s, q, rho, hist in parts:
-        entropy_sum += s
-        entropy_square_sum += q
-        rho_sum = rho_sum + rho
-        histogram.update(hist)
-    mean = entropy_sum / n_samples
-    if n_samples > 1:
-        variance = max(entropy_square_sum - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        stderr = float(np.sqrt(variance / n_samples))
-    else:
-        stderr = 0.0
-    rho = rho_sum / n_samples
+    make = partial(_MixtureSums, n_sites, n_excited, k, cut)
+    total = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads)
+    histogram = total.histogram
+    mean, stderr = _mean_stderr(total.entropy_sum, total.entropy_square_sum, n_samples)
+    rho = total.rho_sum / n_samples
     eigenvalues = np.linalg.eigvalsh(rho)
     averaged_state_entropy = _spectrum_entropy(np.maximum(eigenvalues, 0.0))
     frequencies = np.array([c / n_samples for c in histogram.values()])
@@ -370,7 +438,7 @@ def mixture_entropy_report(
     tolerance = 3.0 * stderr + (len(histogram) - 1) / (2.0 * n_samples)
     return MixtureEntropyReport(
         mean_trajectory_entropy=float(mean),
-        stderr_mean_entropy=stderr,
+        stderr_mean_entropy=float(stderr),
         averaged_state_entropy=averaged_state_entropy,
         shannon_mixture_entropy=float(shannon),
         subsystem_size=cut,

@@ -4,59 +4,22 @@ After all excitations decay, the probability of an ordered click sequence is
 |Per(U_T)|^2 / M!, where U_T keeps the first M columns of the network
 unitary and repeats row i once per click on detector i; unordered outcome
 probabilities divide by the multiplicities' factorials instead.  This module
-provides two independent permanent evaluators (a permutation-sum reference
-and Ryser's algorithm), the probability formulas, conditional click
-probabilities evaluated on sector states, and full outcome enumeration for
-small instances.
+provides Ryser's permanent algorithm, the probability formulas, conditional
+click probabilities evaluated on sector states, and full outcome enumeration
+for small instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice, permutations
 from math import comb, factorial
-from functools import lru_cache
 
 import numpy as np
 
 from .state import apply_jump, initial_state, jump_weights
 
-NAIVE_MAX_DIM = 10
 RYSER_MAX_DIM = 30
 ENUMERATION_LIMIT = 10**6
 _COMPENSATED_MIN_DIM = 16
-_PERM_CHUNK = 40320
-
-
-@lru_cache(maxsize=8)
-def _permutation_block(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.intp)
-
-
-def permanent_naive(a: np.ndarray) -> complex:
-    """Permanent by direct summation over all permutations; reference oracle.
-
-    Limited to dim <= 10 by the factorial number of terms.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > NAIVE_MAX_DIM:
-        raise ValueError(f"permanent_naive supports dim <= {NAIVE_MAX_DIM}, got {n}")
-    if n == 0:
-        return 1 + 0j
-    rows = np.arange(n)
-    if n <= 8:
-        perms = _permutation_block(n)
-        return complex(a[rows, perms].prod(axis=1).sum())
-    total = 0 + 0j
-    it = permutations(range(n))
-    while True:
-        block = list(islice(it, _PERM_CHUNK))
-        if not block:
-            return total
-        total += complex(a[rows, np.array(block, dtype=np.intp)].prod(axis=1).sum())
 
 
 def permanent_ryser(a: np.ndarray) -> complex:
@@ -110,25 +73,14 @@ def permanent_ryser(a: np.ndarray) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class RepeatedRowMatrix:
+def build_repeated_matrix(u: np.ndarray, m: int, counts) -> np.ndarray:
     """The M x M matrix whose permanent gives a click outcome's probability.
 
-    ``realized`` keeps the first M columns of ``base`` with row i repeated
-    ``row_multiplicities[i]`` times, rows listed in ascending detector order
-    (the permanent is row-order invariant, so this is a canonical form).
-    """
-
-    base: np.ndarray
-    row_multiplicities: np.ndarray
-    realized: np.ndarray
-
-
-def build_repeated_matrix(u: np.ndarray, m: int, counts) -> RepeatedRowMatrix:
-    """Assemble the repeated-row submatrix for an outcome with the given multiplicities.
-
-    ``counts[i]`` is the number of clicks on detector i; click sequences are
-    first reduced to counts (e.g. with ``trajectory.clicks_to_counts``).
+    Keeps the first M columns of ``u`` with row i repeated ``counts[i]``
+    times, rows in ascending detector order (the permanent is row-order
+    invariant, so this is a canonical form).  ``counts[i]`` is the number of
+    clicks on detector i; click sequences are first reduced to counts (e.g.
+    with ``trajectory.clicks_to_counts``).
     """
     u = np.asarray(u, dtype=complex)
     counts = np.asarray(counts, dtype=np.int64)
@@ -139,9 +91,7 @@ def build_repeated_matrix(u: np.ndarray, m: int, counts) -> RepeatedRowMatrix:
     if counts.sum() != m:
         raise ValueError(f"counts sum to {counts.sum()}, expected {m}")
     rows = np.repeat(np.arange(u.shape[0]), counts)
-    return RepeatedRowMatrix(
-        base=u, row_multiplicities=counts, realized=u[np.ix_(rows, np.arange(m))]
-    )
+    return u[np.ix_(rows, np.arange(m))]
 
 
 def sequence_probability(u: np.ndarray, clicks, m: int) -> float:
@@ -153,14 +103,14 @@ def sequence_probability(u: np.ndarray, clicks, m: int) -> float:
     if len(clicks) != m:
         raise ValueError(f"expected a sequence of {m} clicks, got {len(clicks)}")
     counts = np.bincount(clicks, minlength=np.asarray(u).shape[0])
-    perm = permanent_ryser(build_repeated_matrix(u, m, counts).realized)
+    perm = permanent_ryser(build_repeated_matrix(u, m, counts))
     return min(max(abs(perm) ** 2 / factorial(m), 0.0), 1.0)
 
 
 def outcome_probability(u: np.ndarray, counts, m: int) -> float:
     """Probability of an unordered outcome: |Per(U_T)|^2 / prod_i(counts_i!)."""
     counts = np.asarray(counts, dtype=np.int64)
-    perm = permanent_ryser(build_repeated_matrix(u, m, counts).realized)
+    perm = permanent_ryser(build_repeated_matrix(u, m, counts))
     denom = 1
     for c in counts:
         denom *= factorial(int(c))

@@ -67,12 +67,14 @@ class SectorState:
 
 def initial_state(n_sites: int, n_excited: int) -> SectorState:
     """Product state with the first ``n_excited`` sites excited, the rest in the ground state."""
-    if not 0 <= n_excited <= n_sites:
-        raise ValueError(f"need 0 <= n_excited <= n_sites, got ({n_sites}, {n_excited})")
+    return SectorState(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited))
+
+
+def _initial_amplitudes(n_sites: int, n_excited: int) -> np.ndarray:
     masks = sector_masks(n_sites, n_excited)
     amps = np.zeros(len(masks), dtype=complex)
     amps[np.searchsorted(masks, (1 << n_excited) - 1)] = 1.0
-    return SectorState(n_sites, n_excited, amps)
+    return amps
 
 
 @lru_cache(maxsize=None)
@@ -161,16 +163,35 @@ def _cut_tables(n_sites: int, n_excited: int, cut: int):
     return blocks
 
 
-def _schmidt_squares(state: SectorState, cut: int) -> np.ndarray:
+def _schmidt_squares(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> np.ndarray:
     parts = []
-    for sel, flat, shape in _cut_tables(state.n_sites, state.n_excited, cut):
+    for sel, flat, shape in _cut_tables(n_sites, n_excited, cut):
         block = np.zeros(shape[0] * shape[1], dtype=complex)
-        block[flat] = state.amplitudes[sel]
+        block[flat] = amplitudes[sel]
         if min(shape) == 1:
             parts.append(np.array([np.vdot(block, block).real]))
         else:
             parts.append(np.linalg.svd(block.reshape(shape), compute_uv=False) ** 2)
     return np.concatenate(parts)
+
+
+def _entropy(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> float:
+    p = _schmidt_squares(n_sites, n_excited, amplitudes, cut)
+    p = p[p >= SCHMIDT_CUTOFF]
+    # Renormalizing the kept spectrum absorbs rounding in the state norm and
+    # makes single-coefficient (product) states exactly zero.
+    p = p / p.sum()
+    value = float(-(p * np.log(p)).sum())
+    return value if value > 0.0 else 0.0
+
+
+def _entropy_profile(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:
+    return np.array([_entropy(n_sites, n_excited, amplitudes, cut) for cut in range(1, n_sites)])
+
+
+def _check_cut(n_sites: int, cut: int) -> None:
+    if not 1 <= cut <= n_sites - 1:
+        raise ValueError(f"cut must be in [1, {n_sites - 1}], got {cut}")
 
 
 def entanglement_entropy(state: SectorState, cut: int) -> float:
@@ -180,20 +201,20 @@ def entanglement_entropy(state: SectorState, cut: int) -> float:
     the singular values of the reshaped amplitude matrix; squared Schmidt
     coefficients below 1e-12 contribute nothing.
     """
-    if not 1 <= cut <= state.n_sites - 1:
-        raise ValueError(f"cut must be in [1, {state.n_sites - 1}], got {cut}")
-    p = _schmidt_squares(state, cut)
-    p = p[p >= SCHMIDT_CUTOFF]
-    # Renormalizing the kept spectrum absorbs rounding in the state norm and
-    # makes single-coefficient (product) states exactly zero.
-    p = p / p.sum()
-    value = float(-(p * np.log(p)).sum())
-    return value if value > 0.0 else 0.0
+    _check_cut(state.n_sites, cut)
+    return _entropy(state.n_sites, state.n_excited, state.amplitudes, cut)
 
 
 def entropy_profile(state: SectorState) -> np.ndarray:
     """Entanglement entropy at every cut 1..n_sites-1, as a vector."""
-    return np.array([entanglement_entropy(state, cut) for cut in range(1, state.n_sites)])
+    return _entropy_profile(state.n_sites, state.n_excited, state.amplitudes)
+
+
+def _dense_cut_matrix(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> np.ndarray:
+    masks = sector_masks(n_sites, n_excited)
+    mat = np.zeros((1 << cut, 1 << (n_sites - cut)), dtype=complex)
+    mat[masks & ((1 << cut) - 1), masks >> cut] = amplitudes
+    return mat
 
 
 def dense_cut_matrix(state: SectorState, cut: int) -> np.ndarray:
@@ -202,12 +223,8 @@ def dense_cut_matrix(state: SectorState, cut: int) -> np.ndarray:
     Row index is the left block's bit pattern, column index the right
     block's.  Intended for small subsystems (reduced density matrices).
     """
-    if not 1 <= cut <= state.n_sites - 1:
-        raise ValueError(f"cut must be in [1, {state.n_sites - 1}], got {cut}")
-    masks = sector_masks(state.n_sites, state.n_excited)
-    mat = np.zeros((1 << cut, 1 << (state.n_sites - cut)), dtype=complex)
-    mat[masks & ((1 << cut) - 1), masks >> cut] = state.amplitudes
-    return mat
+    _check_cut(state.n_sites, cut)
+    return _dense_cut_matrix(state.n_sites, state.n_excited, state.amplitudes, cut)
 
 
 def site_occupations(state: SectorState) -> np.ndarray:

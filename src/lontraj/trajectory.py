@@ -16,18 +16,18 @@ from typing import Iterator
 import numpy as np
 
 from .state import (
+    NORM_TOL,
     SectorState,
+    _check_cut,
+    _entropy,
+    _initial_amplitudes,
     _lowered_raw,
-    apply_all_jumps,
-    entanglement_entropy,
-    initial_state,
-    sector_masks,
 )
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One sampled trajectory: its seed, click sequence, and per-click entropies.
+    """One sampled trajectory: its click sequence and per-click entropies.
 
     ``entropies[k]`` is the entanglement entropy (nats) at the designated cut
     after ``k`` clicks, so the list is one longer than ``clicks``.
@@ -35,7 +35,6 @@ class TrajectoryRecord:
     decay rate) elapsed before each click.
     """
 
-    seed: int
     clicks: tuple[int, ...]
     entropies: tuple[float, ...]
     waiting_times: tuple[float, ...] | None = None
@@ -53,12 +52,15 @@ class TrajectoryRecord:
                 raise ValueError("waiting times must be >= 0")
 
 
-def _pick_detector(weights: np.ndarray, rng: np.random.Generator) -> int:
+def _pick_detector(weights: np.ndarray, n_excited: int, rng: np.random.Generator) -> int:
+    # The collective jumps conserve the excitation number, so the weights of
+    # a normalized state sum to n_excited; a larger residual means a
+    # non-unitary network or a state that lost its norm.
+    total = weights.sum()
+    if abs(total - n_excited) > NORM_TOL * n_excited:
+        raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
     # Inverse CDF over the weight prefix sums; side="right" skips zero-weight
     # detectors, whose cumulative entries repeat the previous value.
-    total = weights.sum()
-    if total <= 0.0:
-        raise RuntimeError("all jump weights vanished for a normalized state")
     r = rng.random() * total
     detector = int(np.searchsorted(np.cumsum(weights), r, side="right"))
     if detector >= len(weights):
@@ -67,24 +69,28 @@ def _pick_detector(weights: np.ndarray, rng: np.random.Generator) -> int:
     return detector
 
 
-def sample_next_click(state: SectorState, u: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw the next clicking detector with probability proportional to its jump weight."""
-    lowered = apply_all_jumps(state, u)
-    weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
-    return _pick_detector(weights, rng)
+def _click_walk(
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, rng: np.random.Generator
+) -> Iterator[tuple[int, np.ndarray]]:
+    # The one click loop: yields (detector, normalized post-click amplitudes)
+    # until the chain reaches the ground state, one rng.random() per click.
+    if u.shape != (n_sites, n_sites):
+        raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
+    for e in range(n_excited, 0, -1):
+        lowered = _lowered_raw(n_sites, e, amplitudes, u)
+        weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
+        detector = _pick_detector(weights, e, rng)
+        amplitudes = lowered[detector] / np.sqrt(weights[detector])
+        yield detector, amplitudes
 
 
 def evolve_clicks(
     state: SectorState, u: np.ndarray, rng: np.random.Generator
 ) -> Iterator[tuple[int, SectorState]]:
     """Yield (detector, post-click state) until the chain reaches the ground state."""
-    while state.n_excited > 0:
-        lowered = apply_all_jumps(state, u)
-        weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
-        detector = _pick_detector(weights, rng)
-        amps = lowered[detector] / np.sqrt(weights[detector])
-        state = SectorState(state.n_sites, state.n_excited - 1, amps)
-        yield detector, state
+    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, rng)
+    for e, (detector, amplitudes) in zip(range(state.n_excited - 1, -1, -1), walk):
+        yield detector, SectorState(state.n_sites, e, amplitudes)
 
 
 def sample_click_sequence(
@@ -92,26 +98,14 @@ def sample_click_sequence(
 ) -> tuple[int, ...]:
     """Sample the full click sequence of one trajectory, skipping entropy bookkeeping.
 
-    Works on raw amplitude arrays to keep per-click overhead low; draws the
-    same clicks as :func:`evolve_clicks` for the same generator state.
+    Draws the same clicks as :func:`evolve_clicks` for the same generator state.
     """
-    if u.shape != (n_sites, n_sites):
-        raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
-    masks = sector_masks(n_sites, n_excited)
-    amps = np.zeros(len(masks), dtype=complex)
-    amps[np.searchsorted(masks, (1 << n_excited) - 1)] = 1.0
-    clicks = []
-    for e in range(n_excited, 0, -1):
-        lowered = _lowered_raw(n_sites, e, amps, u)
-        weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
-        detector = _pick_detector(weights, rng)
-        amps = lowered[detector] / np.sqrt(weights[detector])
-        clicks.append(detector)
-    return tuple(clicks)
+    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, rng)
+    return tuple(detector for detector, _ in walk)
 
 
 def run_trajectory(
-    n_sites: int, n_excited: int, u: np.ndarray, cut: int, seed: int
+    n_sites: int, n_excited: int, u: np.ndarray, cut: int, rng: np.random.Generator
 ) -> TrajectoryRecord:
     """Run one trajectory from the standard initial state until all emitters decay.
 
@@ -119,14 +113,14 @@ def run_trajectory(
     after every click; the terminal state is the all-ground product state
     with entropy 0.
     """
-    rng = np.random.default_rng(seed)
-    state = initial_state(n_sites, n_excited)
+    _check_cut(n_sites, cut)
+    amplitudes = _initial_amplitudes(n_sites, n_excited)
     clicks: list[int] = []
-    entropies = [entanglement_entropy(state, cut)]
-    for detector, state in evolve_clicks(state, u, rng):
+    entropies = [_entropy(n_sites, n_excited, amplitudes, cut)]
+    for detector, amplitudes in _click_walk(n_sites, n_excited, amplitudes, u, rng):
         clicks.append(detector)
-        entropies.append(entanglement_entropy(state, cut))
-    return TrajectoryRecord(seed=int(seed), clicks=tuple(clicks), entropies=tuple(entropies))
+        entropies.append(_entropy(n_sites, n_excited - len(clicks), amplitudes, cut))
+    return TrajectoryRecord(clicks=tuple(clicks), entropies=tuple(entropies))
 
 
 def attach_waiting_times(
@@ -156,34 +150,8 @@ def clicks_to_counts(clicks, n_detectors: int) -> np.ndarray:
 
 
 def record_to_json(record: TrajectoryRecord) -> str:
-    obj = {
-        "seed": record.seed,
-        "clicks": list(record.clicks),
-        "entropies": list(record.entropies),
-    }
+    """One JSON line: ``{"clicks", "entropies", "waiting_times"?}``."""
+    obj = {"clicks": list(record.clicks), "entropies": list(record.entropies)}
     if record.waiting_times is not None:
         obj["waiting_times"] = list(record.waiting_times)
     return json.dumps(obj)
-
-
-def record_from_json(line: str) -> TrajectoryRecord:
-    obj = json.loads(line)
-    times = obj.get("waiting_times")
-    return TrajectoryRecord(
-        seed=int(obj["seed"]),
-        clicks=tuple(int(c) for c in obj["clicks"]),
-        entropies=tuple(float(s) for s in obj["entropies"]),
-        waiting_times=None if times is None else tuple(float(t) for t in times),
-    )
-
-
-def write_records(path, records) -> None:
-    """Write records as JSON lines, one trajectory per line."""
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(record_to_json(record) + "\n")
-
-
-def read_records(path) -> list[TrajectoryRecord]:
-    with open(path) as fh:
-        return [record_from_json(line) for line in fh if line.strip()]

@@ -163,11 +163,6 @@ def unitary_from_json(text: str) -> np.ndarray:
     return u
 
 
-def save_unitary(u: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(unitary_to_json(u))
-
-
 def load_unitary(path) -> np.ndarray:
     with open(path) as fh:
         return unitary_from_json(fh.read())

@@ -27,13 +27,13 @@ from lontraj.oracle import (
     conditional_click_probability,
     enumerate_outcomes,
     outcome_probability,
-    permanent_naive,
     permanent_ryser,
     sequence_probability,
 )
 from lontraj.state import apply_jump, entanglement_entropy, initial_state, site_occupations
-from lontraj.trajectory import evolve_clicks, sample_next_click
+from lontraj.trajectory import evolve_clicks
 from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, haar_unitary
+from permanent_reference import permanent_naive
 
 SEED = 20260811
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -103,7 +103,7 @@ def test_criterion_4_single_click_entropy_law():
         n = 8
         for _ in range(50):
             u = haar_unitary(n, rng)
-            detector = sample_next_click(initial_state(n, n), u, rng)
+            detector = next(evolve_clicks(initial_state(n, n), u, rng))[0]
             state = apply_jump(initial_state(n, n), u, detector)
             for cut in range(1, n):
                 p = float(np.sum(np.abs(u[detector, :cut]) ** 2))

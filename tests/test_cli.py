@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lontraj.cli import RunConfig, execute, main, parse_config
-from lontraj.trajectory import read_records
-from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, check_unitary, save_unitary
+from lontraj.experiments import UnitarySource, derive_rng
+from lontraj.trajectory import sample_click_sequence
+from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, check_unitary, unitary_to_json
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -13,7 +14,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 def balanced_splitter_file(tmp_path) -> str:
     u = beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
     path = tmp_path / "bs5050.json"
-    save_unitary(u, path)
+    path.write_text(unitary_to_json(u))
     return str(path)
 
 
@@ -166,12 +167,38 @@ def test_execute_trajectory_dump_with_waiting_times(tmp_path):
         ]
     )
     assert execute(config) == 0
-    records = read_records(tmp_path / "records.jsonl")
-    assert len(records) == 12
-    for record in records:
-        assert len(record.clicks) == 3
-        assert len(record.entropies) == 4
-        assert record.waiting_times is not None
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert len(lines) == 12
+    for line in lines:
+        record = json.loads(line)
+        assert set(record) == {"clicks", "entropies", "waiting_times"}
+        assert len(record["clicks"]) == 3
+        assert len(record["entropies"]) == 4
+        assert len(record["waiting_times"]) == 3
+
+
+def test_trajectory_dump_line_i_is_estimator_trajectory_i(tmp_path):
+    n, m, seed, samples = 6, 6, 3, 20
+    config = parse_config(
+        [
+            "--mode", "trajectory-dump",
+            "--n", str(n),
+            "--m", str(m),
+            "--unitary", "haar",
+            "--samples", str(samples),
+            "--seed", str(seed),
+            "--output", str(tmp_path / "records.jsonl"),
+            "--threads", "1",
+        ]
+    )
+    assert execute(config) == 0
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert len(lines) == samples
+    source = UnitarySource.haar()
+    for i, line in enumerate(lines):
+        u = source.draw(n, derive_rng(seed, i, 0))
+        expected = sample_click_sequence(n, m, u, derive_rng(seed, i, 1))
+        assert tuple(json.loads(line)["clicks"]) == expected, f"line {i}"
 
 
 def test_execute_scaling_sweep(tmp_path):
@@ -257,6 +284,10 @@ def test_dump_unitary_flag_rejects_fresh_per_sample_runs(tmp_path):
     [
         ["--mode", "distribution", "--n", "4", "--m", "3", "--unitary", "haar", "--samples", "600"],
         ["--mode", "entropy-grid", "--n", "4", "--m", "2", "--unitary", "brickwall:1", "--samples", "600"],
+        ["--mode", "trajectory-dump", "--n", "4", "--m", "3", "--unitary", "haar", "--samples", "600",
+         "--waiting-times"],
+        ["--mode", "mixture-entropy", "--n", "4", "--m", "4", "--unitary", "haar", "--k", "2",
+         "--samples", "600"],
     ],
 )
 def test_outputs_identical_across_thread_counts(tmp_path, mode_args):

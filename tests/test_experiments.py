@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lontraj.experiments import (
     UnitarySource,
+    _worker_count,
     averaged_entropy_grid,
     derive_rng,
     derive_seed,
@@ -19,7 +21,6 @@ from lontraj.experiments import (
     scaling_sweep,
 )
 from lontraj.state import apply_jump, initial_state
-from lontraj.trajectory import sample_next_click
 from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -44,6 +45,13 @@ def test_derived_seeds_are_stable_and_distinct():
     a = derive_rng(42, 3).random(4)
     b = derive_rng(42, 3).random(4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_worker_count_is_bounded_by_chunks_and_cores():
+    cores = len(os.sched_getaffinity(0))
+    assert _worker_count(10**6, 3) == min(3, cores)
+    assert _worker_count(10**6, 10**6) == cores
+    assert _worker_count(1, 40) == 1
 
 
 def test_unitary_source_draw_kinds():

@@ -12,7 +12,6 @@ from lontraj.unitary import (
     haar_unitary,
     load_unitary,
     sample_haar_brickwall,
-    save_unitary,
     unitary_from_json,
     unitary_to_json,
 )
@@ -140,7 +139,7 @@ def test_compose_matches_explicit_layer_product():
 def test_unitary_json_roundtrip_is_exact(tmp_path):
     u = haar_unitary(5, np.random.default_rng(21))
     path = tmp_path / "u.json"
-    save_unitary(u, path)
+    path.write_text(unitary_to_json(u))
     np.testing.assert_array_equal(load_unitary(path), u)
     obj = json.loads(unitary_to_json(u))
     assert obj["dim"] == 5
