@@ -44,17 +44,12 @@ from .trajectory import (
     run_trajectory,
 )
 from .unitary import (
-    BeamSplitterParams,
-    BrickwallSpec,
     beamsplitter_unitary,
-    compose_brickwall,
+    haar_brickwall,
     haar_unitary,
-    sample_haar_brickwall,
 )
 
 __all__ = [
-    "BeamSplitterParams",
-    "BrickwallSpec",
     "DistributionReport",
     "EntropyGrid",
     "MixtureEntropyReport",
@@ -67,13 +62,13 @@ __all__ = [
     "beamsplitter_unitary",
     "build_repeated_matrix",
     "clicks_to_counts",
-    "compose_brickwall",
     "conditional_click_probability",
     "distribution_comparison",
     "entanglement_entropy",
     "entropy_bound",
     "enumerate_outcomes",
     "expected_tvd",
+    "haar_brickwall",
     "haar_unitary",
     "initial_state",
     "jump_weights",
@@ -82,7 +77,6 @@ __all__ = [
     "outcome_probability",
     "permanent_ryser",
     "run_trajectory",
-    "sample_haar_brickwall",
     "scaling_sweep",
     "sequence_probability",
     "site_occupations",

@@ -43,6 +43,10 @@ MODES = (
     "dump-unitary",
 )
 
+# Modes that draw one unitary from the seed, even from a fresh-per-sample
+# source, and keep it for every trajectory.
+_SINGLE_DRAW_MODES = ("dump-unitary", "distribution", "mixture-entropy")
+
 _DEFAULT_OUTPUTS = {
     "trajectory-dump": "trajectories.jsonl",
     "entropy-grid": "entropy_grid.csv",
@@ -311,11 +315,19 @@ def execute(config: RunConfig) -> int:
     """Run one configured experiment; writes the output files and their manifest."""
     outputs = [config.output]
     source = None
+    u = None  # the run's single unitary, for runs that have one
     if config.mode != "scaling-sweep":
         source = _parse_source(config.unitary, config.n_sites)
+        if not source.fresh_per_sample or config.mode in _SINGLE_DRAW_MODES:
+            u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
+    dump_unitary = config.dump_unitary if config.mode != "dump-unitary" else None
+    if dump_unitary is not None:
+        # Checked before any mode runs, so a rejected run writes nothing.
+        if u is None:
+            raise ValueError("--dump-unitary needs a run with a single fixed unitary")
+        outputs.append(dump_unitary)
 
     if config.mode == "dump-unitary":
-        u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
         _write_atomic(config.output, unitary_to_json(u) + "\n")
     elif config.mode == "trajectory-dump":
         records = trajectory_records(
@@ -340,7 +352,6 @@ def execute(config: RunConfig) -> int:
         )
         _write_atomic(config.output, grid_csv(grid))
     elif config.mode == "distribution":
-        u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
         report = distribution_comparison(
             config.n_sites,
             config.n_excited,
@@ -352,7 +363,6 @@ def execute(config: RunConfig) -> int:
         _write_atomic(config.output, distribution_csv(report))
         print(f"tvd={report.tvd!r} over {len(report.outcomes)} outcomes")
     elif config.mode == "mixture-entropy":
-        u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
         report = mixture_entropy_report(
             config.n_sites,
             config.n_excited,
@@ -375,17 +385,8 @@ def execute(config: RunConfig) -> int:
         rows = scaling_sweep(points, config.n_samples, config.seed, threads=config.threads)
         _write_atomic(config.output, scaling_csv(rows))
 
-    if config.dump_unitary is not None and config.mode != "dump-unitary":
-        # Only runs that resolve a single unitary can dump it: fixed sources
-        # anywhere, or the one-off draw of distribution / mixture-entropy.
-        single_unitary = source is not None and (
-            not source.fresh_per_sample or config.mode in ("distribution", "mixture-entropy")
-        )
-        if not single_unitary:
-            raise ValueError("--dump-unitary needs a run with a single fixed unitary")
-        u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
-        _write_atomic(config.dump_unitary, unitary_to_json(u) + "\n")
-        outputs.append(config.dump_unitary)
+    if dump_unitary is not None:
+        _write_atomic(dump_unitary, unitary_to_json(u) + "\n")
 
     manifest_path = config.output.with_name(config.output.name + ".manifest.json")
     _write_atomic(manifest_path, _manifest(config, outputs))

@@ -32,7 +32,7 @@ from .trajectory import (
     run_trajectory,
     sample_click_sequence,
 )
-from .unitary import check_unitary, compose_brickwall, haar_unitary, sample_haar_brickwall
+from .unitary import check_unitary, haar_brickwall, haar_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 ENTROPY_CUTOFF = 1e-12
@@ -92,7 +92,7 @@ class UnitarySource:
         if self.kind == "haar":
             return haar_unitary(n_modes, rng)
         if self.kind == "brickwall":
-            return compose_brickwall(sample_haar_brickwall(n_modes, self.depth, rng))
+            return haar_brickwall(n_modes, self.depth, rng)
         raise ValueError(f"unknown unitary source {self.kind!r}")
 
 
@@ -216,9 +216,9 @@ class _GridSums:
 
     def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
         n, e = self.n_sites, self.n_excited
-        profile = np.empty_like(self.sums)
+        # Row 0 stays zero: the initial product state has no entanglement.
+        profile = np.zeros_like(self.sums)
         amplitudes = _initial_amplitudes(n, e)
-        profile[0] = _entropy_profile(n, e, amplitudes)
         for k, (_, amplitudes) in enumerate(_click_walk(n, e, amplitudes, u, rng), start=1):
             profile[k] = _entropy_profile(n, e - k, amplitudes)
         self.sums += profile

@@ -116,7 +116,7 @@ def run_trajectory(
     _check_cut(n_sites, cut)
     amplitudes = _initial_amplitudes(n_sites, n_excited)
     clicks: list[int] = []
-    entropies = [_entropy(n_sites, n_excited, amplitudes, cut)]
+    entropies = [0.0]  # the initial product state has no entanglement
     for detector, amplitudes in _click_walk(n_sites, n_excited, amplitudes, u, rng):
         clicks.append(detector)
         entropies.append(_entropy(n_sites, n_excited - len(clicks), amplitudes, cut))

@@ -32,7 +32,7 @@ from lontraj.oracle import (
 )
 from lontraj.state import apply_jump, entanglement_entropy, initial_state, site_occupations
 from lontraj.trajectory import evolve_clicks
-from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, haar_unitary
+from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from permanent_reference import permanent_naive
 
 SEED = 20260811
@@ -59,7 +59,7 @@ def criterion(number: str, name: str, budget: float | None):
 
 
 def balanced_splitter() -> np.ndarray:
-    return beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
+    return beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
 
 
 def test_criterion_1_hong_ou_mandel():

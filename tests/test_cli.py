@@ -6,13 +6,13 @@ import pytest
 from lontraj.cli import RunConfig, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
-from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, check_unitary, unitary_to_json
+from lontraj.unitary import beamsplitter_unitary, check_unitary, unitary_to_json
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def balanced_splitter_file(tmp_path) -> str:
-    u = beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
+    u = beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
     path = tmp_path / "bs5050.json"
     path.write_text(unitary_to_json(u))
     return str(path)
@@ -262,21 +262,26 @@ def test_dump_unitary_flag_saves_the_fixed_unitary(tmp_path):
     assert manifest["outputs"] == ["d.csv", "used.json"]
 
 
-def test_dump_unitary_flag_rejects_fresh_per_sample_runs(tmp_path):
-    config = parse_config(
-        [
-            "--mode", "entropy-grid",
-            "--n", "3",
-            "--m", "2",
-            "--unitary", "haar",
-            "--samples", "10",
-            "--seed", "1",
-            "--output", str(tmp_path / "g.csv"),
-            "--dump-unitary", str(tmp_path / "u.json"),
-        ]
-    )
-    with pytest.raises(ValueError, match="fixed unitary"):
-        execute(config)
+def test_dump_unitary_flag_rejects_fresh_per_sample_runs(tmp_path, capsys):
+    # Rejected before the mode runs: no output, no dumped unitary, no manifest.
+    runs = [
+        ["--mode", "entropy-grid", "--n", "3", "--m", "2", "--unitary", "haar"],
+        ["--mode", "scaling-sweep", "--point", "4:haar", "--point", "6:brickwall:2"],
+    ]
+    for args in runs:
+        code = main(
+            args
+            + [
+                "--samples", "10",
+                "--seed", "1",
+                "--output", str(tmp_path / "out.csv"),
+                "--dump-unitary", str(tmp_path / "u.json"),
+                "--threads", "1",
+            ]
+        )
+        assert code == 1
+        assert "fixed unitary" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,14 @@ from lontraj.oracle import (
     permanent_ryser,
     sequence_probability,
 )
-from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, haar_unitary
+from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from permanent_reference import permanent_naive
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def balanced_splitter() -> np.ndarray:
-    return beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
+    return beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
 
 
 def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:

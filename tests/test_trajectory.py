@@ -15,14 +15,14 @@ from lontraj.trajectory import (
     run_trajectory,
     sample_click_sequence,
 )
-from lontraj.unitary import BeamSplitterParams, beamsplitter_unitary, haar_unitary
+from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
 
 
 def balanced_splitter() -> np.ndarray:
-    return beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
+    return beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
 
 
 def test_first_click_uniform_chi_squared():

@@ -3,15 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from brickwall_reference import brickwall_reference, haar_unitary_reference
 from lontraj.unitary import (
-    BeamSplitterParams,
-    BrickwallSpec,
     beamsplitter_unitary,
     check_unitary,
-    compose_brickwall,
+    haar_brickwall,
     haar_unitary,
     load_unitary,
-    sample_haar_brickwall,
     unitary_from_json,
     unitary_to_json,
 )
@@ -20,7 +18,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def balanced_splitter() -> np.ndarray:
-    return beamsplitter_unitary(BeamSplitterParams(a=INV_SQRT2, b=INV_SQRT2, phi=np.pi))
+    return beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
 
 
 def test_balanced_splitter_rows_are_symmetric_and_antisymmetric():
@@ -30,18 +28,18 @@ def test_balanced_splitter_rows_are_symmetric_and_antisymmetric():
 
 
 def test_beamsplitter_identity_case():
-    u = beamsplitter_unitary(BeamSplitterParams(a=1.0, b=0.0, phi=0.0))
+    u = beamsplitter_unitary(1.0, 0.0, 0.0)
     np.testing.assert_array_equal(u, np.eye(2))
 
 
 def test_beamsplitter_generic_is_unitary():
-    u = beamsplitter_unitary(BeamSplitterParams(a=0.6, b=0.8j, phi=np.pi / 3))
-    check_unitary(u, tol=1e-12)
+    u = beamsplitter_unitary(0.6, 0.8j, np.pi / 3)
+    check_unitary(u)
 
 
 def test_beamsplitter_rejects_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="not normalized"):
-        BeamSplitterParams(a=0.9, b=0.8, phi=0.0)
+        beamsplitter_unitary(0.9, 0.8, 0.0)
 
 
 def test_haar_1x1_is_a_phase():
@@ -60,7 +58,7 @@ def test_haar_seed_determinism():
 def test_haar_outputs_are_unitary(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
-        check_unitary(haar_unitary(n, rng), tol=1e-12)
+        check_unitary(haar_unitary(n, rng))
 
 
 def test_haar_first_moment_single_entry():
@@ -84,36 +82,54 @@ def test_haar_first_moment_all_entries():
     assert np.all(np.abs(acc / samples - 1 / n) < 5 * stderr)
 
 
+def test_haar_matches_the_unstacked_reference():
+    for n in range(1, 17):
+        for seed in range(5):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = haar_unitary(n, rng)
+            assert u.tobytes() == haar_unitary_reference(n, reference_rng).tobytes()
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_brickwall_staggering_rule():
-    spec = sample_haar_brickwall(4, 2, np.random.default_rng(0))
-    positions = [(layer, top) for layer, top, _ in spec.gates]
-    assert positions == [(0, 0), (0, 2), (1, 1)]
+    # Layer 0 pairs modes (0,1), (2,3) and leaves mode 4 alone.
+    u = haar_brickwall(5, 1, np.random.default_rng(0))
+    block = np.array([0, 0, 1, 1, 2])
+    rows, cols = np.indices(u.shape)
+    assert np.all(u[block[rows] != block[cols]] == 0.0)
+    assert u[4, 4] == 1.0
+    # Layer 1 pairs (1,2) only, so the edge rows keep layer 0's zeros.
+    u = haar_brickwall(4, 2, np.random.default_rng(0))
+    assert np.all(u[0, 2:] == 0.0) and np.all(u[3, :2] == 0.0)
+    assert np.all(u[1:3] != 0.0)
 
 
 def test_brickwall_two_modes_single_gate():
-    spec = sample_haar_brickwall(2, 1, np.random.default_rng(0))
-    assert len(spec.gates) == 1
+    rng, gate_rng = np.random.default_rng(0), np.random.default_rng(0)
+    u = haar_brickwall(2, 1, rng)
+    np.testing.assert_allclose(u, haar_unitary(2, gate_rng), atol=1e-15)
+    assert rng.bit_generator.state == gate_rng.bit_generator.state
 
 
 def test_brickwall_depth_zero_is_identity_network():
-    spec = sample_haar_brickwall(8, 0, np.random.default_rng(0))
-    assert spec.gates == ()
-    np.testing.assert_array_equal(compose_brickwall(spec), np.eye(8))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    np.testing.assert_array_equal(haar_brickwall(8, 0, rng), np.eye(8))
+    assert rng.bit_generator.state == state
 
 
 def test_brickwall_rejects_single_mode_with_depth():
     with pytest.raises(ValueError, match="at least 2 modes"):
-        sample_haar_brickwall(1, 1, np.random.default_rng(0))
+        haar_brickwall(1, 1, np.random.default_rng(0))
 
 
-def test_brickwall_spec_rejects_bad_parity():
-    params = BeamSplitterParams(a=1.0, b=0.0, phi=0.0)
-    with pytest.raises(ValueError, match="staggering"):
-        BrickwallSpec(n_modes=4, depth=1, gates=((0, 1, params),))
+def test_brickwall_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        haar_brickwall(4, -1, np.random.default_rng(0))
 
 
 def test_compose_depth1_band_zeros_are_exact():
-    u = compose_brickwall(sample_haar_brickwall(6, 1, np.random.default_rng(3)))
+    u = haar_brickwall(6, 1, np.random.default_rng(3))
     for i in range(6):
         for j in range(6):
             if abs(i - j) >= 2:
@@ -122,18 +138,24 @@ def test_compose_depth1_band_zeros_are_exact():
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_compose_band_zeros_scale_with_depth(depth):
-    u = compose_brickwall(sample_haar_brickwall(8, depth, np.random.default_rng(depth)))
+    u = haar_brickwall(8, depth, np.random.default_rng(depth))
     check_unitary(u)
     rows, cols = np.indices(u.shape)
     assert np.all(u[np.abs(rows - cols) >= 2 * depth] == 0.0)
 
 
 def test_compose_matches_explicit_layer_product():
-    spec = sample_haar_brickwall(4, 2, np.random.default_rng(9))
-    layers = [np.eye(4, dtype=complex) for _ in range(2)]
-    for layer, top, params in spec.gates:
-        layers[layer][top : top + 2, top : top + 2] = beamsplitter_unitary(params)
-    np.testing.assert_allclose(compose_brickwall(spec), layers[1] @ layers[0], atol=1e-14)
+    # Byte-identical to one gate draw and one dense layer at a time, signed
+    # zeros included, and it leaves the generator where the reference does.
+    for n_modes in range(1, 17):
+        for depth in (0, 1, 2, 3, 5, 20, 40):
+            if n_modes == 1 and depth > 0:
+                continue
+            for seed in (0, 1, 7):
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                u = haar_brickwall(n_modes, depth, rng)
+                assert u.tobytes() == brickwall_reference(n_modes, depth, reference_rng).tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_unitary_json_roundtrip_is_exact(tmp_path):
