@@ -16,8 +16,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .experiments import (
     UnitarySource,
@@ -34,43 +32,24 @@ from .experiments import (
 from .trajectory import record_to_json
 from .unitary import load_unitary, unitary_to_json
 
-MODES = (
-    "trajectory-dump",
-    "entropy-grid",
-    "scaling-sweep",
-    "distribution",
-    "mixture-entropy",
-    "dump-unitary",
-)
+# Each mode's default output and the settings it reads beyond mode, seed,
+# output, threads and dump_unitary.  parse_config sets every other setting to
+# None, so the manifest records exactly what the run read.
+MODES = {
+    "trajectory-dump": (
+        "trajectories.jsonl",
+        ("n", "m", "unitary", "samples", "cut", "waiting_times"),
+    ),
+    "entropy-grid": ("entropy_grid.csv", ("n", "m", "unitary", "samples")),
+    "scaling-sweep": ("scaling_sweep.csv", ("points", "samples")),
+    "distribution": ("distribution.csv", ("n", "m", "unitary", "samples")),
+    "mixture-entropy": ("mixture_entropy.json", ("n", "m", "unitary", "samples", "k", "cut")),
+    "dump-unitary": ("unitary.json", ("n", "unitary")),
+}
 
 # Modes that draw one unitary from the seed, even from a fresh-per-sample
 # source, and keep it for every trajectory.
 _SINGLE_DRAW_MODES = ("dump-unitary", "distribution", "mixture-entropy")
-
-_DEFAULT_OUTPUTS = {
-    "trajectory-dump": "trajectories.jsonl",
-    "entropy-grid": "entropy_grid.csv",
-    "scaling-sweep": "scaling_sweep.csv",
-    "distribution": "distribution.csv",
-    "mixture-entropy": "mixture_entropy.json",
-    "dump-unitary": "unitary.json",
-}
-
-_CONFIG_KEYS = {
-    "mode",
-    "n",
-    "m",
-    "unitary",
-    "samples",
-    "seed",
-    "output",
-    "threads",
-    "cut",
-    "k",
-    "points",
-    "waiting_times",
-    "dump_unitary",
-}
 
 
 @dataclass
@@ -79,14 +58,14 @@ class RunConfig:
     seed: int
     n_sites: int | None
     n_excited: int | None
-    unitary: str
-    n_samples: int
+    unitary: str | None
+    n_samples: int | None
     output: Path
     threads: int
     cut: int | None
     k: int | None
     points: list[str] | None
-    waiting_times: bool
+    waiting_times: bool | None
     dump_unitary: Path | None
 
 
@@ -122,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--waiting-times",
         action="store_const",
         const=True,
-        default=None,
         help="attach physical waiting times in trajectory-dump mode",
     )
     parser.add_argument(
@@ -133,8 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: Path) -> dict:
-    values: dict[str, str] = {}
+def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
+    # Each ``key = value`` line becomes the flag tokens of the same setting,
+    # so the file is typed and checked by the parser itself.
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    tokens = []
     for raw in path.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,100 +123,87 @@ def _read_config_file(path: Path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed config line {raw!r} (expected key = value)")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs == 0:  # an on/off flag
+            if value.lower() in ("true", "1", "yes"):
+                tokens.append(flag)
+            elif value.lower() not in ("false", "0", "no"):
+                raise ValueError(f"cannot read boolean from {value!r}")
+        elif key == "points":
+            tokens += [f"{flag}={p.strip()}" for p in value.split(",") if p.strip()]
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _coerce(key: str, value: str):
-    if key in ("n", "m", "samples", "seed", "threads", "cut", "k"):
-        return int(value)
-    if key in ("output", "dump_unitary"):
-        return Path(value)
-    if key == "waiting_times":
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot read boolean from {value!r}")
-    if key == "points":
-        return [p.strip() for p in value.split(",") if p.strip()]
-    return value
+def _check_range(key: str, value: int | None, low: int, high: int | None = None) -> None:
+    if value is None:  # a setting the mode does not read
+        return
+    if high is None:
+        if value < low:
+            raise ValueError(f"--{key} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"--{key} must lie in [{low}, {high}], got {value}")
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Merge flags over an optional key=value config file into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    merged: dict = {}
-    if args.config is not None:
-        for key, raw in _read_config_file(args.config).items():
-            merged[key] = _coerce(key, raw)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
+    """Merge flags over an optional key=value config file into a validated RunConfig.
 
-    mode = merged.get("mode")
+    Settings that the mode does not read (see ``MODES``) are None.
+    """
+    parser = _build_parser()
+    args = vars(parser.parse_args(argv))
+    tokens = [] if args["config"] is None else _config_tokens(parser, args["config"])
+    merged = vars(parser.parse_args(tokens))
+    # Flags replace file values, a file's point list included.
+    merged.update((key, value) for key, value in args.items() if value is not None)
+
+    mode = merged["mode"]
     if mode is None:
         raise ValueError("missing required option --mode")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if merged.get("seed") is None:
+    if merged["seed"] is None:
         raise ValueError("missing required option --seed (runs must be explicitly seeded)")
+    threads = merged["threads"] if merged["threads"] is not None else os.cpu_count() or 1
+    _check_range("threads", threads, 1)
 
-    n_sites = merged.get("n")
-    n_excited = merged.get("m")
-    if mode != "scaling-sweep":
-        if n_sites is None:
-            raise ValueError(f"mode {mode} requires --n")
-        if n_sites < 1:
-            raise ValueError(f"--n must be >= 1, got {n_sites}")
-    if mode in ("trajectory-dump", "entropy-grid", "distribution", "mixture-entropy"):
-        if n_excited is None:
-            raise ValueError(f"mode {mode} requires --m")
-        if not 0 <= n_excited <= n_sites:
-            raise ValueError(f"--m must lie in [0, {n_sites}], got {n_excited}")
-
-    n_samples = merged.get("samples", 1000)
-    if n_samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {n_samples}")
-    threads = merged.get("threads") or os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-
-    points = merged.get("points")
-    if mode == "scaling-sweep" and not points:
-        raise ValueError("mode scaling-sweep requires at least one --point N:SOURCE")
-
-    cut = merged.get("cut")
-    k = merged.get("k")
-    if mode in ("trajectory-dump", "mixture-entropy"):
-        if cut is None:
-            cut = max(1, n_sites // 2)
-        if not 1 <= cut <= n_sites - 1:
-            raise ValueError(f"--cut must lie in [1, {n_sites - 1}], got {cut}")
-    if mode == "mixture-entropy":
-        if k is None:
-            k = n_excited // 2
-        if not 0 <= k <= n_excited:
-            raise ValueError(f"--k must lie in [0, {n_excited}], got {k}")
+    default_output, reads = MODES[mode]
+    s = {key: merged[key] for key in reads}
+    for key in ("n", "m", "points"):
+        if key in s and s[key] is None:
+            flag = "at least one --point N:SOURCE" if key == "points" else f"--{key}"
+            raise ValueError(f"mode {mode} requires {flag}")
+    n, m = s.get("n"), s.get("m")
+    _check_range("n", n, 1)
+    _check_range("m", m, 0, n)
+    # A mode that reads cut or k also reads n and m, checked by now.
+    defaults = {"unitary": "haar", "samples": 1000}
+    if "cut" in s:
+        defaults["cut"] = max(1, n // 2)
+    if "k" in s:
+        defaults["k"] = m // 2
+    s = {key: defaults.get(key) if value is None else value for key, value in s.items()}
+    _check_range("samples", s.get("samples"), 1)
+    if "cut" in s:
+        _check_range("cut", s["cut"], 1, n - 1)
+    _check_range("k", s.get("k"), 0, m)
 
     return RunConfig(
         mode=mode,
         seed=merged["seed"],
-        n_sites=n_sites,
-        n_excited=n_excited,
-        unitary=merged.get("unitary", "haar"),
-        n_samples=n_samples,
-        output=Path(merged.get("output", _DEFAULT_OUTPUTS[mode])),
+        n_sites=n,
+        n_excited=m,
+        unitary=s.get("unitary"),
+        n_samples=s.get("samples"),
+        output=merged["output"] or Path(default_output),
         threads=threads,
-        cut=cut,
-        k=k,
-        points=points,
-        waiting_times=bool(merged.get("waiting_times", False)),
-        dump_unitary=merged.get("dump_unitary"),
+        cut=s.get("cut"),
+        k=s.get("k"),
+        points=s.get("points"),
+        waiting_times=s.get("waiting_times"),
+        dump_unitary=merged["dump_unitary"],
     )
 
 
@@ -260,15 +228,6 @@ def _parse_point(spec: str) -> tuple[int, str]:
     return int(n_text), source
 
 
-def _resolve_fixed_unitary(source: UnitarySource, n_sites: int, seed: int) -> np.ndarray:
-    # Stream (0, 2) is never used by per-trajectory derivations (i, 0) / (i, 1).
-    # It is also trajectory 0's waiting-time stream, but only trajectory-dump
-    # attaches waiting times, and it never draws a fixed unitary.
-    if source.kind == "fixed":
-        return source.matrix
-    return source.draw(n_sites, derive_rng(seed, 0, 2))
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
@@ -284,27 +243,21 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _manifest(config: RunConfig, outputs: list[Path]) -> str:
     # threads and absolute paths are execution details that do not affect
-    # results, so they stay out of the manifest.
+    # results, so they stay out of the manifest; so do the settings the mode
+    # does not read, which are None.
     settings = {
-        "mode": config.mode,
-        "seed": config.seed,
+        "n": config.n_sites,
+        "m": config.n_excited,
         "unitary": config.unitary,
         "samples": config.n_samples,
+        "cut": config.cut,
+        "k": config.k,
+        "points": config.points,
+        "waiting_times": config.waiting_times or None,  # recorded only when on
     }
-    if config.n_sites is not None:
-        settings["n"] = config.n_sites
-    if config.n_excited is not None:
-        settings["m"] = config.n_excited
-    if config.cut is not None:
-        settings["cut"] = config.cut
-    if config.k is not None:
-        settings["k"] = config.k
-    if config.points is not None:
-        settings["points"] = config.points
-    if config.waiting_times:
-        settings["waiting_times"] = True
+    settings = {key: value for key, value in settings.items() if value is not None}
     manifest = {
-        "config": settings,
+        "config": {"mode": config.mode, "seed": config.seed, **settings},
         "outputs": [p.name for p in outputs],
         "version": __version__,
     }
@@ -319,13 +272,16 @@ def execute(config: RunConfig) -> int:
     if config.mode != "scaling-sweep":
         source = _parse_source(config.unitary, config.n_sites)
         if not source.fresh_per_sample or config.mode in _SINGLE_DRAW_MODES:
-            u = _resolve_fixed_unitary(source, config.n_sites, config.seed)
-    dump_unitary = config.dump_unitary if config.mode != "dump-unitary" else None
-    if dump_unitary is not None:
+            # Stream (0, 2) is never used by per-trajectory derivations (i, 0)
+            # and (i, 1).  It is also trajectory 0's waiting-time stream, but
+            # only trajectory-dump attaches waiting times, and it draws no
+            # unitary from the seed.  A fixed matrix of the wrong size fails here.
+            u = source.draw(config.n_sites, derive_rng(config.seed, 0, 2))
+    if config.dump_unitary is not None:
         # Checked before any mode runs, so a rejected run writes nothing.
         if u is None:
             raise ValueError("--dump-unitary needs a run with a single fixed unitary")
-        outputs.append(dump_unitary)
+        outputs.append(config.dump_unitary)
 
     if config.mode == "dump-unitary":
         _write_atomic(config.output, unitary_to_json(u) + "\n")
@@ -385,8 +341,8 @@ def execute(config: RunConfig) -> int:
         rows = scaling_sweep(points, config.n_samples, config.seed, threads=config.threads)
         _write_atomic(config.output, scaling_csv(rows))
 
-    if dump_unitary is not None:
-        _write_atomic(dump_unitary, unitary_to_json(u) + "\n")
+    if config.dump_unitary is not None:
+        _write_atomic(config.dump_unitary, unitary_to_json(u) + "\n")
 
     manifest_path = config.output.with_name(config.output.name + ".manifest.json")
     _write_atomic(manifest_path, _manifest(config, outputs))

@@ -57,7 +57,7 @@ def _pick_detector(weights: np.ndarray, n_excited: int, rng: np.random.Generator
     # a normalized state sum to n_excited; a larger residual means a
     # non-unitary network or a state that lost its norm.
     total = weights.sum()
-    if abs(total - n_excited) > NORM_TOL * n_excited:
+    if not abs(total - n_excited) <= NORM_TOL * n_excited:  # NaN fails too
         raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
     # Inverse CDF over the weight prefix sums; side="right" skips zero-weight
     # detectors, whose cumulative entries repeat the previous value.

@@ -21,7 +21,7 @@ def check_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     deviation = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if deviation > UNITARITY_TOL:
+    if not deviation <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"matrix is not unitary: max |U U† - I| = {deviation:.3e}")
 
 

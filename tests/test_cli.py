@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lontraj.cli import RunConfig, execute, main, parse_config
+from lontraj.cli import MODES, RunConfig, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
 from lontraj.unitary import beamsplitter_unitary, check_unitary, unitary_to_json
@@ -372,3 +372,125 @@ def test_run_config_is_reusable_programmatically(tmp_path):
     assert execute(config) == 0
     obj = json.loads((tmp_path / "eye.json").read_text())
     assert obj["dim"] == 4
+
+
+def test_dump_unitary_flag_in_dump_unitary_mode_writes_both_files(tmp_path):
+    code = main(
+        [
+            "--mode", "dump-unitary",
+            "--n", "4",
+            "--unitary", "haar",
+            "--seed", "1",
+            "--output", str(tmp_path / "u.json"),
+            "--dump-unitary", str(tmp_path / "extra.json"),
+        ]
+    )
+    assert code == 0
+    assert (tmp_path / "extra.json").read_bytes() == (tmp_path / "u.json").read_bytes()
+    manifest = json.loads((tmp_path / "u.json.manifest.json").read_text())
+    assert manifest["outputs"] == ["u.json", "extra.json"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_must_be_positive(threads):
+    with pytest.raises(ValueError, match="--threads must be >= 1"):
+        parse_config(
+            "--mode distribution --n 2 --m 2 --seed 1 --threads".split() + [threads]
+        )
+
+
+@pytest.mark.parametrize(
+    "mode_args",
+    [
+        ["--mode", "dump-unitary", "--n", "6"],
+        ["--mode", "mixture-entropy", "--n", "6", "--m", "4", "--samples", "20"],
+        ["--mode", "distribution", "--n", "6", "--m", "4", "--samples", "20"],
+    ],
+)
+def test_file_unitary_of_the_wrong_size_is_rejected_before_running(tmp_path, capsys, mode_args):
+    eye2 = tmp_path / "eye2.json"
+    eye2.write_text(unitary_to_json(np.eye(2, dtype=complex)))
+    out = tmp_path / "out"
+    code = main(
+        mode_args
+        + ["--unitary", f"file:{eye2}", "--seed", "1", "--output", str(out / "o.dat"),
+           "--threads", "1"]
+    )
+    assert code == 1
+    assert "2-mode, need 6" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["distribution", "trajectory-dump"])
+def test_nan_file_unitary_is_rejected(tmp_path, capsys, mode):
+    entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": entries}))
+    out = tmp_path / "out"
+    code = main(
+        ["--mode", mode, "--n", "2", "--m", "2", "--unitary", f"file:{bad}",
+         "--samples", "20", "--seed", "1", "--output", str(out / "o.dat"), "--threads", "1"]
+    )
+    assert code == 1
+    assert "not unitary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_manifest_records_exactly_the_settings_the_mode_reads(tmp_path, mode):
+    # Every option but --dump-unitary, which names an output, not a setting.
+    code = main(
+        [
+            "--mode", mode,
+            "--n", "4",
+            "--m", "2",
+            "--unitary", "identity",
+            "--samples", "20",
+            "--cut", "2",
+            "--k", "1",
+            "--point", "3:haar",
+            "--waiting-times",
+            "--seed", "5",
+            "--output", str(tmp_path / "o.dat"),
+            "--threads", "1",
+        ]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "o.dat.manifest.json").read_text())
+    assert set(manifest["config"]) == {"mode", "seed", *MODES[mode][1]}
+
+
+def test_point_flags_replace_the_config_file_points(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("mode = scaling-sweep\npoints = 4:haar, 5:brickwall:1\nseed = 2\n")
+    assert parse_config(["--config", str(path)]).points == ["4:haar", "5:brickwall:1"]
+    config = parse_config(["--config", str(path), "--point", "6:haar"])
+    assert config.points == ["6:haar"]
+
+
+@pytest.mark.parametrize("value, on", [("no", False), ("false", False), ("yes", True), ("1", True)])
+def test_config_file_waiting_times(tmp_path, value, on):
+    path = tmp_path / "dump.cfg"
+    path.write_text(f"mode = trajectory-dump\nn = 3\nm = 2\nseed = 1\nwaiting_times = {value}\n")
+    assert bool(parse_config(["--config", str(path)]).waiting_times) is on
+
+
+def test_config_file_rejects_malformed_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("mode = distribution\nn 4\n")
+    with pytest.raises(ValueError, match="malformed config line"):
+        parse_config(["--config", str(path)])
+
+
+def test_bad_config_value_fails_like_the_flag(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("mode = distribution\nn = abc\n")
+    with pytest.raises(SystemExit) as from_file:
+        main(["--config", str(path)])
+    file_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as from_flag:
+        main(["--mode", "distribution", "--n", "abc"])
+    flag_err = capsys.readouterr().err
+    assert from_file.value.code == from_flag.value.code == 2
+    assert "argument --n: invalid int value: 'abc'" in file_err
+    assert file_err == flag_err

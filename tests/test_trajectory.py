@@ -12,6 +12,7 @@ from lontraj.trajectory import (
     clicks_to_counts,
     evolve_clicks,
     record_to_json,
+    _click_walk,
     run_trajectory,
     sample_click_sequence,
 )
@@ -120,6 +121,16 @@ def test_non_unitary_network_breaks_the_weight_sum():
         sample_click_sequence(4, 3, u, np.random.default_rng(0))
     with pytest.raises(RuntimeError, match="jump weights sum"):
         next(evolve_clicks(initial_state(4, 3), u, np.random.default_rng(0)))
+
+
+def test_nan_network_breaks_the_weight_sum():
+    # NaN weights must not pass the check and yield made-up clicks.
+    u = haar_unitary(4, np.random.default_rng(12))
+    u[2, 1] = np.nan
+    state = initial_state(4, 3)
+    walk = _click_walk(4, 3, state.amplitudes, u, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="jump weights sum"):
+        next(walk)
 
 
 def test_averaged_occupations_are_unraveling_independent():

@@ -172,3 +172,11 @@ def test_unitary_json_rejects_nonunitary():
     text = json.dumps({"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]})
     with pytest.raises(ValueError, match="not unitary"):
         unitary_from_json(text)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_unitary_rejects_nan_and_inf(bad):
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        check_unitary(u)
