@@ -25,6 +25,7 @@ from .oracle import (
     build_repeated_matrix,
     conditional_click_probability,
     enumerate_outcomes,
+    outcome_law,
     outcome_probability,
     permanent_ryser,
     sequence_probability,
@@ -74,6 +75,7 @@ __all__ = [
     "jump_weights",
     "max_averaged_entropy",
     "mixture_entropy_report",
+    "outcome_law",
     "outcome_probability",
     "permanent_ryser",
     "run_trajectory",

@@ -115,8 +115,12 @@ def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
     # Each ``key = value`` line becomes the flag tokens of the same setting,
     # so the file is typed and checked by the parser itself.
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    try:
+        text = path.read_text()
+    except OSError as error:
+        raise ValueError(f"--config: cannot read {str(path)!r}: {error.strerror}") from None
     tokens = []
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -207,7 +211,14 @@ def parse_config(argv=None) -> RunConfig:
     )
 
 
-def _parse_source(spec: str, n_sites: int | None) -> UnitarySource:
+def _parse_int(text: str, what: str, option: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option}: cannot read {what} {text!r} in {spec!r}") from None
+
+
+def _parse_source(spec: str, n_sites: int | None, option: str = "--unitary") -> UnitarySource:
     if spec == "identity":
         if n_sites is None:
             raise ValueError("identity unitary needs --n")
@@ -215,17 +226,21 @@ def _parse_source(spec: str, n_sites: int | None) -> UnitarySource:
     if spec == "haar":
         return UnitarySource.haar()
     if spec.startswith("brickwall:"):
-        return UnitarySource.brickwall(int(spec.split(":", 1)[1]))
+        return UnitarySource.brickwall(_parse_int(spec.split(":", 1)[1], "depth", option, spec))
     if spec.startswith("file:"):
-        return UnitarySource.fixed(load_unitary(spec.split(":", 1)[1]))
-    raise ValueError(f"cannot read unitary source {spec!r}")
+        path = spec.split(":", 1)[1]
+        try:
+            return UnitarySource.fixed(load_unitary(path))
+        except OSError as error:
+            raise ValueError(f"{option}: cannot read {path!r}: {error.strerror}") from None
+    raise ValueError(f"{option}: cannot read unitary source {spec!r}")
 
 
 def _parse_point(spec: str) -> tuple[int, str]:
     n_text, sep, source = spec.partition(":")
     if not sep:
         raise ValueError(f"cannot read sweep point {spec!r} (expected N:SOURCE)")
-    return int(n_text), source
+    return _parse_int(n_text, "N", "--point", spec), source
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -337,7 +352,7 @@ def execute(config: RunConfig) -> int:
         points = []
         for spec in config.points:
             n_sites, source_spec = _parse_point(spec)
-            points.append((n_sites, _parse_source(source_spec, n_sites)))
+            points.append((n_sites, _parse_source(source_spec, n_sites, "--point")))
         rows = scaling_sweep(points, config.n_samples, config.seed, threads=config.threads)
         _write_atomic(config.output, scaling_csv(rows))
 

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .oracle import enumerate_outcomes, outcome_probability
+from .oracle import enumerate_outcomes, outcome_law
 from .state import _dense_cut_matrix, _entropy, _entropy_profile, _initial_amplitudes
 from .trajectory import (
     TrajectoryRecord,
@@ -318,7 +318,7 @@ def distribution_comparison(
 ) -> DistributionReport:
     """Sample trajectories under a fixed unitary and compare to the exact outcome law."""
     outcomes = enumerate_outcomes(n_sites, n_excited)
-    exact = np.array([outcome_probability(u, c, n_excited) for c in outcomes])
+    exact = outcome_law(u, outcomes, n_excited)
     make = partial(_OutcomeCounts, n_sites, n_excited)
     seen = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads).counts
     counts = np.array([seen[outcome] for outcome in outcomes], dtype=np.int64)

@@ -494,3 +494,43 @@ def test_bad_config_value_fails_like_the_flag(tmp_path, capsys):
     assert from_file.value.code == from_flag.value.code == 2
     assert "argument --n: invalid int value: 'abc'" in file_err
     assert file_err == flag_err
+
+
+def test_missing_unitary_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code = main(
+        ["--mode", "dump-unitary", "--n", "3", "--unitary", f"file:{missing}", "--seed", "1",
+         "--output", str(tmp_path / "out" / "u.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --unitary: ")
+    assert str(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "nothere.cfg"
+    assert main(["--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: ")
+    assert str(missing) in err
+
+
+def test_bad_brickwall_depth_names_the_option(tmp_path, capsys):
+    code = main(
+        ["--mode", "dump-unitary", "--n", "3", "--unitary", "brickwall:x", "--seed", "1",
+         "--output", str(tmp_path / "u.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --unitary: cannot read depth 'x' in 'brickwall:x'\n"
+
+
+def test_bad_point_size_names_the_option(tmp_path, capsys):
+    code = main(
+        ["--mode", "scaling-sweep", "--point", "x:haar", "--seed", "1",
+         "--output", str(tmp_path / "s.csv")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --point: cannot read N 'x' in 'x:haar'\n"
+    assert not (tmp_path / "s.csv").exists()

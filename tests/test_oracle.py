@@ -4,16 +4,18 @@ from math import factorial
 import numpy as np
 import pytest
 
+from lontraj import oracle
 from lontraj.oracle import (
     build_repeated_matrix,
     conditional_click_probability,
     enumerate_outcomes,
+    outcome_law,
     outcome_probability,
     permanent_ryser,
     sequence_probability,
 )
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
-from permanent_reference import permanent_naive
+from permanent_reference import permanent_gray_kahan, permanent_naive
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -81,6 +83,16 @@ def test_ryser_compensated_path_on_block_diagonal():
     assert abs(permanent_ryser(a) - expected) / abs(expected) < 1e-10
 
 
+@pytest.mark.parametrize("n", [16, 18])
+def test_ryser_agrees_with_the_gray_code_loop(n):
+    a = haar_unitary(n, np.random.default_rng(1000 + n))
+    assert permanent_ryser(a) == pytest.approx(permanent_gray_kahan(a), rel=1e-9, abs=0)
+
+
+def test_permanent_of_the_empty_matrix_is_one():
+    assert permanent_ryser(np.zeros((0, 0))) == 1.0
+
+
 def test_build_repeated_matrix_double_click():
     u = balanced_splitter()
     np.testing.assert_array_equal(build_repeated_matrix(u, 2, (2, 0)), np.array([u[0], u[0]]))
@@ -136,6 +148,45 @@ def test_outcome_probabilities_normalize(n, m):
     u = haar_unitary(n, np.random.default_rng(n * 10 + m))
     total = sum(outcome_probability(u, counts, m) for counts in enumerate_outcomes(n, m))
     assert abs(total - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n,m", [(7, 4), (8, 8), (12, 6)])
+def test_outcome_law_matches_the_per_outcome_oracle(n, m):
+    u = haar_unitary(n, np.random.default_rng(n * 100 + m))
+    outcomes = enumerate_outcomes(n, m)
+    law = outcome_law(u, outcomes, m)
+    per_outcome = np.array([outcome_probability(u, c, m) for c in outcomes])
+    assert np.abs(law - per_outcome).max() <= 1e-15
+    assert abs(law.sum() - 1.0) < 1e-12
+
+
+def test_outcome_law_in_small_chunks(monkeypatch):
+    u = haar_unitary(7, np.random.default_rng(74))
+    outcomes = enumerate_outcomes(7, 4)
+    whole = outcome_law(u, outcomes, 4)
+    # 2^7 elements per temporary: chunks of 8 outcomes, the last of 210 holds 2.
+    monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", 2**7)
+    chunked = outcome_law(u, outcomes, 4)
+    per_outcome = np.array([outcome_probability(u, c, 4) for c in outcomes])
+    assert len(outcomes) % (2**7 >> 4) == 2
+    np.testing.assert_array_equal(chunked, whole)
+    assert np.abs(chunked - per_outcome).max() <= 1e-15
+
+
+def test_outcome_law_hom_and_no_excitations():
+    u = balanced_splitter()
+    bunched, coincidence, _ = outcome_law(u, [(2, 0), (1, 1), (0, 2)], 2)
+    assert abs(bunched - 0.5) < 1e-12
+    assert coincidence == 0.0
+    assert outcome_law(haar_unitary(3, np.random.default_rng(3)), [(0, 0, 0)], 0).tolist() == [1.0]
+
+
+def test_outcome_law_rejects_bad_outcomes():
+    u = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="3 nonnegative counts"):
+        outcome_law(u, [(1, 1)], 2)
+    with pytest.raises(ValueError, match="sum to m = 2"):
+        outcome_law(u, [(1, 0, 0)], 2)
 
 
 def test_sequence_probability_is_ordering_invariant():
