@@ -233,6 +233,8 @@ def _parse_source(spec: str, n_sites: int | None, option: str = "--unitary") -> 
             return UnitarySource.fixed(load_unitary(path))
         except OSError as error:
             raise ValueError(f"{option}: cannot read {path!r}: {error.strerror}") from None
+        except ValueError as error:
+            raise ValueError(f"{option}: cannot read {path!r}: {error}") from None
     raise ValueError(f"{option}: cannot read unitary source {spec!r}")
 
 

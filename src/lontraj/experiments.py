@@ -20,18 +20,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 
 import numpy as np
 
+from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
 from .state import _dense_cut_matrix, _entropy, _entropy_profile, _initial_amplitudes
-from .trajectory import (
-    TrajectoryRecord,
-    _click_walk,
-    attach_waiting_times,
-    run_trajectory,
-    sample_click_sequence,
-)
+from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
 from .unitary import check_unitary, haar_brickwall, haar_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
@@ -110,13 +106,25 @@ def _worker_count(threads: int, n_chunks: int) -> int:
     return max(1, min(threads, n_chunks, cores))
 
 
+def _group_size(n_sites: int, n_excited: int) -> int:
+    # Trajectories walked in lockstep: the group's largest lowered array,
+    # (size, n_sites, C(n_sites, e - 1)) over e = n_excited..1, stays within
+    # the element budget of the permanent oracle.
+    widest = max((comb(n_sites, j) for j in range(n_excited)), default=1)
+    return max(1, oracle._ELEMENT_BUDGET // (n_sites * widest))
+
+
 def _accumulate(args):
     (make, source, n_sites, master_seed), lo, hi = args
     part = make()
-    fresh = source.fresh_per_sample
-    for i in range(lo, hi):
-        u = source.draw(n_sites, derive_rng(master_seed, i, 0)) if fresh else source.matrix
-        part.add(i, u, derive_rng(master_seed, i, 1))
+    step = _group_size(n_sites, part.n_excited)
+    for start in range(lo, hi, step):
+        rows = range(start, min(start + step, hi))
+        if source.fresh_per_sample:
+            u = np.stack([source.draw(n_sites, derive_rng(master_seed, i, 0)) for i in rows])
+        else:
+            u = source.matrix
+        part.add(start, u, [derive_rng(master_seed, i, 1) for i in rows])
     return part
 
 
@@ -124,7 +132,10 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     """Feed trajectories 0..n_samples-1 to accumulators made by ``make``; merge them in chunk order.
 
     Trajectory i runs under unitary stream (i, 0), drawn only for fresh
-    sources, and click stream (i, 1).
+    sources, and click stream (i, 1).  Each chunk hands its trajectories to
+    its accumulator's ``add(first_index, u, rngs)`` in lockstep groups of
+    consecutive indices: ``u`` is the fixed matrix or the group's stacked
+    draws, and ``rngs`` holds one click generator per trajectory.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -155,12 +166,13 @@ class _Records:
         self.waiting_times = waiting_times
         self.records: list[TrajectoryRecord] = []
 
-    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
-        record = run_trajectory(self.n_sites, self.n_excited, u, self.cut, rng)
-        if self.waiting_times:
-            waiting_rng = derive_rng(self.master_seed, index, 2)
-            record = attach_waiting_times(record, self.n_excited, waiting_rng)
-        self.records.append(record)
+    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
+        records = _records(self.n_sites, self.n_excited, u, self.cut, rngs)
+        for index, record in enumerate(records, start=first):
+            if self.waiting_times:
+                waiting_rng = derive_rng(self.master_seed, index, 2)
+                record = attach_waiting_times(record, self.n_excited, waiting_rng)
+            self.records.append(record)
 
     def merge(self, other: "_Records") -> None:
         self.records.extend(other.records)
@@ -214,15 +226,17 @@ class _GridSums:
         self.sums = np.zeros((n_excited + 1, n_sites - 1))
         self.square_sums = np.zeros_like(self.sums)
 
-    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
         n, e = self.n_sites, self.n_excited
         # Row 0 stays zero: the initial product state has no entanglement.
-        profile = np.zeros_like(self.sums)
-        amplitudes = _initial_amplitudes(n, e)
-        for k, (_, amplitudes) in enumerate(_click_walk(n, e, amplitudes, u, rng), start=1):
-            profile[k] = _entropy_profile(n, e - k, amplitudes)
-        self.sums += profile
-        self.square_sums += profile * profile
+        profiles = np.zeros((len(rngs),) + self.sums.shape)
+        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, rngs)
+        for k, (_, amplitudes) in enumerate(walk, start=1):
+            for profile, row in zip(profiles, amplitudes):
+                profile[k] = _entropy_profile(n, e - k, row)
+        for profile in profiles:  # row by row, so no sum depends on the group size
+            self.sums += profile
+            self.square_sums += profile * profile
 
     def merge(self, other: "_GridSums") -> None:
         self.sums = self.sums + other.sums
@@ -300,9 +314,13 @@ class _OutcomeCounts:
         self.n_excited = n_excited
         self.counts: Counter = Counter()
 
-    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
-        clicks = sample_click_sequence(self.n_sites, self.n_excited, u, rng)
-        self.counts[tuple(np.bincount(clicks, minlength=self.n_sites))] += 1
+    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
+        n, e = self.n_sites, self.n_excited
+        counts = np.zeros((len(rngs), n), dtype=np.int64)
+        rows = np.arange(len(rngs))
+        for detectors, _ in _click_walk(n, e, _initial_amplitudes(n, e), u, rngs):
+            counts[rows, detectors] += 1
+        self.counts.update(map(tuple, counts))
 
     def merge(self, other: "_OutcomeCounts") -> None:
         self.counts.update(other.counts)
@@ -375,21 +393,25 @@ class _MixtureSums:
         self.rho_sum = np.zeros((1 << cut, 1 << cut), dtype=complex)
         self.histogram: Counter = Counter()
 
-    def add(self, index: int, u: np.ndarray, rng: np.random.Generator) -> None:
+    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
         n, e = self.n_sites, self.n_excited - self.k
-        amplitudes = _initial_amplitudes(n, self.n_excited)
-        clicks: list[int] = []
+        start = _initial_amplitudes(n, self.n_excited)
+        amplitudes = np.broadcast_to(start, (len(rngs), len(start)))
+        sequences = [()] * len(rngs)
         if self.k > 0:
-            for detector, amplitudes in _click_walk(n, self.n_excited, amplitudes, u, rng):
-                clicks.append(detector)
-                if len(clicks) == self.k:
+            for detectors, amplitudes in _click_walk(n, self.n_excited, start, u, rngs):
+                sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
+                if len(sequences[0]) == self.k:
                     break
-        entropy = _entropy(n, e, amplitudes, self.cut)
-        self.entropy_sum += entropy
-        self.entropy_square_sum += entropy * entropy
-        cut_matrix = _dense_cut_matrix(n, e, amplitudes, self.cut)
-        self.rho_sum += cut_matrix @ cut_matrix.conj().T
-        self.histogram[tuple(clicks)] += 1
+        # Row by row in trajectory order, so neither the sums nor the
+        # histogram's insertion order depend on the group size.
+        for row, sequence in zip(amplitudes, sequences):
+            entropy = _entropy(n, e, row, self.cut)
+            self.entropy_sum += entropy
+            self.entropy_square_sum += entropy * entropy
+            cut_matrix = _dense_cut_matrix(n, e, row, self.cut)
+            self.rho_sum += cut_matrix @ cut_matrix.conj().T
+            self.histogram[sequence] += 1
 
     def merge(self, other: "_MixtureSums") -> None:
         self.entropy_sum += other.entropy_sum

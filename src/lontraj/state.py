@@ -99,10 +99,12 @@ def _lowering_tables(n_sites: int, n_excited: int):
 
 
 def _lowered_raw(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Leading axes of ``amplitudes`` (and of ``u``, if stacked) index a group
+    # of states lowered together: (..., dim) -> (..., n_sites, dim_lo).
     src, flat_dst, dim_lo = _lowering_tables(n_sites, n_excited)
-    lowered = np.zeros(n_sites * dim_lo, dtype=complex)
-    lowered[flat_dst] = amplitudes[src]
-    return u @ lowered.reshape(n_sites, dim_lo)
+    lowered = np.zeros(amplitudes.shape[:-1] + (n_sites * dim_lo,), dtype=complex)
+    lowered[..., flat_dst] = amplitudes[..., src]
+    return u @ lowered.reshape(amplitudes.shape[:-1] + (n_sites, dim_lo))
 
 
 def apply_all_jumps(state: SectorState, u: np.ndarray) -> np.ndarray:

@@ -52,45 +52,57 @@ class TrajectoryRecord:
                 raise ValueError("waiting times must be >= 0")
 
 
-def _pick_detector(weights: np.ndarray, n_excited: int, rng: np.random.Generator) -> int:
-    # The collective jumps conserve the excitation number, so the weights of
-    # a normalized state sum to n_excited; a larger residual means a
-    # non-unitary network or a state that lost its norm.
-    total = weights.sum()
-    if not abs(total - n_excited) <= NORM_TOL * n_excited:  # NaN fails too
-        raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
-    # Inverse CDF over the weight prefix sums; side="right" skips zero-weight
-    # detectors, whose cumulative entries repeat the previous value.
-    r = rng.random() * total
-    detector = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    if detector >= len(weights):
+def _pick_detectors(weights: np.ndarray, n_excited: int, rngs) -> np.ndarray:
+    # Row b of ``weights`` holds trajectory b's jump weights; rngs[b] draws
+    # its click, one random() per row in row order.  The collective jumps
+    # conserve the excitation number, so the weights of a normalized state
+    # sum to n_excited; a larger residual means a non-unitary network or a
+    # state that lost its norm.
+    draws = []
+    for total, rng in zip(weights.sum(axis=1).tolist(), rngs):
+        if not abs(total - n_excited) <= NORM_TOL * n_excited:  # NaN fails too
+            raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
+        draws.append(rng.random() * total)
+    # Inverse CDF over the weight prefix sums.  Counting the prefix sums <= r
+    # is searchsorted(side="right"): it skips zero-weight detectors, whose
+    # cumulative entries repeat the previous value.
+    r = np.array(draws)
+    detectors = (weights.cumsum(axis=1) <= r[:, None]).sum(axis=1)
+    for b in np.nonzero(detectors == weights.shape[1])[0]:
         # r fell in the ulp sliver between sum() and cumsum()[-1].
-        detector = int(np.nonzero(weights)[0][-1])
-    return detector
+        detectors[b] = np.nonzero(weights[b])[0][-1]
+    return detectors
 
 
 def _click_walk(
-    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, rng: np.random.Generator
-) -> Iterator[tuple[int, np.ndarray]]:
-    # The one click loop: yields (detector, normalized post-click amplitudes)
-    # until the chain reaches the ground state, one rng.random() per click.
-    if u.shape != (n_sites, n_sites):
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, rngs
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # The one click loop.  It advances len(rngs) trajectories in lockstep:
+    # row b starts from amplitudes[b], is lowered through u[b] and draws its
+    # clicks from rngs[b], one random() per click.  A (dim,) start state or
+    # an (n_sites, n_sites) unitary is shared by every row.  Yields
+    # (detectors[B], normalized post-click amplitudes[B, dim_lo]) until the
+    # chain reaches the ground state.
+    size = len(rngs)
+    if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
         raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
+    amplitudes = np.broadcast_to(amplitudes, (size, amplitudes.shape[-1]))
+    rows = np.arange(size)
     for e in range(n_excited, 0, -1):
         lowered = _lowered_raw(n_sites, e, amplitudes, u)
-        weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
-        detector = _pick_detector(weights, e, rng)
-        amplitudes = lowered[detector] / np.sqrt(weights[detector])
-        yield detector, amplitudes
+        weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
+        detectors = _pick_detectors(weights, e, rngs)
+        amplitudes = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
+        yield detectors, amplitudes
 
 
 def evolve_clicks(
     state: SectorState, u: np.ndarray, rng: np.random.Generator
 ) -> Iterator[tuple[int, SectorState]]:
     """Yield (detector, post-click state) until the chain reaches the ground state."""
-    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, rng)
-    for e, (detector, amplitudes) in zip(range(state.n_excited - 1, -1, -1), walk):
-        yield detector, SectorState(state.n_sites, e, amplitudes)
+    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, [rng])
+    for e, (detectors, amplitudes) in zip(range(state.n_excited - 1, -1, -1), walk):
+        yield int(detectors[0]), SectorState(state.n_sites, e, amplitudes[0])
 
 
 def sample_click_sequence(
@@ -100,8 +112,22 @@ def sample_click_sequence(
 
     Draws the same clicks as :func:`evolve_clicks` for the same generator state.
     """
-    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, rng)
-    return tuple(detector for detector, _ in walk)
+    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, [rng])
+    return tuple(int(detectors[0]) for detectors, _ in walk)
+
+
+def _records(n_sites: int, n_excited: int, u: np.ndarray, cut: int, rngs) -> list[TrajectoryRecord]:
+    # One record per row of a lockstep group started from the standard
+    # initial state; see _click_walk for how u and rngs are shared.
+    _check_cut(n_sites, cut)
+    clicks: list[list[int]] = [[] for _ in rngs]
+    entropies = [[0.0] for _ in rngs]  # the initial product state has no entanglement
+    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, rngs)
+    for k, (detectors, amplitudes) in enumerate(walk, start=1):
+        for b, detector in enumerate(detectors.tolist()):
+            clicks[b].append(detector)
+            entropies[b].append(_entropy(n_sites, n_excited - k, amplitudes[b], cut))
+    return [TrajectoryRecord(tuple(c), tuple(s)) for c, s in zip(clicks, entropies)]
 
 
 def run_trajectory(
@@ -113,14 +139,7 @@ def run_trajectory(
     after every click; the terminal state is the all-ground product state
     with entropy 0.
     """
-    _check_cut(n_sites, cut)
-    amplitudes = _initial_amplitudes(n_sites, n_excited)
-    clicks: list[int] = []
-    entropies = [0.0]  # the initial product state has no entanglement
-    for detector, amplitudes in _click_walk(n_sites, n_excited, amplitudes, u, rng):
-        clicks.append(detector)
-        entropies.append(_entropy(n_sites, n_excited - len(clicks), amplitudes, cut))
-    return TrajectoryRecord(clicks=tuple(clicks), entropies=tuple(entropies))
+    return _records(n_sites, n_excited, u, cut, [rng])[0]
 
 
 def attach_waiting_times(

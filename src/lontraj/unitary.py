@@ -114,13 +114,22 @@ def unitary_to_json(u: np.ndarray) -> str:
 
 
 def unitary_from_json(text: str) -> np.ndarray:
-    """Parse the JSON produced by :func:`unitary_to_json`, enforcing unitarity."""
+    """Parse the JSON produced by :func:`unitary_to_json`, enforcing unitarity.
+
+    Text of any other shape raises ValueError (malformed JSON included).
+    """
     obj = json.loads(text)
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    if not isinstance(obj, dict) or not {"dim", "entries"} <= obj.keys():
+        raise ValueError('expected a JSON object with keys "dim" and "entries"')
+    try:
+        dim = int(obj["dim"])
+        flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError('expected an integer "dim" and "entries" of [re, im] pairs') from None
+    if dim < 1:
+        raise ValueError(f'"dim" must be >= 1, got {dim}')
+    if len(flat) != dim * dim:
+        raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(flat)}")
     u = flat.reshape(dim, dim)
     check_unitary(u)
     return u

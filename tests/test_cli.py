@@ -1,8 +1,10 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 
+from lontraj import experiments, oracle
 from lontraj.cli import MODES, RunConfig, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
@@ -534,3 +536,59 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: --point: cannot read N 'x' in 'x:haar'\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"dim": 2', "Expecting ',' delimiter"),
+        ('{"dim": 2}', 'expected a JSON object with keys "dim" and "entries"'),
+        ("[1,2]", 'expected a JSON object with keys "dim" and "entries"'),
+    ],
+    ids=["truncated", "no-entries", "not-an-object"],
+)
+def test_malformed_unitary_file_names_the_option_and_path(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    code = main(
+        ["--mode", "dump-unitary", "--n", "2", "--unitary", f"file:{bad}", "--seed", "1",
+         "--output", str(out / "u.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: --unitary: cannot read {str(bad)!r}: {reason}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "entropy-grid", "--n", "6", "--m", "5", "--unitary", "brickwall:2"],
+        ["--mode", "distribution", "--n", "5", "--m", "4", "--unitary", "haar"],
+        ["--mode", "mixture-entropy", "--n", "6", "--m", "5", "--k", "2", "--cut", "3"],
+        ["--mode", "trajectory-dump", "--n", "6", "--m", "6", "--unitary", "brickwall:2",
+         "--cut", "3", "--waiting-times"],
+    ],
+    ids=lambda args: args[1],
+)
+def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch, args):
+    # 300 trajectories are a chunk of 256 and one of 44; groups of 3 leave a
+    # short group of 1 at the end of the first chunk and of 2 at the end of
+    # the second.
+    n, m = int(args[args.index("--n") + 1]), int(args[args.index("--m") + 1])
+
+    def run(name):
+        out = tmp_path / name / "out.dat"
+        argv = args + ["--samples", "300", "--seed", "17", "--threads", "1", "--output", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes(), out.with_name("out.dat.manifest.json").read_bytes()
+
+    default = run("default")
+    assert experiments._group_size(n, m) > 3
+    widest = n * max(comb(n, j) for j in range(m))
+    for size in (1, 3):
+        monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", size * widest)
+        assert experiments._group_size(n, m) == size
+        assert run(f"groups-of-{size}") == default

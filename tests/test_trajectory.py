@@ -1,10 +1,13 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from click_walk_reference import click_walk, pick_detector
 from dense_reference import random_sector_state
+from lontraj.oracle import ENUMERATION_LIMIT
 from lontraj.state import initial_state, jump_weights, site_occupations
 from lontraj.trajectory import (
     TrajectoryRecord,
@@ -13,6 +16,7 @@ from lontraj.trajectory import (
     evolve_clicks,
     record_to_json,
     _click_walk,
+    _pick_detectors,
     run_trajectory,
     sample_click_sequence,
 )
@@ -128,9 +132,80 @@ def test_nan_network_breaks_the_weight_sum():
     u = haar_unitary(4, np.random.default_rng(12))
     u[2, 1] = np.nan
     state = initial_state(4, 3)
-    walk = _click_walk(4, 3, state.amplitudes, u, np.random.default_rng(0))
+    walk = _click_walk(4, 3, state.amplitudes[None], u, [np.random.default_rng(0)])
     with pytest.raises(RuntimeError, match="jump weights sum"):
         next(walk)
+
+
+@pytest.mark.parametrize("n_sites,n_excited", [(6, 5), (8, 8), (7, 3)])
+def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
+    # Row b of a group walks exactly as trajectory b did alone, bit for bit,
+    # with a shared unitary and with one unitary per row.
+    size = 5
+    start = initial_state(n_sites, n_excited).amplitudes
+    shared = haar_unitary(n_sites, np.random.default_rng(40))
+    stacked = np.stack([haar_unitary(n_sites, np.random.default_rng(50 + b)) for b in range(size)])
+    for u, row_u in ((shared, lambda b: shared), (stacked, lambda b: stacked[b])):
+        rngs = [np.random.default_rng(b) for b in range(size)]
+        group = list(_click_walk(n_sites, n_excited, start, u, rngs))
+        assert len(group) == n_excited
+        for b in range(size):
+            alone = click_walk(n_sites, n_excited, start, row_u(b), np.random.default_rng(b))
+            for (detectors, amplitudes), (detector, row) in zip(group, alone, strict=True):
+                assert detectors[b] == detector
+                assert amplitudes[b].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["scaled", "nan"])
+def test_one_faulty_row_breaks_the_group_weight_sum(fault):
+    n = 4
+    u = np.stack([haar_unitary(n, np.random.default_rng(60 + b)) for b in range(3)])
+    if fault == "scaled":
+        u[1] *= 1.01
+    else:
+        u[1, 2, 1] = np.nan
+    rngs = [np.random.default_rng(b) for b in range(3)]
+    walk = _click_walk(n, 3, initial_state(n, 3).amplitudes, u, rngs)
+    with pytest.raises(RuntimeError, match="jump weights sum"):
+        next(walk)
+
+
+class _FixedDraw:
+    """Generator stand-in whose random() always returns the same value."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def test_batched_pick_at_the_edges_of_the_prefix_sums():
+    # A draw of exactly 1.0 puts r at the weight sum, past every prefix sum,
+    # as when rounding leaves r in the ulp sliver between sum() and
+    # cumsum()[-1]: the last nonzero-weight detector clicks.  An r equal to a
+    # prefix sum goes right, past the zero-weight detector after it.
+    weights = np.array(
+        [[0.5, 1.5, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.5, 0.0, 1.5], [1.0, 0.0, 1.0, 0.0]]
+    )
+    draws = [_FixedDraw(1.0), _FixedDraw(0.3), _FixedDraw(1.0), _FixedDraw(0.5)]
+    detectors = _pick_detectors(weights, 2, draws)
+    assert detectors.tolist() == [1, 0, 3, 2]
+    assert detectors.tolist() == [pick_detector(w, 2, d) for w, d in zip(weights, draws)]
+
+
+def test_mean_clicks_past_enumeration():
+    # N = 14 detectors, M = 10 photons: C(23, 10) = 1,144,066 outcomes, beyond
+    # ENUMERATION_LIMIT.  Detector i still clicks sum_{j<M} |U_ij|^2 times on
+    # average, whatever the interference.
+    n, m, samples = 14, 10, 1000
+    assert comb(n + m - 1, m) > ENUMERATION_LIMIT
+    u = haar_unitary(n, np.random.default_rng(1414))
+    rng = np.random.default_rng(2024)
+    counts = np.array([clicks_to_counts(sample_click_sequence(n, m, u, rng), n) for _ in range(samples)])
+    expected = (np.abs(u[:, :m]) ** 2).sum(axis=1)
+    stderr = counts.std(axis=0, ddof=1) / np.sqrt(samples)
+    assert np.all(np.abs(counts.mean(axis=0) - expected) <= 5 * stderr)
 
 
 def test_averaged_occupations_are_unraveling_independent():
