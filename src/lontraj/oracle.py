@@ -18,7 +18,9 @@ from .state import apply_jump, initial_state, jump_weights
 
 RYSER_MAX_DIM = 30
 ENUMERATION_LIMIT = 10**6
-_ELEMENT_BUDGET = 2**14  # complex elements in any one temporary of the subset sums
+# Complex elements in any one temporary of the subset sums; it also bounds the
+# lowered array of a lockstep click group (experiments._group_size).
+_ELEMENT_BUDGET = 2**14
 
 
 def _subset_sums(a: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
