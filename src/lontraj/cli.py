@@ -15,6 +15,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .experiments import (
@@ -32,41 +33,89 @@ from .experiments import (
 from .trajectory import record_to_json
 from .unitary import load_unitary, unitary_to_json
 
-# Each mode's default output and the settings it reads beyond mode, seed,
-# output, threads and dump_unitary.  parse_config sets every other setting to
-# None, so the manifest records exactly what the run read.
+
+# Each mode's runner turns the settings the mode reads, its unitary source and
+# its single unitary (None for fresh-per-sample runs) into the output text and
+# an optional stdout line.  Runners look the library functions up when called,
+# so a wrapper patched into this module's namespace sees every call.
+
+
+def _dump_unitary(s, source, u, seed, threads):
+    return unitary_to_json(u) + "\n", None
+
+
+def _trajectory_dump(s, source, u, seed, threads):
+    records = trajectory_records(
+        s["n"], s["m"], source, s["cut"], s["samples"], seed,
+        waiting_times=s["waiting_times"], threads=threads,
+    )
+    return "\n".join(map(record_to_json, records)) + "\n", None
+
+
+def _entropy_grid(s, source, u, seed, threads):
+    grid = averaged_entropy_grid(s["n"], s["m"], source, s["samples"], seed, threads=threads)
+    return grid_csv(grid), None
+
+
+def _distribution(s, source, u, seed, threads):
+    report = distribution_comparison(s["n"], s["m"], u, s["samples"], seed, threads=threads)
+    return distribution_csv(report), f"tvd={report.tvd!r} over {len(report.outcomes)} outcomes"
+
+
+def _mixture_entropy(s, source, u, seed, threads):
+    report = mixture_entropy_report(
+        s["n"], s["m"], u, s["k"], s["cut"], s["samples"], seed, threads=threads
+    )
+    return json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n", None
+
+
+def _scaling_sweep(s, source, u, seed, threads):
+    points = []
+    for spec in s["points"]:
+        n_sites, source_spec = _parse_point(spec)
+        points.append((n_sites, _parse_source(source_spec, n_sites, "--point")))
+    return scaling_csv(scaling_sweep(points, s["samples"], seed, threads=threads)), None
+
+
+class Mode(NamedTuple):
+    output: str  # default output file
+    # Settings read beyond mode, seed, output, threads and dump_unitary.
+    # parse_config keeps exactly these, so the manifest records what the run read.
+    reads: tuple[str, ...]
+    # Whether the run keeps one unitary drawn from stream (0, 2), even from
+    # a fresh-per-sample source.  A fixed source always gives one.
+    single_unitary: bool
+    # (settings, source, u, seed, threads) -> (output text, stdout line or None)
+    run: Callable
+
+
 MODES = {
-    "trajectory-dump": (
+    "trajectory-dump": Mode(
         "trajectories.jsonl",
         ("n", "m", "unitary", "samples", "cut", "waiting_times"),
+        False,
+        _trajectory_dump,
     ),
-    "entropy-grid": ("entropy_grid.csv", ("n", "m", "unitary", "samples")),
-    "scaling-sweep": ("scaling_sweep.csv", ("points", "samples")),
-    "distribution": ("distribution.csv", ("n", "m", "unitary", "samples")),
-    "mixture-entropy": ("mixture_entropy.json", ("n", "m", "unitary", "samples", "k", "cut")),
-    "dump-unitary": ("unitary.json", ("n", "unitary")),
+    "entropy-grid": Mode(
+        "entropy_grid.csv", ("n", "m", "unitary", "samples"), False, _entropy_grid
+    ),
+    "scaling-sweep": Mode("scaling_sweep.csv", ("points", "samples"), False, _scaling_sweep),
+    "distribution": Mode("distribution.csv", ("n", "m", "unitary", "samples"), True, _distribution),
+    "mixture-entropy": Mode(
+        "mixture_entropy.json", ("n", "m", "unitary", "samples", "k", "cut"), True, _mixture_entropy
+    ),
+    "dump-unitary": Mode("unitary.json", ("n", "unitary"), True, _dump_unitary),
 }
-
-# Modes that draw one unitary from the seed, even from a fresh-per-sample
-# source, and keep it for every trajectory.
-_SINGLE_DRAW_MODES = ("dump-unitary", "distribution", "mixture-entropy")
 
 
 @dataclass
 class RunConfig:
     mode: str
     seed: int
-    n_sites: int | None
-    n_excited: int | None
-    unitary: str | None
-    n_samples: int | None
     output: Path
     threads: int
-    cut: int | None
-    k: int | None
-    points: list[str] | None
-    waiting_times: bool | None
     dump_unitary: Path | None
+    settings: dict  # parser name -> value, for the settings MODES[mode] reads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +205,7 @@ def _check_range(key: str, value: int | None, low: int, high: int | None = None)
 def parse_config(argv=None) -> RunConfig:
     """Merge flags over an optional key=value config file into a validated RunConfig.
 
-    Settings that the mode does not read (see ``MODES``) are None.
+    ``settings`` holds exactly the settings the mode reads (see ``MODES``).
     """
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
@@ -173,8 +222,7 @@ def parse_config(argv=None) -> RunConfig:
     threads = merged["threads"] if merged["threads"] is not None else os.cpu_count() or 1
     _check_range("threads", threads, 1)
 
-    default_output, reads = MODES[mode]
-    s = {key: merged[key] for key in reads}
+    s = {key: merged[key] for key in MODES[mode].reads}
     for key in ("n", "m", "points"):
         if key in s and s[key] is None:
             flag = "at least one --point N:SOURCE" if key == "points" else f"--{key}"
@@ -197,17 +245,10 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(
         mode=mode,
         seed=merged["seed"],
-        n_sites=n,
-        n_excited=m,
-        unitary=s.get("unitary"),
-        n_samples=s.get("samples"),
-        output=merged["output"] or Path(default_output),
+        output=merged["output"] or Path(MODES[mode].output),
         threads=threads,
-        cut=s.get("cut"),
-        k=s.get("k"),
-        points=s.get("points"),
-        waiting_times=s.get("waiting_times"),
         dump_unitary=merged["dump_unitary"],
+        settings=s,
     )
 
 
@@ -230,7 +271,8 @@ def _parse_source(spec: str, n_sites: int | None, option: str = "--unitary") -> 
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
-            return UnitarySource.fixed(load_unitary(path))
+            # load_unitary has checked unitarity; UnitarySource.fixed would again.
+            return UnitarySource(kind="fixed", matrix=load_unitary(path))
         except OSError as error:
             raise ValueError(f"{option}: cannot read {path!r}: {error.strerror}") from None
         except ValueError as error:
@@ -261,18 +303,9 @@ def _write_atomic(path: Path, text: str) -> None:
 def _manifest(config: RunConfig, outputs: list[Path]) -> str:
     # threads and absolute paths are execution details that do not affect
     # results, so they stay out of the manifest; so do the settings the mode
-    # does not read, which are None.
-    settings = {
-        "n": config.n_sites,
-        "m": config.n_excited,
-        "unitary": config.unitary,
-        "samples": config.n_samples,
-        "cut": config.cut,
-        "k": config.k,
-        "points": config.points,
-        "waiting_times": config.waiting_times or None,  # recorded only when on
-    }
-    settings = {key: value for key, value in settings.items() if value is not None}
+    # does not read, and unset (None) ones.
+    reads = MODES[config.mode].reads
+    settings = {k: v for k, v in config.settings.items() if k in reads and v is not None}
     manifest = {
         "config": {"mode": config.mode, "seed": config.seed, **settings},
         "outputs": [p.name for p in outputs],
@@ -283,81 +316,28 @@ def _manifest(config: RunConfig, outputs: list[Path]) -> str:
 
 def execute(config: RunConfig) -> int:
     """Run one configured experiment; writes the output files and their manifest."""
+    mode, s = MODES[config.mode], config.settings
     outputs = [config.output]
     source = None
     u = None  # the run's single unitary, for runs that have one
-    if config.mode != "scaling-sweep":
-        source = _parse_source(config.unitary, config.n_sites)
-        if not source.fresh_per_sample or config.mode in _SINGLE_DRAW_MODES:
+    if "unitary" in mode.reads:
+        source = _parse_source(s["unitary"], s["n"])
+        if not source.fresh_per_sample or mode.single_unitary:
             # Stream (0, 2) is never used by per-trajectory derivations (i, 0)
             # and (i, 1).  It is also trajectory 0's waiting-time stream, but
             # only trajectory-dump attaches waiting times, and it draws no
             # unitary from the seed.  A fixed matrix of the wrong size fails here.
-            u = source.draw(config.n_sites, derive_rng(config.seed, 0, 2))
+            u = source.draw(s["n"], derive_rng(config.seed, 0, 2))
     if config.dump_unitary is not None:
         # Checked before any mode runs, so a rejected run writes nothing.
         if u is None:
             raise ValueError("--dump-unitary needs a run with a single fixed unitary")
         outputs.append(config.dump_unitary)
 
-    if config.mode == "dump-unitary":
-        _write_atomic(config.output, unitary_to_json(u) + "\n")
-    elif config.mode == "trajectory-dump":
-        records = trajectory_records(
-            config.n_sites,
-            config.n_excited,
-            source,
-            config.cut,
-            config.n_samples,
-            config.seed,
-            waiting_times=config.waiting_times,
-            threads=config.threads,
-        )
-        _write_atomic(config.output, "\n".join(map(record_to_json, records)) + "\n")
-    elif config.mode == "entropy-grid":
-        grid = averaged_entropy_grid(
-            config.n_sites,
-            config.n_excited,
-            source,
-            config.n_samples,
-            config.seed,
-            threads=config.threads,
-        )
-        _write_atomic(config.output, grid_csv(grid))
-    elif config.mode == "distribution":
-        report = distribution_comparison(
-            config.n_sites,
-            config.n_excited,
-            u,
-            config.n_samples,
-            config.seed,
-            threads=config.threads,
-        )
-        _write_atomic(config.output, distribution_csv(report))
-        print(f"tvd={report.tvd!r} over {len(report.outcomes)} outcomes")
-    elif config.mode == "mixture-entropy":
-        report = mixture_entropy_report(
-            config.n_sites,
-            config.n_excited,
-            u,
-            config.k,
-            config.cut,
-            config.n_samples,
-            config.seed,
-            threads=config.threads,
-        )
-        _write_atomic(
-            config.output,
-            json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n",
-        )
-    elif config.mode == "scaling-sweep":
-        points = []
-        for spec in config.points:
-            n_sites, source_spec = _parse_point(spec)
-            points.append((n_sites, _parse_source(source_spec, n_sites, "--point")))
-        rows = scaling_sweep(points, config.n_samples, config.seed, threads=config.threads)
-        _write_atomic(config.output, scaling_csv(rows))
-
+    text, line = mode.run(s, source, u, config.seed, config.threads)
+    _write_atomic(config.output, text)
+    if line is not None:
+        print(line)
     if config.dump_unitary is not None:
         _write_atomic(config.dump_unitary, unitary_to_json(u) + "\n")
 

@@ -26,12 +26,17 @@ import numpy as np
 
 from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
-from .state import _dense_cut_matrix, _entropy, _entropy_profile, _initial_amplitudes
+from .state import (
+    _dense_cut_matrix,
+    _entropy,
+    _entropy_profile,
+    _initial_amplitudes,
+    _spectrum_entropy,
+)
 from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
 from .unitary import check_unitary, haar_brickwall, haar_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
-ENTROPY_CUTOFF = 1e-12
 MIXTURE_MAX_SUBSYSTEM = 12
 
 
@@ -418,12 +423,6 @@ class _MixtureSums:
         self.entropy_square_sum += other.entropy_square_sum
         self.rho_sum = self.rho_sum + other.rho_sum
         self.histogram.update(other.histogram)
-
-
-def _spectrum_entropy(weights: np.ndarray) -> float:
-    weights = weights[weights >= ENTROPY_CUTOFF]
-    value = float(-(weights * np.log(weights)).sum())
-    return value if value > 0.0 else 0.0
 
 
 def mixture_entropy_report(

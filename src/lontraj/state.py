@@ -177,14 +177,23 @@ def _schmidt_squares(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: 
     return np.concatenate(parts)
 
 
-def _entropy(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> float:
-    p = _schmidt_squares(n_sites, n_excited, amplitudes, cut)
+def _spectrum_entropy(p: np.ndarray, renormalize: bool = False) -> float:
+    """-sum p log p over the weights of ``p`` at or above SCHMIDT_CUTOFF, clamped to >= 0.
+
+    With ``renormalize`` the kept weights are first scaled to sum to 1.
+    """
     p = p[p >= SCHMIDT_CUTOFF]
-    # Renormalizing the kept spectrum absorbs rounding in the state norm and
-    # makes single-coefficient (product) states exactly zero.
-    p = p / p.sum()
+    if renormalize:
+        p = p / p.sum()
     value = float(-(p * np.log(p)).sum())
     return value if value > 0.0 else 0.0
+
+
+def _entropy(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> float:
+    # Renormalizing the kept spectrum absorbs rounding in the state norm and
+    # makes single-coefficient (product) states exactly zero.
+    p = _schmidt_squares(n_sites, n_excited, amplitudes, cut)
+    return _spectrum_entropy(p, renormalize=True)
 
 
 def _entropy_profile(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lontraj import experiments, oracle
-from lontraj.cli import MODES, RunConfig, execute, main, parse_config
+from lontraj.cli import MODES, RunConfig, _build_parser, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
 from lontraj.unitary import beamsplitter_unitary, check_unitary, unitary_to_json
@@ -25,9 +25,9 @@ def test_parse_config_distribution_flags():
         "--mode distribution --n 7 --m 4 --unitary haar --samples 10000 --seed 42".split()
     )
     assert config.mode == "distribution"
-    assert (config.n_sites, config.n_excited) == (7, 4)
-    assert config.unitary == "haar"
-    assert config.n_samples == 10000
+    assert (config.settings["n"], config.settings["m"]) == (7, 4)
+    assert config.settings["unitary"] == "haar"
+    assert config.settings["samples"] == 10000
     assert config.seed == 42
     assert config.output.name == "distribution.csv"
 
@@ -56,9 +56,9 @@ def test_parse_config_flags_override_file(tmp_path):
     )
     config = parse_config(["--config", str(path), "--samples", "25", "--seed", "9"])
     assert config.mode == "entropy-grid"
-    assert config.n_samples == 25
+    assert config.settings["samples"] == 25
     assert config.seed == 9
-    assert config.unitary == "haar"
+    assert config.settings["unitary"] == "haar"
 
 
 def test_parse_config_validates_ranges():
@@ -359,21 +359,34 @@ def test_run_config_is_reusable_programmatically(tmp_path):
     config = RunConfig(
         mode="dump-unitary",
         seed=1,
-        n_sites=4,
-        n_excited=None,
-        unitary="identity",
-        n_samples=1,
         output=tmp_path / "eye.json",
         threads=1,
-        cut=None,
-        k=None,
-        points=None,
-        waiting_times=False,
         dump_unitary=None,
+        settings={"n": 4, "unitary": "identity"},
     )
     assert execute(config) == 0
     obj = json.loads((tmp_path / "eye.json").read_text())
     assert obj["dim"] == 4
+
+
+def test_run_config_built_in_code_records_only_its_mode_settings(tmp_path):
+    config = RunConfig(
+        mode="dump-unitary",
+        seed=1,
+        output=tmp_path / "u.json",
+        threads=1,
+        dump_unitary=None,
+        settings={"n": 3, "unitary": "haar", "samples": 50, "cut": 1, "k": 0, "points": ["3:haar"]},
+    )
+    assert execute(config) == 0
+    manifest = json.loads((tmp_path / "u.json.manifest.json").read_text())
+    assert set(manifest["config"]) == {"mode", "seed", "n", "unitary"}
+
+
+def test_every_mode_setting_is_a_parser_destination():
+    destinations = {action.dest for action in _build_parser()._actions}
+    for mode in MODES.values():
+        assert set(mode.reads) <= destinations
 
 
 def test_dump_unitary_flag_in_dump_unitary_mode_writes_both_files(tmp_path):
@@ -459,22 +472,22 @@ def test_manifest_records_exactly_the_settings_the_mode_reads(tmp_path, mode):
     )
     assert code == 0
     manifest = json.loads((tmp_path / "o.dat.manifest.json").read_text())
-    assert set(manifest["config"]) == {"mode", "seed", *MODES[mode][1]}
+    assert set(manifest["config"]) == {"mode", "seed", *MODES[mode].reads}
 
 
 def test_point_flags_replace_the_config_file_points(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("mode = scaling-sweep\npoints = 4:haar, 5:brickwall:1\nseed = 2\n")
-    assert parse_config(["--config", str(path)]).points == ["4:haar", "5:brickwall:1"]
+    assert parse_config(["--config", str(path)]).settings["points"] == ["4:haar", "5:brickwall:1"]
     config = parse_config(["--config", str(path), "--point", "6:haar"])
-    assert config.points == ["6:haar"]
+    assert config.settings["points"] == ["6:haar"]
 
 
 @pytest.mark.parametrize("value, on", [("no", False), ("false", False), ("yes", True), ("1", True)])
 def test_config_file_waiting_times(tmp_path, value, on):
     path = tmp_path / "dump.cfg"
     path.write_text(f"mode = trajectory-dump\nn = 3\nm = 2\nseed = 1\nwaiting_times = {value}\n")
-    assert bool(parse_config(["--config", str(path)]).waiting_times) is on
+    assert bool(parse_config(["--config", str(path)]).settings["waiting_times"]) is on
 
 
 def test_config_file_rejects_malformed_line(tmp_path):

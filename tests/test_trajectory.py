@@ -196,16 +196,31 @@ def test_batched_pick_at_the_edges_of_the_prefix_sums():
 
 def test_mean_clicks_past_enumeration():
     # N = 14 detectors, M = 10 photons: C(23, 10) = 1,144,066 outcomes, beyond
-    # ENUMERATION_LIMIT.  Detector i still clicks sum_{j<M} |U_ij|^2 times on
-    # average, whatever the interference.
+    # ENUMERATION_LIMIT.  Detector i still clicks s_i = sum_{j<M} |U_ij|^2 times
+    # on average, whatever the interference.  The two-point correlator of
+    # M single photons in the first M inputs is (Walschaers et al., New J.
+    # Phys. 18, 032001 (2016)), with a = |U[:, :M]|^2 and U_M = U[:, :M],
+    # E[n_i n_j] = s_i s_j + |(U_M U_M^dagger)_ij|^2 - 2 (a a^T)_ij + delta_ij s_i.
     n, m, samples = 14, 10, 1000
     assert comb(n + m - 1, m) > ENUMERATION_LIMIT
     u = haar_unitary(n, np.random.default_rng(1414))
     rng = np.random.default_rng(2024)
     counts = np.array([clicks_to_counts(sample_click_sequence(n, m, u, rng), n) for _ in range(samples)])
-    expected = (np.abs(u[:, :m]) ** 2).sum(axis=1)
+    a = np.abs(u[:, :m]) ** 2
+    expected = a.sum(axis=1)
     stderr = counts.std(axis=0, ddof=1) / np.sqrt(samples)
     assert np.all(np.abs(counts.mean(axis=0) - expected) <= 5 * stderr)
+
+    u_m = u[:, :m]
+    expected_pairs = (
+        np.outer(expected, expected)
+        + np.abs(u_m @ u_m.conj().T) ** 2
+        - 2 * a @ a.T
+        + np.diag(expected)
+    )
+    products = counts[:, :, None] * counts[:, None, :]
+    stderr_pairs = products.std(axis=0, ddof=1) / np.sqrt(samples)
+    assert np.all(np.abs(products.mean(axis=0) - expected_pairs) <= 5 * stderr_pairs)
 
 
 def test_averaged_occupations_are_unraveling_independent():
