@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,6 +31,8 @@ from .experiments import (
     scaling_sweep,
     trajectory_records,
 )
+from .oracle import ENUMERATION_LIMIT
+from .state import MAX_SITES
 from .trajectory import record_to_json
 from .unitary import load_unitary, unitary_to_json
 
@@ -202,6 +205,16 @@ def _check_range(key: str, value: int | None, low: int, high: int | None = None)
         raise ValueError(f"--{key} must lie in [{low}, {high}], got {value}")
 
 
+def _check_sector(what: str, n: int, m: int) -> None:
+    # A run from m excited sites of n visits the sectors of m, m - 1, ..., 0
+    # excitations and holds every state of each in memory.
+    widest = comb(n, min(m, n // 2))
+    if widest > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{what} reaches a sector of {widest} states, above the limit {ENUMERATION_LIMIT}"
+        )
+
+
 def parse_config(argv=None) -> RunConfig:
     """Merge flags over an optional key=value config file into a validated RunConfig.
 
@@ -228,8 +241,15 @@ def parse_config(argv=None) -> RunConfig:
             flag = "at least one --point N:SOURCE" if key == "points" else f"--{key}"
             raise ValueError(f"mode {mode} requires {flag}")
     n, m = s.get("n"), s.get("m")
-    _check_range("n", n, 1)
+    _check_range("n", n, 1, MAX_SITES)
     _check_range("m", m, 0, n)
+    if m is not None:
+        _check_sector(f"--n {n} --m {m}", n, m)
+    for spec in s.get("points") or ():
+        n_point = _parse_point(spec)[0]
+        if not 2 <= n_point <= MAX_SITES:
+            raise ValueError(f"--point: N must lie in [2, {MAX_SITES}], got {n_point} in {spec!r}")
+        _check_sector(f"--point {spec}", n_point, n_point)  # a sweep point runs at full filling
     # A mode that reads cut or k also reads n and m, checked by now.
     defaults = {"unitary": "haar", "samples": 1000}
     if "cut" in s:

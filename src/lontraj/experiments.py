@@ -15,24 +15,21 @@ chunking.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
 from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
-from .state import (
-    _dense_cut_matrix,
-    _entropy,
-    _entropy_profile,
-    _initial_amplitudes,
-    _spectrum_entropy,
-)
+from .state import _dense_cut_matrix, _entropies, _initial_amplitudes, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
 from .unitary import check_unitary, haar_brickwall, haar_unitary
 
@@ -119,6 +116,45 @@ def _group_size(n_sites: int, n_excited: int) -> int:
     return max(1, oracle._ELEMENT_BUDGET // (n_sites * widest))
 
 
+def _openblas_threads():
+    # (get, set) for the thread count of the OpenBLAS that numpy bundles, or
+    # None where numpy does not bundle scipy-openblas.
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block; the previous count is restored after.
+
+    Parallelism comes from the pool.  Workers that each run a multithreaded
+    BLAS contend for the same cores: on a 2-core host one 70 x 70 x 70
+    complex product (an N = 16 Gram block) took 0.15 ms alone and 16 ms in
+    each of two unpinned workers.  The count is set before the workers fork, since setting it
+    inside a forked worker slowed small products about threefold.  No result
+    depends on the BLAS thread count.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _accumulate(args):
     (make, source, n_sites, master_seed), lo, hi = args
     part = make()
@@ -147,11 +183,12 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     spans = _chunks(n_samples)
     tasks = [((make, source, n_sites, master_seed), lo, hi) for lo, hi in spans]
     workers = _worker_count(threads, len(spans))
-    if workers <= 1:
-        parts = [_accumulate(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_accumulate, tasks))
+    with _one_blas_thread():
+        if workers <= 1:
+            parts = [_accumulate(task) for task in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_accumulate, tasks))
     total = make()
     for part in parts:
         total.merge(part)
@@ -233,12 +270,12 @@ class _GridSums:
 
     def add(self, first: int, u: np.ndarray, rngs: list) -> None:
         n, e = self.n_sites, self.n_excited
+        cuts = tuple(range(1, n))
         # Row 0 stays zero: the initial product state has no entanglement.
         profiles = np.zeros((len(rngs),) + self.sums.shape)
         walk = _click_walk(n, e, _initial_amplitudes(n, e), u, rngs)
         for k, (_, amplitudes) in enumerate(walk, start=1):
-            for profile, row in zip(profiles, amplitudes):
-                profile[k] = _entropy_profile(n, e - k, row)
+            profiles[:, k] = _entropies(n, e - k, amplitudes, cuts)
         for profile in profiles:  # row by row, so no sum depends on the group size
             self.sums += profile
             self.square_sums += profile * profile
@@ -408,10 +445,10 @@ class _MixtureSums:
                 sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
                 if len(sequences[0]) == self.k:
                     break
+        entropies = _entropies(n, e, amplitudes, (self.cut,))[:, 0].tolist()
         # Row by row in trajectory order, so neither the sums nor the
         # histogram's insertion order depend on the group size.
-        for row, sequence in zip(amplitudes, sequences):
-            entropy = _entropy(n, e, row, self.cut)
+        for row, sequence, entropy in zip(amplitudes, sequences, entropies):
             self.entropy_sum += entropy
             self.entropy_square_sum += entropy * entropy
             cut_matrix = _dense_cut_matrix(n, e, row, self.cut)
@@ -453,15 +490,15 @@ def mixture_entropy_report(
     mean, stderr = _mean_stderr(total.entropy_sum, total.entropy_square_sum, n_samples)
     rho = total.rho_sum / n_samples
     eigenvalues = np.linalg.eigvalsh(rho)
-    averaged_state_entropy = _spectrum_entropy(np.maximum(eigenvalues, 0.0))
+    averaged_state_entropy = float(_spectrum_entropy(np.maximum(eigenvalues, 0.0)))
     frequencies = np.array([c / n_samples for c in histogram.values()])
-    shannon = _spectrum_entropy(frequencies)
+    shannon = float(_spectrum_entropy(frequencies))
     tolerance = 3.0 * stderr + (len(histogram) - 1) / (2.0 * n_samples)
     return MixtureEntropyReport(
         mean_trajectory_entropy=float(mean),
         stderr_mean_entropy=float(stderr),
         averaged_state_entropy=averaged_state_entropy,
-        shannon_mixture_entropy=float(shannon),
+        shannon_mixture_entropy=shannon,
         subsystem_size=cut,
         click_count=k,
         n_samples=n_samples,

@@ -21,6 +21,7 @@ import numpy as np
 
 NORM_TOL = 1e-10
 SCHMIDT_CUTOFF = 1e-12
+MAX_SITES = 63  # sector bitmasks are int64, whose top bit is the sign
 
 
 @lru_cache(maxsize=None)
@@ -142,62 +143,96 @@ def apply_jump(state: SectorState, u: np.ndarray, detector: int) -> SectorState:
     return SectorState(state.n_sites, state.n_excited - 1, row / np.sqrt(weight))
 
 
-@lru_cache(maxsize=None)
-def _cut_tables(n_sites: int, n_excited: int, cut: int):
-    """Scatter tables reshaping a sector vector into per-block Schmidt matrices.
+def _spectrum_length(n_sites: int, n_excited: int, cut: int) -> int:
+    # Schmidt coefficients across the cut: each excitation block contributes
+    # as many as its smaller side.
+    return sum(
+        min(comb(cut, b), comb(n_sites - cut, n_excited - b))
+        for b in range(max(0, n_excited - (n_sites - cut)), min(cut, n_excited) + 1)
+    )
 
-    The amplitude matrix across the cut is block diagonal in the number of
-    excitations held by the left block A = sites {0..cut-1}.  For each block
-    b, returns (sel, rows, cols, shape): ``matrix[rows, cols] =
-    amplitudes[sel]`` fills a C(cut, b) x C(n_sites-cut, n_excited-b) block.
+
+@lru_cache(maxsize=None)
+def _schmidt_tables(n_sites: int, n_excited: int, cuts: tuple[int, ...]):
+    """Gather tables for the Schmidt spectra of every cut in ``cuts`` at once.
+
+    Across cut l the amplitude matrix is block diagonal in the number b of
+    excitations left of the cut.  Block b is C(l, b) x C(n_sites - l,
+    n_excited - b), and every entry of it is a sector amplitude, so the
+    blocks are dense.  Each block is oriented with its smaller side first,
+    and blocks of equal shape are grouped over all cuts.  Returns (width,
+    groups): for each shape (s, w), ``amplitudes[..., idx]`` with idx of
+    shape (blocks, s, w) gathers its blocks, and their s squared Schmidt
+    coefficients each go to ``slots`` of a flat (len(cuts), width) spectrum
+    table, one row per cut.  ``width`` is the longest spectrum of any cut of
+    the sector, so where a cut's coefficients sit in its row does not depend
+    on which other cuts are asked for.
     """
     masks = sector_masks(n_sites, n_excited)
-    low = masks & ((1 << cut) - 1)
-    high = masks >> cut
-    left_bits = np.bitwise_count(low)
-    blocks = []
-    for b in range(max(0, n_excited - (n_sites - cut)), min(cut, n_excited) + 1):
-        sel = np.nonzero(left_bits == b)[0]
-        shape = (comb(cut, b), comb(n_sites - cut, n_excited - b))
-        rows = np.searchsorted(sector_masks(cut, b), low[sel])
-        cols = np.searchsorted(sector_masks(n_sites - cut, n_excited - b), high[sel])
-        blocks.append((sel, rows * shape[1] + cols, shape))
-    return blocks
+    width = max((_spectrum_length(n_sites, n_excited, cut) for cut in range(1, n_sites)), default=0)
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    for row, cut in enumerate(cuts):
+        low = masks & ((1 << cut) - 1)
+        high = masks >> cut
+        left_bits = np.bitwise_count(low)
+        slot = row * width
+        for b in range(max(0, n_excited - (n_sites - cut)), min(cut, n_excited) + 1):
+            sel = np.nonzero(left_bits == b)[0]
+            idx = np.empty((comb(cut, b), comb(n_sites - cut, n_excited - b)), dtype=np.intp)
+            rows = np.searchsorted(sector_masks(cut, b), low[sel])
+            cols = np.searchsorted(sector_masks(n_sites - cut, n_excited - b), high[sel])
+            idx[rows, cols] = sel
+            if idx.shape[0] > idx.shape[1]:
+                idx = idx.T
+            blocks, slots = groups.setdefault(idx.shape, ([], []))
+            blocks.append(idx)
+            slots.append(np.arange(slot, slot + idx.shape[0]))
+            slot += idx.shape[0]
+    return width, [(np.stack(blocks), np.concatenate(slots)) for blocks, slots in groups.values()]
 
 
-def _schmidt_squares(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> np.ndarray:
-    parts = []
-    for sel, flat, shape in _cut_tables(n_sites, n_excited, cut):
-        block = np.zeros(shape[0] * shape[1], dtype=complex)
-        block[flat] = amplitudes[sel]
-        if min(shape) == 1:
-            parts.append(np.array([np.vdot(block, block).real]))
-        else:
-            parts.append(np.linalg.svd(block.reshape(shape), compute_uv=False) ** 2)
-    return np.concatenate(parts)
+def _spectrum_entropy(p: np.ndarray, renormalize: bool = False) -> np.ndarray:
+    """-sum p log p along the last axis over the weights at or above SCHMIDT_CUTOFF.
 
-
-def _spectrum_entropy(p: np.ndarray, renormalize: bool = False) -> float:
-    """-sum p log p over the weights of ``p`` at or above SCHMIDT_CUTOFF, clamped to >= 0.
-
-    With ``renormalize`` the kept weights are first scaled to sum to 1.
+    Weights below the cutoff count as zeros in place, so each row is summed
+    in the same order whatever it is computed with.  With ``renormalize``
+    the kept weights are first scaled to sum to 1.  Results are clamped to
+    >= +0.0.
     """
-    p = p[p >= SCHMIDT_CUTOFF]
+    kept = p >= SCHMIDT_CUTOFF
+    p = np.where(kept, p, 0.0)
     if renormalize:
-        p = p / p.sum()
-    value = float(-(p * np.log(p)).sum())
-    return value if value > 0.0 else 0.0
+        p = p / p.sum(axis=-1, keepdims=True)
+    value = -(p * np.log(np.where(kept, p, 1.0))).sum(axis=-1)
+    return np.where(value > 0.0, value, 0.0)
 
 
-def _entropy(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> float:
+def _entropies(
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, cuts: tuple[int, ...]
+) -> np.ndarray:
+    """Entanglement entropy (nats) of each row of ``amplitudes`` at each cut.
+
+    ``amplitudes`` is (B, dim); returns (B, len(cuts)).  Each block shape
+    takes one gather, one Gram product on the smaller side and one batched
+    ``eigvalsh`` for all rows and cuts; blocks one coefficient wide take a
+    squared norm.  Every row and cut is computed as it would be alone, so no
+    value depends on the group size or on the other cuts asked for.
+    """
+    width, groups = _schmidt_tables(n_sites, n_excited, cuts)
+    size = len(amplitudes)
+    spectra = np.zeros((size, len(cuts) * width))
+    for idx, slots in groups:
+        # take() returns a C-contiguous stack, so every sum below runs along
+        # contiguous rows and pairs its terms the same way for any group size.
+        blocks = amplitudes.take(idx, axis=-1)
+        if idx.shape[1] == 1:
+            squares = (blocks.real**2 + blocks.imag**2).sum(axis=-1)
+        else:
+            squares = np.linalg.eigvalsh(blocks @ blocks.conj().swapaxes(-1, -2))
+        spectra[:, slots] = squares.reshape(size, -1)
     # Renormalizing the kept spectrum absorbs rounding in the state norm and
     # makes single-coefficient (product) states exactly zero.
-    p = _schmidt_squares(n_sites, n_excited, amplitudes, cut)
-    return _spectrum_entropy(p, renormalize=True)
-
-
-def _entropy_profile(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:
-    return np.array([_entropy(n_sites, n_excited, amplitudes, cut) for cut in range(1, n_sites)])
+    return _spectrum_entropy(spectra.reshape(size, len(cuts), width), renormalize=True)
 
 
 def _check_cut(n_sites: int, cut: int) -> None:
@@ -208,17 +243,19 @@ def _check_cut(n_sites: int, cut: int) -> None:
 def entanglement_entropy(state: SectorState, cut: int) -> float:
     """Von Neumann entropy (nats) across the cut after ``cut`` boundary sites.
 
-    Subsystem A is the contiguous block of sites {0..cut-1}.  Computed from
-    the singular values of the reshaped amplitude matrix; squared Schmidt
-    coefficients below 1e-12 contribute nothing.
+    Subsystem A is the contiguous block of sites {0..cut-1}.  The squared
+    Schmidt coefficients are the eigenvalues of the Gram matrix of each
+    excitation block of the reshaped amplitude matrix; those below 1e-12
+    contribute nothing.
     """
     _check_cut(state.n_sites, cut)
-    return _entropy(state.n_sites, state.n_excited, state.amplitudes, cut)
+    return float(_entropies(state.n_sites, state.n_excited, state.amplitudes[None], (cut,))[0, 0])
 
 
 def entropy_profile(state: SectorState) -> np.ndarray:
     """Entanglement entropy at every cut 1..n_sites-1, as a vector."""
-    return _entropy_profile(state.n_sites, state.n_excited, state.amplitudes)
+    cuts = tuple(range(1, state.n_sites))
+    return _entropies(state.n_sites, state.n_excited, state.amplitudes[None], cuts)[0]
 
 
 def _dense_cut_matrix(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> np.ndarray:

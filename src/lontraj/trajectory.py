@@ -19,7 +19,7 @@ from .state import (
     NORM_TOL,
     SectorState,
     _check_cut,
-    _entropy,
+    _entropies,
     _initial_amplitudes,
     _lowered_raw,
 )
@@ -124,9 +124,10 @@ def _records(n_sites: int, n_excited: int, u: np.ndarray, cut: int, rngs) -> lis
     entropies = [[0.0] for _ in rngs]  # the initial product state has no entanglement
     walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, rngs)
     for k, (detectors, amplitudes) in enumerate(walk, start=1):
-        for b, detector in enumerate(detectors.tolist()):
+        values = _entropies(n_sites, n_excited - k, amplitudes, (cut,))[:, 0]
+        for b, (detector, value) in enumerate(zip(detectors.tolist(), values.tolist())):
             clicks[b].append(detector)
-            entropies[b].append(_entropy(n_sites, n_excited - k, amplitudes[b], cut))
+            entropies[b].append(value)
     return [TrajectoryRecord(tuple(c), tuple(s)) for c, s in zip(clicks, entropies)]
 
 

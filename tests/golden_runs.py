@@ -11,14 +11,22 @@ A refactor that must keep results byte-identical runs
     python tests/golden_runs.py > golden.txt
 
 in a checkout of the parent commit and in the change and compares the two
-files.  The script exits 1 if any run fails.  Its name does not match
-``test_*.py``, so pytest does not collect it.
+files.  An optimisation that may move the last bits passes an output
+directory as well,
+
+    python tests/golden_runs.py OUTDIR > golden.txt
+
+which keeps each run's out.dat and manifest in ``OUTDIR/g<index>-t<threads>/``
+(index into ``GOLDEN``, from 00), so the two checkouts' outputs can be
+compared number by number.  The script exits 1 if any run fails.  Its name
+does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,8 +58,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(args: str, threads: int) -> str:
-    """Run one golden configuration; return its output line."""
+def run(args: str, threads: int, keep: Path | None = None) -> str:
+    """Run one golden configuration; return its output line.
+
+    With ``keep``, the run's out.dat and its manifest are copied into that
+    directory.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-m", "lontraj.cli", *args.split(), "--threads", str(threads),
             "--output", "out.dat"]
@@ -62,14 +74,23 @@ def run(args: str, threads: int) -> str:
                                f"{done.stderr.decode().strip()}")
         output = Path(work, "out.dat").read_bytes()
         manifest = Path(work, "out.dat.manifest.json").read_bytes()
+        if keep is not None:
+            keep.mkdir(parents=True, exist_ok=True)
+            for name in ("out.dat", "out.dat.manifest.json"):
+                shutil.copyfile(Path(work, name), keep / name)
     return f"{_sha(output)} {_sha(manifest)} {_sha(done.stdout)} t{threads} {args}"
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: golden_runs.py [OUTDIR]", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]) if argv else None
     try:
-        for args in GOLDEN:
+        for index, args in enumerate(GOLDEN):
             for threads in (1, 2):
-                print(run(args, threads), flush=True)
+                keep = None if outdir is None else outdir / f"g{index:02d}-t{threads}"
+                print(run(args, threads, keep), flush=True)
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -77,4 +98,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

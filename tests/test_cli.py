@@ -552,6 +552,29 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--mode entropy-grid --n 40 --m 20",
+         "--n 40 --m 20 reaches a sector of 137846528820 states, above the limit 1000000"),
+        ("--mode trajectory-dump --n 64 --m 1", "--n must lie in [1, 63], got 64"),
+        ("--mode dump-unitary --n 64", "--n must lie in [1, 63], got 64"),
+        ("--mode scaling-sweep --point 6:haar --point 24:brickwall:2",
+         "--point 24:brickwall:2 reaches a sector of 2704156 states, above the limit 1000000"),
+        ("--mode scaling-sweep --point 64:haar",
+         "--point: N must lie in [2, 63], got 64 in '64:haar'"),
+    ],
+    ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask"],
+)
+def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
+    # Sector bitmasks are int64, and every state of the largest sector a run
+    # reaches is enumerated; both bounds are checked while parsing.
+    out = tmp_path / "out" / "o.dat"
+    assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "text, reason",
     [
         ('{"dim": 2', "Expecting ',' delimiter"),

@@ -9,7 +9,9 @@ from dense_reference import (
     reverse_sites,
 )
 from lontraj.state import (
+    SCHMIDT_CUTOFF,
     SectorState,
+    _entropies,
     apply_jump,
     dense_cut_matrix,
     entanglement_entropy,
@@ -20,6 +22,7 @@ from lontraj.state import (
     site_occupations,
 )
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
+from schmidt_reference import schmidt_entropy
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -217,6 +220,72 @@ def test_entropy_profile_matches_per_cut_calls():
     assert profile.shape == (4,)
     for cut in range(1, 5):
         assert profile[cut - 1] == entanglement_entropy(state, cut)
+
+
+def kernel_test_state(n_sites: int, n_excited: int, seed: int) -> SectorState:
+    # (8, 8) stands for the state one click after full filling at N = 8.
+    rng = np.random.default_rng(seed)
+    if n_excited == n_sites:
+        u = haar_unitary(n_sites, rng)
+        return apply_jump(initial_state(n_sites, n_sites), u, int(rng.integers(n_sites)))
+    return random_sector_state(n_sites, n_excited, rng)
+
+
+@pytest.mark.parametrize("n_sites,n_excited", [(6, 3), (8, 8), (10, 5), (12, 6), (16, 8)])
+def test_entropy_kernel_matches_per_block_svd_reference(n_sites, n_excited):
+    state = kernel_test_state(n_sites, n_excited, 70 + n_sites)
+    profile = entropy_profile(state)
+    reference = [
+        schmidt_entropy(state.n_sites, state.n_excited, state.amplitudes, cut)
+        for cut in range(1, n_sites)
+    ]
+    assert np.abs(profile - reference).max() <= 1e-12
+
+
+def test_entropy_kernel_on_rank_deficient_state_near_the_cutoff():
+    # Across the middle cut of (6, 3) the blocks hold 1, 3, 3 and 1 excitations
+    # on the left.  Give block 1 rank 1 and blocks 0 and 3 weights just above
+    # and just below the cutoff; block 2 has rank 2.  The kept spectrum is
+    # {w, 3 SCHMIDT_CUTOFF, a, b}, the dropped weight (and the zero
+    # eigenvalues) contribute nothing.
+    n_sites, n_excited, cut = 6, 3, 3
+    masks = sector_masks(n_sites, n_excited)
+    amps = np.zeros(len(masks), dtype=complex)
+
+    def put(left: int, right: int, value: complex) -> None:
+        amps[np.searchsorted(masks, left | (right << cut))] = value
+
+    above, below = 3 * SCHMIDT_CUTOFF, 0.3 * SCHMIDT_CUTOFF
+    put(0b000, 0b111, np.sqrt(above))
+    put(0b111, 0b000, np.sqrt(below))
+    left_vec, right_vec = np.array([0.6, 0.8j, 0.0]), np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    for i, left in enumerate((0b001, 0b010, 0b100)):
+        for j, right in enumerate((0b011, 0b101, 0b110)):
+            put(left, right, np.sqrt(0.5) * left_vec[i] * right_vec[j])
+    for left, right, weight in ((0b011, 0b001, 0.3), (0b101, 0b010, 0.2)):
+        put(left, right, np.sqrt(weight - (above + below) / 2))
+    state = SectorState(n_sites, n_excited, amps / np.linalg.norm(amps))
+
+    kept = np.array([0.5, 0.3, 0.2, above]) - np.array([0, 1, 1, 0]) * (above + below) / 2
+    kept /= kept.sum()
+    expected = float(-(kept * np.log(kept)).sum())
+    value = entanglement_entropy(state, cut)
+    assert abs(value - expected) < 1e-12
+    assert abs(value - schmidt_entropy(n_sites, n_excited, state.amplitudes, cut)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites,n_excited", [(6, 3), (10, 9), (16, 8)])
+def test_entropy_of_a_cut_does_not_depend_on_what_is_computed_with_it(n_sites, n_excited):
+    # At (16, 8) the middle cut's spectrum has 256 entries, more than one
+    # 128-element block of numpy's pairwise sum.
+    rng = np.random.default_rng(80 + n_sites)
+    rows = np.stack([random_sector_state(n_sites, n_excited, rng).amplitudes for _ in range(6)])
+    cuts = tuple(range(1, n_sites))
+    group = _entropies(n_sites, n_excited, rows, cuts)
+    for b in range(len(rows)):
+        assert np.array_equal(_entropies(n_sites, n_excited, rows[b : b + 1], cuts)[0], group[b])
+    for index, cut in enumerate(cuts):
+        assert np.array_equal(_entropies(n_sites, n_excited, rows, (cut,))[:, 0], group[:, index])
 
 
 def test_dense_cut_matrix_reproduces_reduced_state():
