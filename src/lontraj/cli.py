@@ -34,7 +34,7 @@ from .experiments import (
 from .oracle import ENUMERATION_LIMIT
 from .state import MAX_SITES
 from .trajectory import record_to_json
-from .unitary import load_unitary, unitary_to_json
+from .unitary import MAX_DEPTH, load_unitary, unitary_to_json
 
 
 # Each mode's runner turns the settings the mode reads, its unitary source and
@@ -215,6 +215,15 @@ def _check_sector(what: str, n: int, m: int) -> None:
         )
 
 
+def _check_depth(option: str, source_spec: str, spec: str) -> None:
+    # Every trajectory of a brick-wall source draws and multiplies DEPTH
+    # layers of (N - 1) / 2 gates each.
+    if source_spec.startswith("brickwall:"):
+        depth = _parse_int(source_spec.split(":", 1)[1], "depth", option, spec)
+        if not 0 <= depth <= MAX_DEPTH:
+            raise ValueError(f"{option}: depth must lie in [0, {MAX_DEPTH}], got {depth} in {spec!r}")
+
+
 def parse_config(argv=None) -> RunConfig:
     """Merge flags over an optional key=value config file into a validated RunConfig.
 
@@ -246,10 +255,11 @@ def parse_config(argv=None) -> RunConfig:
     if m is not None:
         _check_sector(f"--n {n} --m {m}", n, m)
     for spec in s.get("points") or ():
-        n_point = _parse_point(spec)[0]
+        n_point, source_spec = _parse_point(spec)
         if not 2 <= n_point <= MAX_SITES:
             raise ValueError(f"--point: N must lie in [2, {MAX_SITES}], got {n_point} in {spec!r}")
         _check_sector(f"--point {spec}", n_point, n_point)  # a sweep point runs at full filling
+        _check_depth("--point", source_spec, spec)
     # A mode that reads cut or k also reads n and m, checked by now.
     defaults = {"unitary": "haar", "samples": 1000}
     if "cut" in s:
@@ -258,6 +268,8 @@ def parse_config(argv=None) -> RunConfig:
         defaults["k"] = m // 2
     s = {key: defaults.get(key) if value is None else value for key, value in s.items()}
     _check_range("samples", s.get("samples"), 1)
+    if "unitary" in s:
+        _check_depth("--unitary", s["unitary"], s["unitary"])
     if "cut" in s:
         _check_range("cut", s["cut"], 1, n - 1)
     _check_range("k", s.get("k"), 0, m)

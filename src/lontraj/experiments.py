@@ -31,7 +31,7 @@ from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
 from .state import _dense_cut_matrix, _entropies, _initial_amplitudes, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
-from .unitary import check_unitary, haar_brickwall, haar_unitary
+from .unitary import _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
@@ -82,16 +82,26 @@ class UnitarySource:
     def fresh_per_sample(self) -> bool:
         return self.kind in ("haar", "brickwall")
 
-    def draw(self, n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, n_modes: int, rngs) -> np.ndarray:
+        """The unitary drawn from one generator, or the stack drawn from a list of them.
+
+        A single generator gives one (n_modes, n_modes) matrix; a list of B
+        generators gives the (B, n_modes, n_modes) stack whose row b is the
+        matrix rngs[b] alone would give, from one batched draw.  A fixed
+        source reads no generator.
+        """
+        group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
         if self.kind == "fixed":
             if self.matrix.shape[0] != n_modes:
                 raise ValueError(f"fixed unitary is {self.matrix.shape[0]}-mode, need {n_modes}")
-            return self.matrix
-        if self.kind == "haar":
-            return haar_unitary(n_modes, rng)
-        if self.kind == "brickwall":
-            return haar_brickwall(n_modes, self.depth, rng)
-        raise ValueError(f"unknown unitary source {self.kind!r}")
+            stack = np.broadcast_to(self.matrix, (len(group), n_modes, n_modes))
+        elif self.kind == "haar":
+            stack = _haar_stack(n_modes, group)
+        elif self.kind == "brickwall":
+            stack = _brickwall_stack(n_modes, self.depth, group)
+        else:
+            raise ValueError(f"unknown unitary source {self.kind!r}")
+        return stack if group is rngs else stack[0]
 
 
 def _chunks(n_samples: int) -> list[tuple[int, int]]:
@@ -162,7 +172,7 @@ def _accumulate(args):
     for start in range(lo, hi, step):
         rows = range(start, min(start + step, hi))
         if source.fresh_per_sample:
-            u = np.stack([source.draw(n_sites, derive_rng(master_seed, i, 0)) for i in rows])
+            u = source.draw(n_sites, [derive_rng(master_seed, i, 0) for i in rows])
         else:
             u = source.matrix
         part.add(start, u, [derive_rng(master_seed, i, 1) for i in rows])

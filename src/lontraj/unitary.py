@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+from functools import lru_cache
 
 import numpy as np
 
 UNITARITY_TOL = 1e-12
+MAX_DEPTH = 4096  # deepest brick wall a run may ask for; above N^2 at N = 63
+_LAYER_BUDGET = 2**16  # dense layer entries one brick-wall pass builds over its group
 
 
 def check_unitary(u: np.ndarray) -> None:
@@ -38,15 +42,31 @@ def beamsplitter_unitary(a: complex, b: complex, phi: float) -> np.ndarray:
     return np.array([[a, b], [-phase * b.conjugate(), phase * a.conjugate()]])
 
 
-def _haar_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    # ``count`` independent Haar unitaries by the recipe of haar_unitary.
-    # Matrix i takes the real, then the imaginary parts of its entries from
-    # the stream before matrix i + 1 does.
-    normals = rng.standard_normal((count, 2, n, n))
+def _normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
+    # Row b holds rngs[b].standard_normal(shape): each stream is read as
+    # that draw alone would read it.
+    out = np.empty((len(rngs),) + shape)
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=out[b])
+    return out
+
+
+def _haar_from_normals(normals: np.ndarray) -> np.ndarray:
+    # One Haar unitary per normals[i] of shape (2, n, n), the real then the
+    # imaginary parts of a Ginibre matrix.  np.linalg.qr and every
+    # elementwise step act matrix by matrix, so each result is bit-equal
+    # however many are stacked.
     ginibre = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _haar_stack(n: int, rngs) -> np.ndarray:
+    # (len(rngs), n, n): row b is haar_unitary(n, rngs[b]), from one QR call.
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    return _haar_from_normals(_normals(rngs, (2, n, n)))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,9 +84,76 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
         Source of randomness; identical generator state gives bit-identical
         output.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return _haar_stack(n, 1, rng)[0]
+    return _haar_stack(n, [rng])[0]
+
+
+def _beamsplitter_entries(gates: np.ndarray) -> np.ndarray:
+    # Row [a, b, -e^{i phi} b*, e^{i phi} a*] per 2x2 unitary [[a, b], [c, d]]
+    # of ``gates``, bit-equal to beamsplitter_unitary(a, b, cmath.phase(a d -
+    # b c)) on Python complex numbers (see haar_brickwall).  Every complex
+    # product is written out as CPython forms it: (x y).real = xr yr - xi yi,
+    # (x y).imag = xr yi + xi yr.
+    (ar, br), (cr, dr) = gates.real.transpose(1, 2, 0)
+    (ai, bi), (ci, di) = gates.imag.transpose(1, 2, 0)
+    det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
+    phis = map(math.atan2, det_i.tolist(), det_r.tolist())
+    phase = np.array([cmath.exp(1j * phi) for phi in phis], dtype=complex)
+    er, ei = phase.real, phase.imag
+    nr, ni = -er, -ei  # -e^{i phi}
+    mbi, mai = -bi, -ai  # the imaginary parts of b* and a*
+    rows = np.empty((len(gates), 4), dtype=complex)
+    rows[:, :2] = gates[:, 0]
+    rows.real[:, 2], rows.imag[:, 2] = nr * br - ni * mbi, nr * mbi + ni * br
+    rows.real[:, 3], rows.imag[:, 3] = er * ar - ei * mai, er * mai + ei * ar
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _layer_plan(n_modes: int, parity: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # ``count`` consecutive brick-wall layers, the first of the given parity,
+    # as flat (count * n_modes * n_modes) dense matrices: the identity, and
+    # for every gate in layer-then-top-mode order the four flat slots of its
+    # entries [top, top], [top, top + 1], [top + 1, top], [top + 1, top + 1].
+    identity = np.zeros((count, n_modes, n_modes), dtype=complex)
+    identity[:, range(n_modes), range(n_modes)] = 1.0
+    slots = [
+        (layer * n_modes + top + row) * n_modes + top + col
+        for layer in range(count)
+        for top in range((parity + layer) % 2, n_modes - 1, 2)
+        for row, col in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+    identity, slots = identity.ravel(), np.array(slots, dtype=np.intp)
+    identity.flags.writeable = slots.flags.writeable = False  # shared by every caller
+    return identity, slots
+
+
+def _brickwall_stack(n_modes: int, depth: int, rngs) -> np.ndarray:
+    # (len(rngs), n_modes, n_modes): row b is haar_brickwall(n_modes, depth, rngs[b]).
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth >= 1 and n_modes < 2:
+        raise ValueError(f"need at least 2 modes for depth {depth}, got {n_modes}")
+    size = len(rngs)
+    u = np.tile(np.eye(n_modes, dtype=complex), (size, 1, 1))
+    # The layers go in passes of at most _LAYER_BUDGET dense entries over the
+    # group.  A pass draws its gates in layer-then-top-mode order, so every
+    # stream is read on from where the last pass left it.
+    step = max(1, _LAYER_BUDGET // (size * n_modes * n_modes))
+    for first in range(0, depth, step):
+        count = min(step, depth - first)
+        identity, slots = _layer_plan(n_modes, first % 2, count)
+        normals = _normals(rngs, (len(slots) // 4, 2, 2, 2)).reshape(-1, 2, 2, 2)
+        layers = np.tile(identity, (size, 1))
+        layers[:, slots] = _beamsplitter_entries(_haar_from_normals(normals)).reshape(size, -1)
+        # Whole dense layers multiply from the left, as a dense layer product
+        # does: updating only the two rows a gate touches would sum fewer
+        # terms and could change signed zeros and last bits.
+        for layer in layers.reshape(size, count, n_modes, n_modes).transpose(1, 0, 2, 3):
+            u = layer @ u
+    return u
 
 
 def haar_brickwall(n_modes: int, depth: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,29 +168,19 @@ def haar_brickwall(n_modes: int, depth: int, rng: np.random.Generator) -> np.nda
     The stream holds one Haar 2x2 per gate, in layer-then-top-mode order,
     each drawn as for ``haar_unitary(2, rng)``: 4 real then 4 imaginary
     standard normals.
+
+    Each gate [[a, b], [c, d]] enters its layer as
+    ``beamsplitter_unitary(a, b, phi)`` with e^{i phi} = a d - b c, and whole
+    dense layers multiply one by one, so the result is byte-identical to
+    building every gate with that function (the per-gate reference in the
+    tests).  The rebuild runs over arrays, for all gates of a lockstep group
+    at once.  numpy's complex multiply and ``np.arctan2`` can round
+    differently from CPython's complex arithmetic and ``cmath.phase``, so it
+    writes each complex product as real multiplies and adds in CPython's
+    order and takes phi from ``math.atan2``, the libm call behind
+    ``cmath.phase``.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth >= 1 and n_modes < 2:
-        raise ValueError(f"need at least 2 modes for depth {depth}, got {n_modes}")
-    tops = [range(layer % 2, n_modes - 1, 2) for layer in range(depth)]
-    gates = iter(_haar_stack(2, sum(map(len, tops)), rng).tolist())
-    u = np.eye(n_modes, dtype=complex)
-    for layer_tops in tops:
-        layer = np.eye(n_modes, dtype=complex)
-        for top in layer_tops:
-            # Any 2x2 unitary [[a, b], [c, d]] is the beam splitter with
-            # e^{i phi} = det = a d - b c.  Rebuilding each gate this way in
-            # Python complex arithmetic, and multiplying whole layers rather
-            # than updating two rows, fixes every output byte (signed zeros
-            # included) to the per-gate reference in the tests.
-            (a, b), (c, d) = next(gates)
-            phi = cmath.phase(a * d - b * c)
-            layer[top : top + 2, top : top + 2] = beamsplitter_unitary(a, b, phi)
-        u = layer @ u
-    return u
+    return _brickwall_stack(n_modes, depth, [rng])[0]
 
 
 def unitary_to_json(u: np.ndarray) -> str:

@@ -562,12 +562,20 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
          "--point 24:brickwall:2 reaches a sector of 2704156 states, above the limit 1000000"),
         ("--mode scaling-sweep --point 64:haar",
          "--point: N must lie in [2, 63], got 64 in '64:haar'"),
+        ("--mode entropy-grid --n 10 --m 10 --unitary brickwall:100000000",
+         "--unitary: depth must lie in [0, 4096], got 100000000 in 'brickwall:100000000'"),
+        ("--mode dump-unitary --n 4 --unitary brickwall:4097",
+         "--unitary: depth must lie in [0, 4096], got 4097 in 'brickwall:4097'"),
+        ("--mode scaling-sweep --point 6:haar --point 8:brickwall:5000",
+         "--point: depth must lie in [0, 4096], got 5000 in '8:brickwall:5000'"),
     ],
-    ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask"],
+    ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
+         "dump-unitary-depth", "point-depth"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
-    # Sector bitmasks are int64, and every state of the largest sector a run
-    # reaches is enumerated; both bounds are checked while parsing.
+    # Sector bitmasks are int64, every state of the largest sector a run
+    # reaches is enumerated, and every trajectory draws and multiplies each
+    # brick-wall layer; all three bounds are checked while parsing.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -606,13 +614,21 @@ def test_malformed_unitary_file_names_the_option_and_path(tmp_path, capsys, text
         ["--mode", "mixture-entropy", "--n", "6", "--m", "5", "--k", "2", "--cut", "3"],
         ["--mode", "trajectory-dump", "--n", "6", "--m", "6", "--unitary", "brickwall:2",
          "--cut", "3", "--waiting-times"],
+        pytest.param(
+            ["--mode", "entropy-grid", "--n", "6", "--m", "5", "--unitary", "haar"],
+            id="entropy-grid-haar",
+        ),
+        pytest.param(
+            ["--mode", "entropy-grid", "--n", "7", "--m", "5", "--unitary", "brickwall:5"],
+            id="entropy-grid-brickwall-5",
+        ),
     ],
     ids=lambda args: args[1],
 )
 def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch, args):
     # 300 trajectories are a chunk of 256 and one of 44; groups of 3 leave a
     # short group of 1 at the end of the first chunk and of 2 at the end of
-    # the second.
+    # the second.  A fresh source draws each group's unitaries together.
     n, m = int(args[args.index("--n") + 1]), int(args[args.index("--m") + 1])
 
     def run(name):

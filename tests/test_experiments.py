@@ -65,6 +65,21 @@ def test_unitary_source_draw_kinds():
         UnitarySource.identity(3).draw(4, rng)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [UnitarySource.haar(), UnitarySource.brickwall(3), UnitarySource.identity(5)],
+    ids=["haar", "brickwall", "fixed"],
+)
+def test_unitary_source_draws_a_group_as_its_generators_alone(source):
+    rngs = [np.random.default_rng([4, b]) for b in range(3)]
+    alone_rngs = [np.random.default_rng([4, b]) for b in range(3)]
+    alone = [source.draw(5, rng) for rng in alone_rngs]
+    stack = source.draw(5, rngs)
+    assert stack.shape == (3, 5, 5)
+    assert [row.tobytes() for row in stack] == [u.tobytes() for u in alone]
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone_rngs]
+
+
 def test_identity_grid_is_exactly_zero():
     grid = averaged_entropy_grid(4, 4, UnitarySource.identity(4), 50, 5)
     assert np.all(grid.values == 0.0)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from brickwall_reference import brickwall_reference, haar_unitary_reference
+from lontraj import unitary
 from lontraj.unitary import (
+    _brickwall_stack,
+    _haar_stack,
     beamsplitter_unitary,
     check_unitary,
     haar_brickwall,
@@ -15,6 +18,7 @@ from lontraj.unitary import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+GROUP_SIZES = (1, 2, 6, 7)  # lockstep groups drawn in one stacked call
 
 
 def balanced_splitter() -> np.ndarray:
@@ -82,6 +86,10 @@ def test_haar_first_moment_all_entries():
     assert np.all(np.abs(acc / samples - 1 / n) < 5 * stderr)
 
 
+def _group(seed: int, size: int) -> list:
+    return [np.random.default_rng([seed, b]) for b in range(size)]
+
+
 def test_haar_matches_the_unstacked_reference():
     for n in range(1, 17):
         for seed in range(5):
@@ -89,6 +97,15 @@ def test_haar_matches_the_unstacked_reference():
             u = haar_unitary(n, rng)
             assert u.tobytes() == haar_unitary_reference(n, reference_rng).tobytes()
             assert rng.bit_generator.state == reference_rng.bit_generator.state
+        # A group's stacked draw gives each row the bytes its generator alone
+        # gives, and reads each stream as far as the reference does.
+        for size in GROUP_SIZES:
+            rngs, reference_rngs = _group(n, size), _group(n, size)
+            stack = _haar_stack(n, rngs)
+            assert stack.shape == (size, n, n)
+            for row, rng, reference_rng in zip(stack, rngs, reference_rngs):
+                assert row.tobytes() == haar_unitary_reference(n, reference_rng).tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_brickwall_staggering_rule():
@@ -156,6 +173,28 @@ def test_compose_matches_explicit_layer_product():
                 u = haar_brickwall(n_modes, depth, rng)
                 assert u.tobytes() == brickwall_reference(n_modes, depth, reference_rng).tobytes()
                 assert rng.bit_generator.state == reference_rng.bit_generator.state
+            for size in GROUP_SIZES:
+                rngs, reference_rngs = _group(100 * n_modes + depth, size), _group(100 * n_modes + depth, size)
+                stack = _brickwall_stack(n_modes, depth, rngs)
+                assert stack.shape == (size, n_modes, n_modes)
+                for row, rng, reference_rng in zip(stack, rngs, reference_rngs):
+                    reference = brickwall_reference(n_modes, depth, reference_rng)
+                    assert row.tobytes() == reference.tobytes()
+                    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("budget", [1, 36, 1800])
+@pytest.mark.parametrize("n_modes, depth, size", [(10, 20, 6), (7, 3, 2), (2, 5, 3), (16, 9, 1)])
+def test_brickwall_passes_do_not_change_the_draw(monkeypatch, budget, n_modes, depth, size):
+    # A small layer budget splits the layers into passes of 1, 3 or 7
+    # layers, some starting on an odd layer; each pass reads the streams on
+    # from where the last one stopped.
+    monkeypatch.setattr(unitary, "_LAYER_BUDGET", budget)
+    rngs, reference_rngs = _group(depth, size), _group(depth, size)
+    stack = _brickwall_stack(n_modes, depth, rngs)
+    for row, rng, reference_rng in zip(stack, rngs, reference_rngs):
+        assert row.tobytes() == brickwall_reference(n_modes, depth, reference_rng).tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_unitary_json_roundtrip_is_exact(tmp_path):
