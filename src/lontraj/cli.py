@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .experiments import (
+    MIXTURE_MAX_SUBSYSTEM,
     UnitarySource,
     averaged_entropy_grid,
     derive_rng,
@@ -270,7 +271,9 @@ def parse_config(argv=None) -> RunConfig:
     _check_range("samples", s.get("samples"), 1)
     if "unitary" in s:
         _check_depth("--unitary", s["unitary"], s["unitary"])
-    if "cut" in s:
+    if mode == "mixture-entropy":  # the averaged reduced state of the cut is held in memory
+        _check_range("cut", s["cut"], 1, min(n - 1, MIXTURE_MAX_SUBSYSTEM))
+    elif "cut" in s:
         _check_range("cut", s["cut"], 1, n - 1)
     _check_range("k", s.get("k"), 0, m)
 

@@ -19,7 +19,7 @@ import ctypes
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
-from .state import _dense_cut_matrix, _entropies, _initial_amplitudes, _spectrum_entropy
+from .state import _cut_blocks, _entropies, _initial_amplitudes, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
 from .unitary import _brickwall_stack, _haar_stack, check_unitary
 
@@ -193,15 +193,13 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     spans = _chunks(n_samples)
     tasks = [((make, source, n_sites, master_seed), lo, hi) for lo, hi in spans]
     workers = _worker_count(threads, len(spans))
-    with _one_blas_thread():
-        if workers <= 1:
-            parts = [_accumulate(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_accumulate, tasks))
     total = make()
-    for part in parts:
-        total.merge(part)
+    with _one_blas_thread(), ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for part in mapper(_accumulate, tasks):  # in chunk order, each merged as it arrives
+            total.merge(part)
     return total
 
 
@@ -442,7 +440,9 @@ class _MixtureSums:
         self.cut = cut
         self.entropy_sum = 0.0
         self.entropy_square_sum = 0.0
-        self.rho_sum = np.zeros((1 << cut, 1 << cut), dtype=complex)
+        # The reduced state is block diagonal: one block per b of state._cut_blocks.
+        blocks = _cut_blocks(n_sites, n_excited - k, cut)
+        self.rho_sum = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
         self.histogram: Counter = Counter()
 
     def add(self, first: int, u: np.ndarray, rngs: list) -> None:
@@ -456,19 +456,21 @@ class _MixtureSums:
                 if len(sequences[0]) == self.k:
                     break
         entropies = _entropies(n, e, amplitudes, (self.cut,))[:, 0].tolist()
+        blocks = [amplitudes.take(idx, axis=-1) for idx in _cut_blocks(n, e, self.cut)]
+        grams = [x @ x.conj().swapaxes(-1, -2) for x in blocks]  # each row as it would be alone
         # Row by row in trajectory order, so neither the sums nor the
         # histogram's insertion order depend on the group size.
-        for row, sequence, entropy in zip(amplitudes, sequences, entropies):
+        for row, (sequence, entropy) in enumerate(zip(sequences, entropies)):
             self.entropy_sum += entropy
             self.entropy_square_sum += entropy * entropy
-            cut_matrix = _dense_cut_matrix(n, e, row, self.cut)
-            self.rho_sum += cut_matrix @ cut_matrix.conj().T
+            for rho, gram in zip(self.rho_sum, grams):
+                rho += gram[row]
             self.histogram[sequence] += 1
 
     def merge(self, other: "_MixtureSums") -> None:
         self.entropy_sum += other.entropy_sum
         self.entropy_square_sum += other.entropy_square_sum
-        self.rho_sum = self.rho_sum + other.rho_sum
+        self.rho_sum = [mine + theirs for mine, theirs in zip(self.rho_sum, other.rho_sum)]
         self.histogram.update(other.histogram)
 
 
@@ -493,13 +495,12 @@ def mixture_entropy_report(
     if not 1 <= cut <= n_sites - 1:
         raise ValueError(f"cut {cut} outside [1, {n_sites - 1}]")
     if cut > MIXTURE_MAX_SUBSYSTEM:
-        raise ValueError(f"subsystem of {cut} sites too large to accumulate densely")
+        raise ValueError(f"subsystem of {cut} sites too large (at most {MIXTURE_MAX_SUBSYSTEM})")
     make = partial(_MixtureSums, n_sites, n_excited, k, cut)
     total = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads)
     histogram = total.histogram
     mean, stderr = _mean_stderr(total.entropy_sum, total.entropy_square_sum, n_samples)
-    rho = total.rho_sum / n_samples
-    eigenvalues = np.linalg.eigvalsh(rho)
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(rho / n_samples) for rho in total.rho_sum])
     averaged_state_entropy = float(_spectrum_entropy(np.maximum(eigenvalues, 0.0)))
     frequencies = np.array([c / n_samples for c in histogram.values()])
     shannon = float(_spectrum_entropy(frequencies))

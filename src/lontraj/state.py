@@ -152,14 +152,33 @@ def _spectrum_length(n_sites: int, n_excited: int, cut: int) -> int:
     )
 
 
+@lru_cache(maxsize=1)  # the mixture's one cut; _schmidt_tables keeps its own stacked copies
+def _cut_blocks(n_sites: int, n_excited: int, cut: int) -> tuple[np.ndarray, ...]:
+    """Index matrices of the sector's amplitude matrix across ``cut``, one per dense block.
+
+    The matrix is block diagonal in the number b of excitations left of the
+    cut.  Block b, b ascending, is C(cut, b) x C(n_sites - cut, n_excited - b),
+    its rows and columns in the order of ``sector_masks`` of the left and right sites.
+    """
+    masks = sector_masks(n_sites, n_excited)
+    low, high = masks & ((1 << cut) - 1), masks >> cut
+    left_bits = np.bitwise_count(low)
+    blocks = []
+    for b in range(max(0, n_excited - (n_sites - cut)), min(cut, n_excited) + 1):
+        sel = np.nonzero(left_bits == b)[0]
+        idx = np.empty((comb(cut, b), comb(n_sites - cut, n_excited - b)), dtype=np.intp)
+        rows = np.searchsorted(sector_masks(cut, b), low[sel])
+        cols = np.searchsorted(sector_masks(n_sites - cut, n_excited - b), high[sel])
+        idx[rows, cols] = sel
+        blocks.append(idx)
+    return tuple(blocks)
+
+
 @lru_cache(maxsize=None)
 def _schmidt_tables(n_sites: int, n_excited: int, cuts: tuple[int, ...]):
     """Gather tables for the Schmidt spectra of every cut in ``cuts`` at once.
 
-    Across cut l the amplitude matrix is block diagonal in the number b of
-    excitations left of the cut.  Block b is C(l, b) x C(n_sites - l,
-    n_excited - b), and every entry of it is a sector amplitude, so the
-    blocks are dense.  Each block is oriented with its smaller side first,
+    Each block of ``_cut_blocks`` is oriented with its smaller side first,
     and blocks of equal shape are grouped over all cuts.  Returns (width,
     groups): for each shape (s, w), ``amplitudes[..., idx]`` with idx of
     shape (blocks, s, w) gathers its blocks, and their s squared Schmidt
@@ -168,20 +187,11 @@ def _schmidt_tables(n_sites: int, n_excited: int, cuts: tuple[int, ...]):
     the sector, so where a cut's coefficients sit in its row does not depend
     on which other cuts are asked for.
     """
-    masks = sector_masks(n_sites, n_excited)
     width = max((_spectrum_length(n_sites, n_excited, cut) for cut in range(1, n_sites)), default=0)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for row, cut in enumerate(cuts):
-        low = masks & ((1 << cut) - 1)
-        high = masks >> cut
-        left_bits = np.bitwise_count(low)
         slot = row * width
-        for b in range(max(0, n_excited - (n_sites - cut)), min(cut, n_excited) + 1):
-            sel = np.nonzero(left_bits == b)[0]
-            idx = np.empty((comb(cut, b), comb(n_sites - cut, n_excited - b)), dtype=np.intp)
-            rows = np.searchsorted(sector_masks(cut, b), low[sel])
-            cols = np.searchsorted(sector_masks(n_sites - cut, n_excited - b), high[sel])
-            idx[rows, cols] = sel
+        for idx in _cut_blocks(n_sites, n_excited, cut):
             if idx.shape[0] > idx.shape[1]:
                 idx = idx.T
             blocks, slots = groups.setdefault(idx.shape, ([], []))
@@ -256,23 +266,6 @@ def entropy_profile(state: SectorState) -> np.ndarray:
     """Entanglement entropy at every cut 1..n_sites-1, as a vector."""
     cuts = tuple(range(1, state.n_sites))
     return _entropies(state.n_sites, state.n_excited, state.amplitudes[None], cuts)[0]
-
-
-def _dense_cut_matrix(n_sites: int, n_excited: int, amplitudes: np.ndarray, cut: int) -> np.ndarray:
-    masks = sector_masks(n_sites, n_excited)
-    mat = np.zeros((1 << cut, 1 << (n_sites - cut)), dtype=complex)
-    mat[masks & ((1 << cut) - 1), masks >> cut] = amplitudes
-    return mat
-
-
-def dense_cut_matrix(state: SectorState, cut: int) -> np.ndarray:
-    """Amplitudes as a dense (2^cut, 2^(n_sites-cut)) matrix across the cut.
-
-    Row index is the left block's bit pattern, column index the right
-    block's.  Intended for small subsystems (reduced density matrices).
-    """
-    _check_cut(state.n_sites, cut)
-    return _dense_cut_matrix(state.n_sites, state.n_excited, state.amplitudes, cut)
 
 
 def site_occupations(state: SectorState) -> np.ndarray:

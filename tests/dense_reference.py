@@ -44,6 +44,18 @@ def dense_entropy(dense_vec: np.ndarray, n_sites: int, cut: int) -> float:
     return float(-(eigenvalues * np.log(eigenvalues)).sum())
 
 
+def dense_cut_matrix(state: SectorState, cut: int) -> np.ndarray:
+    """Amplitudes as a dense (2^cut, 2^(n_sites-cut)) matrix across the cut.
+
+    Row index is the left block's bit pattern, column index the right
+    block's.
+    """
+    masks = sector_masks(state.n_sites, state.n_excited)
+    mat = np.zeros((1 << cut, 1 << (state.n_sites - cut)), dtype=complex)
+    mat[masks & ((1 << cut) - 1), masks >> cut] = state.amplitudes
+    return mat
+
+
 def random_sector_state(n_sites: int, n_excited: int, rng: np.random.Generator) -> SectorState:
     dim = len(sector_masks(n_sites, n_excited))
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

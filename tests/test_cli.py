@@ -568,14 +568,16 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
          "--unitary: depth must lie in [0, 4096], got 4097 in 'brickwall:4097'"),
         ("--mode scaling-sweep --point 6:haar --point 8:brickwall:5000",
          "--point: depth must lie in [0, 4096], got 5000 in '8:brickwall:5000'"),
+        ("--mode mixture-entropy --n 63 --m 1 --k 1 --cut 13", "--cut must lie in [1, 12], got 13"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
-         "dump-unitary-depth", "point-depth"],
+         "dump-unitary-depth", "point-depth", "mixture-cut"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
-    # reaches is enumerated, and every trajectory draws and multiplies each
-    # brick-wall layer; all three bounds are checked while parsing.
+    # reaches is enumerated, every trajectory draws and multiplies each
+    # brick-wall layer, and the mixture holds the averaged state of its cut;
+    # all four bounds are checked while parsing.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -4,8 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from dense_reference import dense_cut_matrix, random_sector_state
+from lontraj import experiments
 from lontraj.experiments import (
+    CHUNK_SIZE,
     UnitarySource,
+    _run,
     _worker_count,
     averaged_entropy_grid,
     derive_rng,
@@ -20,7 +24,7 @@ from lontraj.experiments import (
     scaling_csv,
     scaling_sweep,
 )
-from lontraj.state import apply_jump, initial_state
+from lontraj.state import apply_jump, initial_state, sector_masks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -225,6 +229,62 @@ def test_mixture_sandwich_holds_for_haar_unitary():
 def test_mixture_rejects_oversized_subsystem():
     with pytest.raises(ValueError, match="too large"):
         mixture_entropy_report(16, 16, np.eye(16, dtype=complex), 1, 13, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "n_sites, n_excited, cut",
+    [(7, 3, 2), (7, 3, 5), (8, 4, 4), (6, 5, 4), (6, 0, 2), (6, 0, 4)],
+    ids=["left-smaller", "left-larger", "half", "left-larger-full", "e0-left-smaller",
+         "e0-left-larger"],
+)
+def test_mixture_block_state_matches_the_dense_reduced_state(
+    monkeypatch, n_sites, n_excited, cut
+):
+    rng = np.random.default_rng(90 + 10 * n_sites + cut)
+    states = [random_sector_state(n_sites, n_excited, rng) for _ in range(5)]
+
+    # One click takes every trajectory to one of the random states.
+    def one_click_to_the_states(n, m, start, u, rngs):
+        yield np.zeros(len(rngs), dtype=np.intp), np.stack([s.amplitudes for s in states])
+
+    monkeypatch.setattr(experiments, "_click_walk", one_click_to_the_states)
+    sums = experiments._MixtureSums(n_sites, n_excited + 1, 1, cut)
+    sums.add(0, None, [None] * len(states))
+    assembled = np.zeros((1 << cut, 1 << cut), dtype=complex)
+    first = max(0, n_excited - (n_sites - cut))
+    for b, block in enumerate(sums.rho_sum, start=first):
+        left = sector_masks(cut, b)
+        assembled[np.ix_(left, left)] = block
+    dense = sum(m @ m.conj().T for m in (dense_cut_matrix(s, cut) for s in states))
+    np.testing.assert_allclose(assembled, dense, rtol=0, atol=1e-12)
+
+
+def test_mixture_far_beyond_dense_sizes_runs_in_the_sector():
+    # The averaged state of one site of 40 is two 1 x 1 blocks; a dense
+    # cut matrix would be 2 x 2^39.
+    u = haar_unitary(40, np.random.default_rng(41))
+    report = mixture_entropy_report(40, 2, u, 1, 1, 300, 3)
+    assert 0.0 <= report.averaged_state_entropy <= LN2 + report.tolerance
+    assert report.mean_trajectory_entropy <= report.averaged_state_entropy + report.tolerance
+
+
+def test_serial_run_merges_each_part_before_making_the_next():
+    log = []
+
+    class Counting:
+        n_excited = 1
+
+        def __init__(self) -> None:
+            log.append("make")
+
+        def add(self, first, u, rngs) -> None:
+            pass
+
+        def merge(self, other) -> None:
+            log.append("merge")
+
+    _run(Counting, UnitarySource.identity(3), 3, 3 * CHUNK_SIZE, 0, threads=1)
+    assert log == ["make"] + ["make", "merge"] * 3
 
 
 def test_scaling_sweep_rows_and_csv():

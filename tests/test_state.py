@@ -3,6 +3,7 @@ import pytest
 
 from dense_reference import (
     collective_jump,
+    dense_cut_matrix,
     dense_entropy,
     embed,
     random_sector_state,
@@ -13,7 +14,6 @@ from lontraj.state import (
     SectorState,
     _entropies,
     apply_jump,
-    dense_cut_matrix,
     entanglement_entropy,
     entropy_profile,
     initial_state,
