@@ -262,6 +262,11 @@ def parse_config(argv=None) -> RunConfig:
         _check_sector(f"--point {spec}", n_point, n_point)  # a sweep point runs at full filling
         _check_depth("--point", source_spec, spec)
     # A mode that reads cut or k also reads n and m, checked by now.
+    if mode == "mixture-entropy" and s["cut"] is None and n // 2 > MIXTURE_MAX_SUBSYSTEM:
+        raise ValueError(
+            f"the default cut n // 2 = {n // 2} exceeds the mixture-entropy limit of "
+            f"{MIXTURE_MAX_SUBSYSTEM}; give --cut in [1, {MIXTURE_MAX_SUBSYSTEM}]"
+        )
     defaults = {"unitary": "haar", "samples": 1000}
     if "cut" in s:
         defaults["cut"] = max(1, n // 2)

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
 from .oracle import enumerate_outcomes, outcome_law
 from .state import _cut_blocks, _entropies, _initial_amplitudes, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
@@ -35,6 +34,9 @@ from .unitary import _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
+# Complex elements in the largest lowered array of a lockstep click group:
+# groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and 1 at N = 16 (full filling).
+_LOCKSTEP_BUDGET = 3 * 2**14
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -121,9 +123,9 @@ def _worker_count(threads: int, n_chunks: int) -> int:
 def _group_size(n_sites: int, n_excited: int) -> int:
     # Trajectories walked in lockstep: the group's largest lowered array,
     # (size, n_sites, C(n_sites, e - 1)) over e = n_excited..1, stays within
-    # the element budget of the permanent oracle.
+    # _LOCKSTEP_BUDGET.
     widest = max((comb(n_sites, j) for j in range(n_excited)), default=1)
-    return max(1, oracle._ELEMENT_BUDGET // (n_sites * widest))
+    return max(1, _LOCKSTEP_BUDGET // (n_sites * widest))
 
 
 def _openblas_threads():
@@ -168,14 +170,16 @@ def _one_blas_thread():
 def _accumulate(args):
     (make, source, n_sites, master_seed), lo, hi = args
     part = make()
-    step = _group_size(n_sites, part.n_excited)
+    e = part.n_excited
+    step = _group_size(n_sites, e)
     for start in range(lo, hi, step):
         rows = range(start, min(start + step, hi))
         if source.fresh_per_sample:
             u = source.draw(n_sites, [derive_rng(master_seed, i, 0) for i in rows])
         else:
             u = source.matrix
-        part.add(start, u, [derive_rng(master_seed, i, 1) for i in rows])
+        # random(e) gives the bits of e successive random() calls.
+        part.add(start, u, np.array([derive_rng(master_seed, i, 1).random(e) for i in rows]))
     return part
 
 
@@ -184,9 +188,11 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
 
     Trajectory i runs under unitary stream (i, 0), drawn only for fresh
     sources, and click stream (i, 1).  Each chunk hands its trajectories to
-    its accumulator's ``add(first_index, u, rngs)`` in lockstep groups of
+    its accumulator's ``add(first_index, u, uniforms)`` in lockstep groups of
     consecutive indices: ``u`` is the fixed matrix or the group's stacked
-    draws, and ``rngs`` holds one click generator per trajectory.
+    draws, and row b of the (B, n_excited) ``uniforms`` holds the uniforms
+    in [0, 1) that trajectory first_index + b clicks by, drawn from its
+    click stream in one call.
     """
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
@@ -216,8 +222,8 @@ class _Records:
         self.waiting_times = waiting_times
         self.records: list[TrajectoryRecord] = []
 
-    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
-        records = _records(self.n_sites, self.n_excited, u, self.cut, rngs)
+    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
+        records = _records(self.n_sites, self.n_excited, u, self.cut, uniforms)
         for index, record in enumerate(records, start=first):
             if self.waiting_times:
                 waiting_rng = derive_rng(self.master_seed, index, 2)
@@ -276,12 +282,12 @@ class _GridSums:
         self.sums = np.zeros((n_excited + 1, n_sites - 1))
         self.square_sums = np.zeros_like(self.sums)
 
-    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
+    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
         # Row 0 stays zero: the initial product state has no entanglement.
-        profiles = np.zeros((len(rngs),) + self.sums.shape)
-        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, rngs)
+        profiles = np.zeros((len(uniforms),) + self.sums.shape)
+        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T)
         for k, (_, amplitudes) in enumerate(walk, start=1):
             profiles[:, k] = _entropies(n, e - k, amplitudes, cuts)
         for profile in profiles:  # row by row, so no sum depends on the group size
@@ -364,13 +370,13 @@ class _OutcomeCounts:
         self.n_excited = n_excited
         self.counts: Counter = Counter()
 
-    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
+    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         n, e = self.n_sites, self.n_excited
-        counts = np.zeros((len(rngs), n), dtype=np.int64)
-        rows = np.arange(len(rngs))
-        for detectors, _ in _click_walk(n, e, _initial_amplitudes(n, e), u, rngs):
+        counts = np.zeros((len(uniforms), n), dtype=np.int64)
+        rows = np.arange(len(uniforms))
+        for detectors, _ in _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T):
             counts[rows, detectors] += 1
-        self.counts.update(map(tuple, counts))
+        self.counts.update(map(tuple, counts.tolist()))
 
     def merge(self, other: "_OutcomeCounts") -> None:
         self.counts.update(other.counts)
@@ -445,13 +451,13 @@ class _MixtureSums:
         self.rho_sum = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
         self.histogram: Counter = Counter()
 
-    def add(self, first: int, u: np.ndarray, rngs: list) -> None:
+    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         n, e = self.n_sites, self.n_excited - self.k
         start = _initial_amplitudes(n, self.n_excited)
-        amplitudes = np.broadcast_to(start, (len(rngs), len(start)))
-        sequences = [()] * len(rngs)
+        amplitudes = np.broadcast_to(start, (len(uniforms), len(start)))
+        sequences = [()] * len(uniforms)
         if self.k > 0:
-            for detectors, amplitudes in _click_walk(n, self.n_excited, start, u, rngs):
+            for detectors, amplitudes in _click_walk(n, self.n_excited, start, u, uniforms.T):
                 sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
                 if len(sequences[0]) == self.k:
                     break

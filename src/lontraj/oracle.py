@@ -18,8 +18,7 @@ from .state import apply_jump, initial_state, jump_weights
 
 RYSER_MAX_DIM = 30
 ENUMERATION_LIMIT = 10**6
-# Complex elements in any one temporary of the subset sums; it also bounds the
-# lowered array of a lockstep click group (experiments._group_size).
+# Complex elements in any one temporary of the subset sums.
 _ELEMENT_BUDGET = 2**14
 
 

@@ -52,21 +52,20 @@ class TrajectoryRecord:
                 raise ValueError("waiting times must be >= 0")
 
 
-def _pick_detectors(weights: np.ndarray, n_excited: int, rngs) -> np.ndarray:
-    # Row b of ``weights`` holds trajectory b's jump weights; rngs[b] draws
-    # its click, one random() per row in row order.  The collective jumps
-    # conserve the excitation number, so the weights of a normalized state
-    # sum to n_excited; a larger residual means a non-unitary network or a
-    # state that lost its norm.
-    draws = []
-    for total, rng in zip(weights.sum(axis=1).tolist(), rngs):
-        if not abs(total - n_excited) <= NORM_TOL * n_excited:  # NaN fails too
-            raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
-        draws.append(rng.random() * total)
+def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -> np.ndarray:
+    # Row b of ``weights`` holds trajectory b's jump weights and uniforms[b]
+    # its draw in [0, 1).  The collective jumps conserve the excitation
+    # number, so the weights of a normalized state sum to n_excited; a larger
+    # residual means a non-unitary network or a state that lost its norm.
+    totals = weights.sum(axis=1)
+    faulty = ~(np.abs(totals - n_excited) <= NORM_TOL * n_excited)  # NaN fails too
+    if faulty.any():
+        total = float(totals[np.argmax(faulty)])
+        raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
     # Inverse CDF over the weight prefix sums.  Counting the prefix sums <= r
     # is searchsorted(side="right"): it skips zero-weight detectors, whose
     # cumulative entries repeat the previous value.
-    r = np.array(draws)
+    r = uniforms * totals
     detectors = (weights.cumsum(axis=1) <= r[:, None]).sum(axis=1)
     for b in np.nonzero(detectors == weights.shape[1])[0]:
         # r fell in the ulp sliver between sum() and cumsum()[-1].
@@ -75,32 +74,39 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, rngs) -> np.ndarray:
 
 
 def _click_walk(
-    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, rngs
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # The one click loop.  It advances len(rngs) trajectories in lockstep:
-    # row b starts from amplitudes[b], is lowered through u[b] and draws its
-    # clicks from rngs[b], one random() per click.  A (dim,) start state or
-    # an (n_sites, n_sites) unitary is shared by every row.  Yields
+    # The one click loop.  It advances a group of B trajectories in lockstep:
+    # row b starts from amplitudes[b], is lowered through u[b] and makes its
+    # k-th click from row b of the k-th (B,) array of uniforms in [0, 1) that
+    # ``uniforms`` yields, taken only as that click starts.  A (dim,) start
+    # state or an (n_sites, n_sites) unitary is shared by every row.  Yields
     # (detectors[B], normalized post-click amplitudes[B, dim_lo]) until the
     # chain reaches the ground state.
-    size = len(rngs)
-    if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
-        raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
-    amplitudes = np.broadcast_to(amplitudes, (size, amplitudes.shape[-1]))
-    rows = np.arange(size)
-    for e in range(n_excited, 0, -1):
+    for e, r in zip(range(n_excited, 0, -1), uniforms):
+        size = len(r)
+        if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
+            raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
+        amplitudes = np.broadcast_to(amplitudes, (size, amplitudes.shape[-1]))
         lowered = _lowered_raw(n_sites, e, amplitudes, u)
         weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
-        detectors = _pick_detectors(weights, e, rngs)
+        detectors = _pick_detectors(weights, e, r)
+        rows = np.arange(size)
         amplitudes = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
+        del lowered  # the group's largest array, not held while the caller works on the yield
         yield detectors, amplitudes
 
 
 def evolve_clicks(
     state: SectorState, u: np.ndarray, rng: np.random.Generator
 ) -> Iterator[tuple[int, SectorState]]:
-    """Yield (detector, post-click state) until the chain reaches the ground state."""
-    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, [rng])
+    """Yield (detector, post-click state) until the chain reaches the ground state.
+
+    Each click takes one ``rng.random()`` draw as it starts, so a walk
+    stopped after k clicks has advanced ``rng`` by exactly k draws.
+    """
+    uniforms = (rng.random(1) for _ in range(state.n_excited))
+    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, uniforms)
     for e, (detectors, amplitudes) in zip(range(state.n_excited - 1, -1, -1), walk):
         yield int(detectors[0]), SectorState(state.n_sites, e, amplitudes[0])
 
@@ -112,17 +118,21 @@ def sample_click_sequence(
 
     Draws the same clicks as :func:`evolve_clicks` for the same generator state.
     """
-    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, [rng])
+    uniforms = rng.random((n_excited, 1))
+    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, uniforms)
     return tuple(int(detectors[0]) for detectors, _ in walk)
 
 
-def _records(n_sites: int, n_excited: int, u: np.ndarray, cut: int, rngs) -> list[TrajectoryRecord]:
+def _records(
+    n_sites: int, n_excited: int, u: np.ndarray, cut: int, uniforms: np.ndarray
+) -> list[TrajectoryRecord]:
     # One record per row of a lockstep group started from the standard
-    # initial state; see _click_walk for how u and rngs are shared.
+    # initial state; row b of the (B, n_excited) ``uniforms`` holds
+    # trajectory b's click draws, and u is shared as in _click_walk.
     _check_cut(n_sites, cut)
-    clicks: list[list[int]] = [[] for _ in rngs]
-    entropies = [[0.0] for _ in rngs]  # the initial product state has no entanglement
-    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, rngs)
+    clicks: list[list[int]] = [[] for _ in uniforms]
+    entropies = [[0.0] for _ in uniforms]  # the initial product state has no entanglement
+    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, uniforms.T)
     for k, (detectors, amplitudes) in enumerate(walk, start=1):
         values = _entropies(n_sites, n_excited - k, amplitudes, (cut,))[:, 0]
         for b, (detector, value) in enumerate(zip(detectors.tolist(), values.tolist())):
@@ -140,7 +150,7 @@ def run_trajectory(
     after every click; the terminal state is the all-ground product state
     with entropy 0.
     """
-    return _records(n_sites, n_excited, u, cut, [rng])[0]
+    return _records(n_sites, n_excited, u, cut, rng.random((1, n_excited)))[0]
 
 
 def attach_waiting_times(

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from lontraj import experiments, oracle
+from lontraj import experiments
 from lontraj.cli import MODES, RunConfig, _build_parser, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
@@ -569,9 +569,14 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
         ("--mode scaling-sweep --point 6:haar --point 8:brickwall:5000",
          "--point: depth must lie in [0, 4096], got 5000 in '8:brickwall:5000'"),
         ("--mode mixture-entropy --n 63 --m 1 --k 1 --cut 13", "--cut must lie in [1, 12], got 13"),
+        ("--mode mixture-entropy --n 26 --m 2 --cut 13", "--cut must lie in [1, 12], got 13"),
+        ("--mode mixture-entropy --n 26 --m 2",
+         "the default cut n // 2 = 13 exceeds the mixture-entropy limit of 12; "
+         "give --cut in [1, 12]"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
-         "dump-unitary-depth", "point-depth", "mixture-cut"],
+         "dump-unitary-depth", "point-depth", "mixture-cut", "mixture-explicit-cut",
+         "mixture-default-cut"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
@@ -643,6 +648,6 @@ def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch,
     assert experiments._group_size(n, m) > 3
     widest = n * max(comb(n, j) for j in range(m))
     for size in (1, 3):
-        monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", size * widest)
+        monkeypatch.setattr(experiments, "_LOCKSTEP_BUDGET", size * widest)
         assert experiments._group_size(n, m) == size
         assert run(f"groups-of-{size}") == default

@@ -1,11 +1,12 @@
 import os
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
 
 from dense_reference import dense_cut_matrix, random_sector_state
-from lontraj import experiments
+from lontraj import experiments, oracle
 from lontraj.experiments import (
     CHUNK_SIZE,
     UnitarySource,
@@ -49,6 +50,37 @@ def test_derived_seeds_are_stable_and_distinct():
     a = derive_rng(42, 3).random(4)
     b = derive_rng(42, 3).random(4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_one_call_draws_the_bits_of_successive_single_draws():
+    # The estimators draw each trajectory's click uniforms with one
+    # random(n_excited) call, where the one-trajectory entry points take one
+    # random() per click; both must see the same numbers.
+    seeds = [0, 1, 42, 2**31 - 1] + [derive_seed(7, i) for i in range(8)]
+    assert any(seed >= 2**32 for seed in seeds)  # 64-bit seeds from derive_seed
+    for seed in seeds:
+        for i in range(0, 300, 13):
+            for k in (1, 2, 7, 16):
+                together = derive_rng(seed, i, 1).random(k)
+                rng = derive_rng(seed, i, 1)
+                alone = [rng.random() for _ in range(k)]
+                assert together.tolist() == alone
+
+
+@pytest.mark.parametrize("n_sites", [8, 10, 12, 16])
+@pytest.mark.parametrize("filling", ["full", "half"])
+def test_group_size_keeps_the_lowered_array_within_the_lockstep_budget(
+    monkeypatch, n_sites, filling
+):
+    n_excited = n_sites if filling == "full" else n_sites // 2
+    widest = max(comb(n_sites, j) for j in range(n_excited))
+    size = experiments._group_size(n_sites, n_excited)
+    assert size >= 1
+    assert size == 1 or size * n_sites * widest <= experiments._LOCKSTEP_BUDGET
+    assert (size + 1) * n_sites * widest > experiments._LOCKSTEP_BUDGET
+    # The permanent oracle's budget is its own.
+    monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", 2**7)
+    assert experiments._group_size(n_sites, n_excited) == size
 
 
 def test_worker_count_is_bounded_by_chunks_and_cores():
@@ -244,12 +276,12 @@ def test_mixture_block_state_matches_the_dense_reduced_state(
     states = [random_sector_state(n_sites, n_excited, rng) for _ in range(5)]
 
     # One click takes every trajectory to one of the random states.
-    def one_click_to_the_states(n, m, start, u, rngs):
-        yield np.zeros(len(rngs), dtype=np.intp), np.stack([s.amplitudes for s in states])
+    def one_click_to_the_states(n, m, start, u, uniforms):
+        yield np.zeros(len(states), dtype=np.intp), np.stack([s.amplitudes for s in states])
 
     monkeypatch.setattr(experiments, "_click_walk", one_click_to_the_states)
     sums = experiments._MixtureSums(n_sites, n_excited + 1, 1, cut)
-    sums.add(0, None, [None] * len(states))
+    sums.add(0, None, np.zeros((len(states), n_excited + 1)))
     assembled = np.zeros((1 << cut, 1 << cut), dtype=complex)
     first = max(0, n_excited - (n_sites - cut))
     for b, block in enumerate(sums.rho_sum, start=first):
@@ -277,7 +309,7 @@ def test_serial_run_merges_each_part_before_making_the_next():
         def __init__(self) -> None:
             log.append("make")
 
-        def add(self, first, u, rngs) -> None:
+        def add(self, first, u, uniforms) -> None:
             pass
 
         def merge(self, other) -> None:

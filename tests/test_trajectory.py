@@ -132,7 +132,7 @@ def test_nan_network_breaks_the_weight_sum():
     u = haar_unitary(4, np.random.default_rng(12))
     u[2, 1] = np.nan
     state = initial_state(4, 3)
-    walk = _click_walk(4, 3, state.amplitudes[None], u, [np.random.default_rng(0)])
+    walk = _click_walk(4, 3, state.amplitudes[None], u, np.random.default_rng(0).random((3, 1)))
     with pytest.raises(RuntimeError, match="jump weights sum"):
         next(walk)
 
@@ -146,8 +146,8 @@ def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
     shared = haar_unitary(n_sites, np.random.default_rng(40))
     stacked = np.stack([haar_unitary(n_sites, np.random.default_rng(50 + b)) for b in range(size)])
     for u, row_u in ((shared, lambda b: shared), (stacked, lambda b: stacked[b])):
-        rngs = [np.random.default_rng(b) for b in range(size)]
-        group = list(_click_walk(n_sites, n_excited, start, u, rngs))
+        uniforms = np.array([np.random.default_rng(b).random(n_excited) for b in range(size)])
+        group = list(_click_walk(n_sites, n_excited, start, u, uniforms.T))
         assert len(group) == n_excited
         for b in range(size):
             alone = click_walk(n_sites, n_excited, start, row_u(b), np.random.default_rng(b))
@@ -158,16 +158,33 @@ def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
 
 @pytest.mark.parametrize("fault", ["scaled", "nan"])
 def test_one_faulty_row_breaks_the_group_weight_sum(fault):
+    # The faulty row sits in the middle of the group; its total is printed
+    # as a plain float, not as a numpy scalar's repr.
     n = 4
     u = np.stack([haar_unitary(n, np.random.default_rng(60 + b)) for b in range(3)])
     if fault == "scaled":
         u[1] *= 1.01
+        total = r"3\.0[0-9]+"
     else:
         u[1, 2, 1] = np.nan
-    rngs = [np.random.default_rng(b) for b in range(3)]
-    walk = _click_walk(n, 3, initial_state(n, 3).amplitudes, u, rngs)
-    with pytest.raises(RuntimeError, match="jump weights sum"):
+        total = "nan"
+    uniforms = np.random.default_rng(0).random((3, 3))
+    walk = _click_walk(n, 3, initial_state(n, 3).amplitudes, u, uniforms)
+    with pytest.raises(RuntimeError, match=f"^jump weights sum to {total}, expected 3$"):
         next(walk)
+
+
+def test_evolve_clicks_takes_one_draw_per_click_as_it_starts():
+    u = haar_unitary(5, np.random.default_rng(70))
+    rng = np.random.default_rng(71)
+    reference = np.random.default_rng(71)
+    walk = evolve_clicks(initial_state(5, 4), u, rng)
+    next(walk)
+    reference.random()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    next(walk)
+    reference.random()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class _FixedDraw:
@@ -188,10 +205,11 @@ def test_batched_pick_at_the_edges_of_the_prefix_sums():
     weights = np.array(
         [[0.5, 1.5, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.5, 0.0, 1.5], [1.0, 0.0, 1.0, 0.0]]
     )
-    draws = [_FixedDraw(1.0), _FixedDraw(0.3), _FixedDraw(1.0), _FixedDraw(0.5)]
+    draws = np.array([1.0, 0.3, 1.0, 0.5])
     detectors = _pick_detectors(weights, 2, draws)
     assert detectors.tolist() == [1, 0, 3, 2]
-    assert detectors.tolist() == [pick_detector(w, 2, d) for w, d in zip(weights, draws)]
+    alone = [pick_detector(w, 2, _FixedDraw(r)) for w, r in zip(weights, draws.tolist())]
+    assert detectors.tolist() == alone
 
 
 def test_mean_clicks_past_enumeration():
