@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .experiments import (
+    MAX_SAMPLES,
     MIXTURE_MAX_SUBSYSTEM,
     UnitarySource,
     averaged_entropy_grid,
@@ -242,6 +243,7 @@ def parse_config(argv=None) -> RunConfig:
         raise ValueError("missing required option --mode")
     if merged["seed"] is None:
         raise ValueError("missing required option --seed (runs must be explicitly seeded)")
+    _check_range("seed", merged["seed"], 0)
     threads = merged["threads"] if merged["threads"] is not None else os.cpu_count() or 1
     _check_range("threads", threads, 1)
 
@@ -273,7 +275,7 @@ def parse_config(argv=None) -> RunConfig:
     if "k" in s:
         defaults["k"] = m // 2
     s = {key: defaults.get(key) if value is None else value for key, value in s.items()}
-    _check_range("samples", s.get("samples"), 1)
+    _check_range("samples", s.get("samples"), 1, MAX_SAMPLES)
     if "unitary" in s:
         _check_depth("--unitary", s["unitary"], s["unitary"])
     if mode == "mixture-entropy":  # the averaged reduced state of the cut is held in memory

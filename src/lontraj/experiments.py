@@ -16,12 +16,13 @@ chunking.
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .unitary import _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
+MAX_SAMPLES = 2**32  # so every trajectory index is one 32-bit seed word
 # Complex elements in the largest lowered array of a lockstep click group:
 # groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and 1 at N = 16 (full filling).
 _LOCKSTEP_BUDGET = 3 * 2**14
@@ -47,6 +49,101 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
 def derive_seed(master_seed: int, *path: int) -> int:
     """Stable 64-bit sub-seed for one node of the seed tree."""
     return int(np.random.SeedSequence(master_seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, NEP 19): a pool of four
+# 32-bit words, mixed with these constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(value: int, multiplier: int):
+    # Successive (constant, next constant) pairs; they never depend on the data.
+    while True:
+        following = (value * multiplier) & _MASK32
+        yield value, following
+        value = following
+
+
+def _hashmix(value, constants):
+    constant, following = next(constants)
+    value = ((value ^ constant) * following) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _stream_words(master_seed: int, lo: int, hi: int, purpose: int) -> np.ndarray:
+    """Row i - lo holds the PCG64 seed words of derive_rng(master_seed, i, purpose), lo <= i < hi.
+
+    A port of SeedSequence's hash that runs every index of the span at once.
+    derive_rng's entropy is the master seed in little-endian 32-bit words
+    padded with zeros to the pool size, then i, then purpose.  Python ints
+    carry the words that every row shares and uint64 arrays the ones that
+    vary; both are reduced to 32 bits after each step.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be >= 0, got {master_seed}")
+    if not 0 <= lo <= hi <= MAX_SAMPLES:
+        raise ValueError(f"trajectory indices [{lo}, {hi}) do not fit one 32-bit word each")
+    shifts = range(0, max(master_seed.bit_length(), 1), 32)
+    entropy = [(master_seed >> shift) & _MASK32 for shift in shifts]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += [np.arange(lo, hi, dtype=np.uint64), purpose]
+
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+
+    # generate_state(4, uint64): eight 32-bit words from the pool, paired little-endian.
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[k % _POOL_SIZE], constants) for k in range(8)]
+    words = np.empty((hi - lo, 4), dtype=np.uint64)
+    for k in range(4):
+        words[:, k] = state[2 * k] | (state[2 * k + 1] << 32)
+    return words
+
+
+@cache
+def _seed_words_type() -> type:
+    """The numpy ISeedSequence that hands PCG64 one row of _stream_words.
+
+    Made on first use: numpy imports numpy.random lazily, and subclassing
+    its ISeedSequence at import would add about 15 ms to every start-up.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly this; anything else means numpy seeds differently now.
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"seed words answer generate_state(4, uint64) only, not ({n_words}, {dtype})"
+                )
+            return self.words
+
+    return SeedWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator derive_rng would give, from its row of _stream_words."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 @dataclass(frozen=True)
@@ -172,14 +269,17 @@ def _accumulate(args):
     part = make()
     e = part.n_excited
     step = _group_size(n_sites, e)
+    # One hash per stream for the whole chunk; each group builds its generators from its rows.
+    unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else None
+    click_words = _stream_words(master_seed, lo, hi, 1)
     for start in range(lo, hi, step):
-        rows = range(start, min(start + step, hi))
-        if source.fresh_per_sample:
-            u = source.draw(n_sites, [derive_rng(master_seed, i, 0) for i in rows])
-        else:
+        rows = slice(start - lo, min(start + step, hi) - lo)
+        if unitary_words is None:
             u = source.matrix
+        else:
+            u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
         # random(e) gives the bits of e successive random() calls.
-        part.add(start, u, np.array([derive_rng(master_seed, i, 1).random(e) for i in rows]))
+        part.add(start, u, np.array([_generator(words).random(e) for words in click_words[rows]]))
     return part
 
 
@@ -187,15 +287,18 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     """Feed trajectories 0..n_samples-1 to accumulators made by ``make``; merge them in chunk order.
 
     Trajectory i runs under unitary stream (i, 0), drawn only for fresh
-    sources, and click stream (i, 1).  Each chunk hands its trajectories to
-    its accumulator's ``add(first_index, u, uniforms)`` in lockstep groups of
-    consecutive indices: ``u`` is the fixed matrix or the group's stacked
-    draws, and row b of the (B, n_excited) ``uniforms`` holds the uniforms
-    in [0, 1) that trajectory first_index + b clicks by, drawn from its
-    click stream in one call.
+    sources, and click stream (i, 1).  Each chunk derives its trajectories'
+    generators from one vectorised SeedSequence hash per stream, bit for bit
+    the generators derive_rng(master_seed, i, k) gives.  At most MAX_SAMPLES
+    trajectories run, so every index is one 32-bit seed word.  Each chunk
+    hands its trajectories to its accumulator's ``add(first_index, u,
+    uniforms)`` in lockstep groups of consecutive indices: ``u`` is the fixed
+    matrix or the group's stacked draws, and row b of the (B, n_excited)
+    ``uniforms`` holds the uniforms in [0, 1) that trajectory first_index + b
+    clicks by, drawn from its click stream in one call.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
     spans = _chunks(n_samples)
     tasks = [((make, source, n_sites, master_seed), lo, hi) for lo, hi in spans]
     workers = _worker_count(threads, len(spans))
@@ -224,11 +327,13 @@ class _Records:
 
     def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         records = _records(self.n_sites, self.n_excited, u, self.cut, uniforms)
-        for index, record in enumerate(records, start=first):
-            if self.waiting_times:
-                waiting_rng = derive_rng(self.master_seed, index, 2)
-                record = attach_waiting_times(record, self.n_excited, waiting_rng)
-            self.records.append(record)
+        if self.waiting_times:
+            seeds = _stream_words(self.master_seed, first, first + len(records), 2)
+            records = [
+                attach_waiting_times(record, self.n_excited, _generator(words))
+                for record, words in zip(records, seeds)
+            ]
+        self.records.extend(records)
 
     def merge(self, other: "_Records") -> None:
         self.records.extend(other.records)

@@ -573,19 +573,43 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
         ("--mode mixture-entropy --n 26 --m 2",
          "the default cut n // 2 = 13 exceeds the mixture-entropy limit of 12; "
          "give --cut in [1, 12]"),
+        ("--mode entropy-grid --n 4 --m 2 --samples 4294967297",
+         "--samples must lie in [1, 4294967296], got 4294967297"),
+        ("--mode trajectory-dump --n 4 --m 2 --samples 10000000000000",
+         "--samples must lie in [1, 4294967296], got 10000000000000"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
          "dump-unitary-depth", "point-depth", "mixture-cut", "mixture-explicit-cut",
-         "mixture-default-cut"],
+         "mixture-default-cut", "samples", "dump-samples"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
     # reaches is enumerated, every trajectory draws and multiplies each
-    # brick-wall layer, and the mixture holds the averaged state of its cut;
-    # all four bounds are checked while parsing.
+    # brick-wall layer, the mixture holds the averaged state of its cut, and
+    # every trajectory index must be one 32-bit seed word; all five bounds
+    # are checked while parsing.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--mode entropy-grid --n 4 --m 2 --samples 10",
+        "--mode trajectory-dump --n 4 --m 2 --samples 10",
+        "--mode scaling-sweep --point 4:haar --samples 10",
+        "--mode distribution --n 4 --m 2 --samples 10",
+        "--mode mixture-entropy --n 4 --m 2 --samples 10",
+        "--mode dump-unitary --n 4",
+    ],
+    ids=lambda args: args.split()[1],
+)
+def test_negative_seed_is_rejected_while_parsing(tmp_path, capsys, args):
+    out = tmp_path / "out" / "o.dat"
+    assert main(args.split() + ["--seed", "-3", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -3\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,10 @@ from lontraj import experiments, oracle
 from lontraj.experiments import (
     CHUNK_SIZE,
     UnitarySource,
+    _generator,
     _run,
+    _seed_words_type,
+    _stream_words,
     _worker_count,
     averaged_entropy_grid,
     derive_rng,
@@ -65,6 +68,43 @@ def test_one_call_draws_the_bits_of_successive_single_draws():
                 rng = derive_rng(seed, i, 1)
                 alone = [rng.random() for _ in range(k)]
                 assert together.tolist() == alone
+
+
+@pytest.mark.parametrize("purpose", [0, 1, 2])
+def test_chunk_hash_gives_the_generators_of_derive_rng(purpose):
+    # The estimators and the dump build every trajectory's generators from
+    # one vectorised hash per chunk; derive_rng's SeedSequence is the reference.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**128 + 1]
+    seeds += [derive_seed(7, i) for i in range(8)]
+    spans = [(0, CHUNK_SIZE), (3 * CHUNK_SIZE, 3 * CHUNK_SIZE + 40), (2**32 - 300, 2**32)]
+    for seed in seeds:
+        for lo, hi in spans:
+            rows = _stream_words(seed, lo, hi, purpose)
+            assert rows.shape == (hi - lo, 4)
+            for i, words in zip(range(lo, hi), rows):
+                rng, reference = _generator(words), derive_rng(seed, i, purpose)
+                assert rng.bit_generator.state == reference.bit_generator.state
+                assert rng.random(8).tolist() == reference.random(8).tolist()
+
+
+def test_seed_words_answer_only_the_request_pcg64_makes():
+    # If numpy ever seeds PCG64 through another request, this fails instead
+    # of the generators silently changing.
+    words = _stream_words(5, 0, 1, 1)[0]
+    seed_words = _seed_words_type()(words)
+    assert seed_words.generate_state(4, np.uint64) is words
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(ValueError, match=r"generate_state\(4, uint64\) only"):
+            seed_words.generate_state(n_words, dtype)
+
+
+def test_chunk_hash_rejects_a_negative_seed_and_wide_indices():
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
+        _stream_words(-1, 0, 4, 1)
+    with pytest.raises(ValueError, match="do not fit one 32-bit word each"):
+        _stream_words(0, 2**32 - 1, 2**32 + 1, 1)
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -3"):
+        averaged_entropy_grid(3, 1, UnitarySource.identity(3), 4, -3)
 
 
 @pytest.mark.parametrize("n_sites", [8, 10, 12, 16])
