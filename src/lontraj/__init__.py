@@ -23,21 +23,13 @@ from .experiments import (
 )
 from .oracle import (
     build_repeated_matrix,
-    conditional_click_probability,
     enumerate_outcomes,
     outcome_law,
     outcome_probability,
     permanent_ryser,
     sequence_probability,
 )
-from .state import (
-    SectorState,
-    apply_jump,
-    entanglement_entropy,
-    initial_state,
-    jump_weights,
-    site_occupations,
-)
+from .state import SectorState, entanglement_entropy, initial_state
 from .trajectory import (
     TrajectoryRecord,
     attach_waiting_times,
@@ -57,13 +49,11 @@ __all__ = [
     "SectorState",
     "TrajectoryRecord",
     "UnitarySource",
-    "apply_jump",
     "attach_waiting_times",
     "averaged_entropy_grid",
     "beamsplitter_unitary",
     "build_repeated_matrix",
     "clicks_to_counts",
-    "conditional_click_probability",
     "distribution_comparison",
     "entanglement_entropy",
     "entropy_bound",
@@ -72,7 +62,6 @@ __all__ = [
     "haar_brickwall",
     "haar_unitary",
     "initial_state",
-    "jump_weights",
     "max_averaged_entropy",
     "mixture_entropy_report",
     "outcome_law",
@@ -81,5 +70,4 @@ __all__ = [
     "run_trajectory",
     "scaling_sweep",
     "sequence_probability",
-    "site_occupations",
 ]

@@ -254,6 +254,8 @@ def parse_config(argv=None) -> RunConfig:
             raise ValueError(f"mode {mode} requires {flag}")
     n, m = s.get("n"), s.get("m")
     _check_range("n", n, 1, MAX_SITES)
+    if "cut" in s and n < 2:
+        raise ValueError(f"mode {mode} needs --n >= 2, so that a cut has a site on each side")
     _check_range("m", m, 0, n)
     if m is not None:
         _check_sector(f"--n {n} --m {m}", n, m)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import operator
 import os
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -203,8 +203,29 @@ class UnitarySource:
         return stack if group is rngs else stack[0]
 
 
-def _chunks(n_samples: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_SIZE, n_samples)) for lo in range(0, n_samples, CHUNK_SIZE)]
+def _chunks(n_samples: int) -> range:
+    # Each chunk's first index.  A range has a length without holding the
+    # 2^24 chunks of a run at MAX_SAMPLES.
+    return range(0, n_samples, CHUNK_SIZE)
+
+
+def _in_order(executor, fn, tasks, ahead: int):
+    """Yield fn(task) for each task in order, run on ``executor``.
+
+    At most ``ahead`` tasks are submitted and not yet yielded, so a long
+    run holds a bounded number of futures.
+    """
+    pending = deque()
+    try:
+        for task in tasks:
+            pending.append(executor.submit(fn, task))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _worker_count(threads: int, n_chunks: int) -> int:
@@ -299,15 +320,18 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
-    spans = _chunks(n_samples)
-    tasks = [((make, source, n_sites, master_seed), lo, hi) for lo, hi in spans]
-    workers = _worker_count(threads, len(spans))
+    starts = _chunks(n_samples)
+    shared = (make, source, n_sites, master_seed)
+    tasks = ((shared, lo, min(lo + CHUNK_SIZE, n_samples)) for lo in starts)
+    workers = _worker_count(threads, len(starts))
     total = make()
     with _one_blas_thread(), ExitStack() as stack:
-        mapper = map
+        parts = map(_accumulate, tasks)
         if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for part in mapper(_accumulate, tasks):  # in chunk order, each merged as it arrives
+            # Two chunks per worker keep each worker busy while this process merges.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            parts = _in_order(pool, _accumulate, tasks, 2 * workers)
+        for part in parts:  # in chunk order, each merged as it arrives
             total.merge(part)
     return total
 

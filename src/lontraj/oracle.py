@@ -5,7 +5,7 @@ After all excitations decay, the probability of an ordered click sequence is
 repeats row i once per click on detector i; unordered outcome probabilities divide by
 the multiplicities' factorials instead.  This module provides Ryser's permanent as
 one vectorised sum over column subsets, the whole outcome law from one shared subset
-table, the single-outcome formulas, conditional click probabilities and enumeration.
+table, the single-outcome formulas and enumeration.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .state import apply_jump, initial_state, jump_weights
-
 RYSER_MAX_DIM = 30
 ENUMERATION_LIMIT = 10**6
-# Complex elements in any one temporary of the subset sums.
+# Complex elements in any one chunk of the subset sums.
 _ELEMENT_BUDGET = 2**14
+# Complex elements in outcome_law's table of row-sum powers.  Every outcome
+# law the CLI can ask for (at most ENUMERATION_LIMIT outcomes) needs under 3e5.
+_TABLE_LIMIT = 2**20
 
 
 def _subset_sums(a: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +95,10 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
 
     All permanents sum over the column subsets S of the first m columns, with
     Per = sum_S (-1)^(m - |S|) prod_i R[S, i]^(c_i) and R[S, i] = sum_{j in S} u_ij,
-    so the powers of R are tabulated once.  Outcomes go in chunks of
-    ``_ELEMENT_BUDGET >> m``, so no temporary exceeds ``_ELEMENT_BUDGET`` numbers.
+    so the powers of R are tabulated once: (m + 1) * n * 2^m numbers for n
+    detectors, and a law whose table would exceed ``_TABLE_LIMIT`` is rejected
+    before anything is allocated.  Outcomes go in chunks of ``_ELEMENT_BUDGET >> m``
+    (at least one), so each chunk's product holds at most max(_ELEMENT_BUDGET, 2^m) numbers.
     """
     u = np.asarray(u, dtype=complex)
     counts = np.asarray(outcomes, dtype=np.intp)
@@ -103,6 +106,12 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
         raise ValueError(f"outcomes must be rows of {u.shape[0]} nonnegative counts")
     if (counts.sum(axis=1) != m).any() or m > min(u.shape[1], RYSER_MAX_DIM):
         raise ValueError(f"counts must sum to m = {m}, at most {RYSER_MAX_DIM} and u's width")
+    table = (m + 1) * u.shape[0] * (1 << m)
+    if table > _TABLE_LIMIT:
+        raise ValueError(
+            f"the outcome law at m = {m} over {u.shape[0]} detectors needs a table of "
+            f"{table} numbers, above the limit {_TABLE_LIMIT}"
+        )
     sign, rows = _subset_sums(u[:, :m], 0, 1 << m)
     powers = np.cumprod([np.ones_like(rows)] + [rows] * m, axis=0)  # [c, i, S]: rows[i, S]^c
     denominators = np.array([factorial(c) for c in range(m + 1)], dtype=float)[counts].prod(axis=1)
@@ -115,29 +124,6 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
             terms *= powers[chunk[:, i], i]
         perms[start : start + step] = terms @ sign
     return np.clip(np.abs(perms) ** 2 / denominators, 0.0, 1.0)
-
-
-def conditional_click_probability(
-    u: np.ndarray, prior, next_detector: int, m: int, n: int
-) -> float:
-    """Probability that ``next_detector`` clicks next, given the clicks so far.
-
-    Evaluates the jump weight of ``next_detector`` on the normalized state
-    reached after the prior sequence, divided by the remaining excitation
-    count; the product of these along a full sequence reproduces
-    :func:`sequence_probability`.
-    """
-    prior = list(prior)
-    k = len(prior)
-    if k >= m:
-        raise ValueError(f"prior sequence of {k} clicks exhausts the {m} excitations")
-    state = initial_state(n, m)
-    for detector in prior:
-        state = apply_jump(state, u, detector)
-    weights = jump_weights(state, u)
-    if not 0 <= next_detector < n:
-        raise ValueError(f"detector {next_detector} outside [0, {n})")
-    return float(weights[next_detector]) / (m - k)
 
 
 def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:

@@ -101,46 +101,13 @@ def _lowering_tables(n_sites: int, n_excited: int):
 
 def _lowered_raw(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Leading axes of ``amplitudes`` (and of ``u``, if stacked) index a group
-    # of states lowered together: (..., dim) -> (..., n_sites, dim_lo).
+    # of states lowered together: (..., dim) -> (..., n_sites, dim_lo).  Row i
+    # of each (n_sites, dim_lo) block is detector i's unnormalized jump of the
+    # state, and its squared norm is that detector's click weight.
     src, flat_dst, dim_lo = _lowering_tables(n_sites, n_excited)
     lowered = np.zeros(amplitudes.shape[:-1] + (n_sites * dim_lo,), dtype=complex)
     lowered[..., flat_dst] = amplitudes[..., src]
     return u @ lowered.reshape(amplitudes.shape[:-1] + (n_sites, dim_lo))
-
-
-def apply_all_jumps(state: SectorState, u: np.ndarray) -> np.ndarray:
-    """Unnormalized post-jump amplitudes for every detector at once.
-
-    Returns an (n_sites, C(n_sites, n_excited-1)) array whose row ``i`` is the
-    amplitude vector of jump ``i`` applied to ``state`` (not normalized).
-    """
-    if u.shape != (state.n_sites, state.n_sites):
-        raise ValueError(f"unitary shape {u.shape} does not match {state.n_sites} sites")
-    if state.n_excited < 1:
-        raise ValueError("no excitations left to decay")
-    return _lowered_raw(state.n_sites, state.n_excited, state.amplitudes, u)
-
-
-def jump_weights(state: SectorState, u: np.ndarray) -> np.ndarray:
-    """Click weight of each detector: the squared norm of each unnormalized jump.
-
-    Nonnegative by construction; the weights sum to ``n_excited`` because the
-    collective jumps conserve the total excitation-number operator.
-    """
-    lowered = apply_all_jumps(state, u)
-    return np.einsum("ij,ij->i", lowered, lowered.conj()).real
-
-
-def apply_jump(state: SectorState, u: np.ndarray, detector: int) -> SectorState:
-    """Normalized state after detector ``detector`` clicks; drops one excitation."""
-    lowered = apply_all_jumps(state, u)
-    if not 0 <= detector < state.n_sites:
-        raise ValueError(f"detector {detector} outside [0, {state.n_sites})")
-    row = lowered[detector]
-    weight = np.vdot(row, row).real
-    if weight <= 0.0:
-        raise ValueError(f"jump on detector {detector} has zero weight for this state")
-    return SectorState(state.n_sites, state.n_excited - 1, row / np.sqrt(weight))
 
 
 def _spectrum_length(n_sites: int, n_excited: int, cut: int) -> int:
@@ -266,10 +233,3 @@ def entropy_profile(state: SectorState) -> np.ndarray:
     """Entanglement entropy at every cut 1..n_sites-1, as a vector."""
     cuts = tuple(range(1, state.n_sites))
     return _entropies(state.n_sites, state.n_excited, state.amplitudes[None], cuts)[0]
-
-
-def site_occupations(state: SectorState) -> np.ndarray:
-    """Excitation probability of each site, length n_sites; sums to n_excited."""
-    masks = sector_masks(state.n_sites, state.n_excited)
-    bits = (masks[:, None] >> np.arange(state.n_sites)[None, :]) & 1
-    return bits.T @ (np.abs(state.amplitudes) ** 2)

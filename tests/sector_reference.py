@@ -1,0 +1,47 @@
+"""Forced jumps on raw sector states, for tests that choose the detector.
+
+The package applies clicks only in the lockstep kernel
+``trajectory._click_walk``, which samples each detector.  The functions here
+apply a chosen detector's jump instead, on the raw ``(n_sites, n_excited,
+amplitudes)`` form and through the same lowering, ``state._lowered_raw``.
+They take no guards: a caller passes a state with an excitation left and a
+detector of nonzero weight.
+"""
+
+import numpy as np
+
+from lontraj.state import _initial_amplitudes, _lowered_raw, sector_masks
+
+
+def jump_weights(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Click weight of each detector: the squared norm of its unnormalized jump."""
+    lowered = _lowered_raw(n_sites, n_excited, amplitudes, u)
+    return np.einsum("ij,ij->i", lowered, lowered.conj()).real
+
+
+def forced_jump(
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, detector: int
+) -> np.ndarray:
+    """Normalized amplitudes, one sector down, after ``detector`` clicks."""
+    row = _lowered_raw(n_sites, n_excited, amplitudes, u)[detector]
+    return row / np.linalg.norm(row)
+
+
+def occupations(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:
+    """Excitation probability of each site, length n_sites; sums to n_excited."""
+    masks = sector_masks(n_sites, n_excited)
+    bits = (masks[:, None] >> np.arange(n_sites)[None, :]) & 1
+    return bits.T @ (np.abs(amplitudes) ** 2)
+
+
+def conditional_click_probability(u: np.ndarray, prior, next_detector: int, m: int, n: int) -> float:
+    """Probability that ``next_detector`` clicks next, given the clicks so far.
+
+    The chain starts with its first m of n sites excited.  The product of
+    these along a full sequence is the sequence's permanent law.
+    """
+    amplitudes = _initial_amplitudes(n, m)
+    for k, detector in enumerate(prior):
+        amplitudes = forced_jump(n, m - k, amplitudes, u, detector)
+    left = m - len(prior)
+    return float(jump_weights(n, left, amplitudes, u)[next_detector]) / left

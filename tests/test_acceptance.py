@@ -24,16 +24,16 @@ from lontraj.experiments import (
     scaling_sweep,
 )
 from lontraj.oracle import (
-    conditional_click_probability,
     enumerate_outcomes,
     outcome_probability,
     permanent_ryser,
     sequence_probability,
 )
-from lontraj.state import apply_jump, entanglement_entropy, initial_state, site_occupations
+from lontraj.state import entanglement_entropy, initial_state
 from lontraj.trajectory import evolve_clicks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from permanent_reference import permanent_naive
+from sector_reference import conditional_click_probability, occupations
 
 SEED = 20260811
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -103,8 +103,7 @@ def test_criterion_4_single_click_entropy_law():
         n = 8
         for _ in range(50):
             u = haar_unitary(n, rng)
-            detector = next(evolve_clicks(initial_state(n, n), u, rng))[0]
-            state = apply_jump(initial_state(n, n), u, detector)
+            detector, state = next(evolve_clicks(initial_state(n, n), u, rng))
             for cut in range(1, n):
                 p = float(np.sum(np.abs(u[detector, :cut]) ** 2))
                 expected = -p * np.log(p) - (1 - p) * np.log(1 - p)
@@ -134,9 +133,9 @@ def test_criterion_6_unraveling_invariance():
             for clicks, (_, state) in enumerate(evolve_clicks(state, u, rng), start=1):
                 if clicks == k:
                     break
-            occupations = site_occupations(state)
-            acc += occupations
-            acc_sq += occupations**2
+            values = occupations(n, state.n_excited, state.amplitudes)
+            acc += values
+            acc_sq += values**2
         mean = acc / runs
         stderr = np.sqrt(np.maximum(acc_sq / runs - mean**2, 0.0) / runs)
         analytic = (n - k) / n  # the identity-network (master equation) value

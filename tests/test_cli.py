@@ -577,17 +577,21 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
          "--samples must lie in [1, 4294967296], got 4294967297"),
         ("--mode trajectory-dump --n 4 --m 2 --samples 10000000000000",
          "--samples must lie in [1, 4294967296], got 10000000000000"),
+        ("--mode trajectory-dump --n 1 --m 1",
+         "mode trajectory-dump needs --n >= 2, so that a cut has a site on each side"),
+        ("--mode mixture-entropy --n 1 --m 1",
+         "mode mixture-entropy needs --n >= 2, so that a cut has a site on each side"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
          "dump-unitary-depth", "point-depth", "mixture-cut", "mixture-explicit-cut",
-         "mixture-default-cut", "samples", "dump-samples"],
+         "mixture-default-cut", "samples", "dump-samples", "dump-one-site", "mixture-one-site"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
     # reaches is enumerated, every trajectory draws and multiplies each
-    # brick-wall layer, the mixture holds the averaged state of its cut, and
-    # every trajectory index must be one 32-bit seed word; all five bounds
-    # are checked while parsing.
+    # brick-wall layer, the mixture holds the averaged state of its cut,
+    # every trajectory index must be one 32-bit seed word, and a cut needs a
+    # site on each side; all six bounds are checked while parsing.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,6 @@
 import os
 import warnings
+from concurrent.futures import Future
 from math import comb
 
 import numpy as np
@@ -9,6 +10,7 @@ from dense_reference import dense_cut_matrix, random_sector_state
 from lontraj import experiments, oracle
 from lontraj.experiments import (
     CHUNK_SIZE,
+    MAX_SAMPLES,
     UnitarySource,
     _generator,
     _run,
@@ -28,7 +30,7 @@ from lontraj.experiments import (
     scaling_csv,
     scaling_sweep,
 )
-from lontraj.state import apply_jump, initial_state, sector_masks
+from lontraj.state import sector_masks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -357,6 +359,66 @@ def test_serial_run_merges_each_part_before_making_the_next():
 
     _run(Counting, UnitarySource.identity(3), 3, 3 * CHUNK_SIZE, 0, threads=1)
     assert log == ["make"] + ["make", "merge"] * 3
+
+
+def test_chunks_of_the_largest_run_are_counted_without_being_built():
+    starts = experiments._chunks(MAX_SAMPLES)
+    assert len(starts) == MAX_SAMPLES // CHUNK_SIZE
+    assert starts[-1] == MAX_SAMPLES - CHUNK_SIZE
+
+
+def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypatch):
+    # An in-process stand-in for the pool: a chunk runs only when some
+    # result is read, and every chunk submitted by then finishes newest
+    # first, so the merge order cannot come from the completion order.
+    queued, unread = [], []
+    most_unread = 0
+
+    class Firsts:
+        n_excited = 1
+
+        def __init__(self) -> None:
+            self.firsts = []
+
+        def add(self, first, u, uniforms) -> None:
+            self.firsts.append(first)
+
+        def merge(self, other) -> None:
+            self.firsts += other.firsts
+
+    class ChunkFuture(Future):
+        def result(self, timeout=None):
+            while queued:
+                future, fn, task = queued.pop()
+                future.set_result(fn(task))
+            unread.remove(self)
+            return super().result(timeout)
+
+    class InProcessPool:
+        def __init__(self, max_workers: int) -> None:
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            pass
+
+        def submit(self, fn, task):
+            nonlocal most_unread
+            future = ChunkFuture()
+            queued.append((future, fn, task))
+            unread.append(future)
+            most_unread = max(most_unread, len(unread))
+            return future
+
+    workers, n_samples = 3, 20 * CHUNK_SIZE + 5
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
+    total = _run(Firsts, UnitarySource.identity(3), 3, n_samples, 0, threads=workers)
+    assert total.firsts == list(range(0, n_samples, CHUNK_SIZE))
+    assert most_unread == 2 * workers
+    assert not queued and not unread
 
 
 def test_scaling_sweep_rows_and_csv():

@@ -13,16 +13,17 @@ from lontraj.state import (
     SCHMIDT_CUTOFF,
     SectorState,
     _entropies,
-    apply_jump,
+    _initial_amplitudes,
+    _lowered_raw,
     entanglement_entropy,
     entropy_profile,
     initial_state,
-    jump_weights,
     sector_masks,
-    site_occupations,
 )
+from lontraj.trajectory import _click_walk, evolve_clicks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from schmidt_reference import schmidt_entropy
+from sector_reference import jump_weights, occupations
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -79,12 +80,13 @@ def test_sector_state_rejects_unnormalized():
 
 def test_jump_weights_uniform_from_all_excited():
     u = haar_unitary(4, np.random.default_rng(2))
-    weights = jump_weights(initial_state(4, 4), u)
+    weights = jump_weights(4, 4, _initial_amplitudes(4, 4), u)
     np.testing.assert_allclose(weights, np.ones(4), atol=1e-12)
 
 
 def test_jump_weights_bell_state_only_symmetric_detector():
-    weights = jump_weights(symmetric_bell(), balanced_splitter())
+    bell = symmetric_bell()
+    weights = jump_weights(2, 1, bell.amplitudes, balanced_splitter())
     np.testing.assert_allclose(weights, [1.0, 0.0], atol=1e-12)
 
 
@@ -98,7 +100,8 @@ def test_jump_weights_match_dense_reference(n_excited):
     for detector in range(3):
         jumped = collective_jump(u, detector) @ dense
         expected.append(np.vdot(jumped, jumped).real)
-    np.testing.assert_allclose(jump_weights(state, u), expected, atol=1e-12)
+    lowered = _lowered_raw(3, n_excited, state.amplitudes, u)
+    np.testing.assert_allclose(np.linalg.norm(lowered, axis=1) ** 2, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_sites,n_excited", [(4, 1), (5, 3), (6, 6)])
@@ -107,23 +110,29 @@ def test_jump_weights_sum_to_excitation_count(n_sites, n_excited):
     for _ in range(5):
         state = random_sector_state(n_sites, n_excited, rng)
         u = haar_unitary(n_sites, rng)
-        assert abs(jump_weights(state, u).sum() - n_excited) < 1e-9
+        assert abs(jump_weights(n_sites, n_excited, state.amplitudes, u).sum() - n_excited) < 1e-9
 
 
-def test_jump_weights_rejects_ground_state():
-    with pytest.raises(ValueError, match="no excitations"):
-        jump_weights(initial_state(3, 0), np.eye(3, dtype=complex))
+def first_click(n_sites: int, u: np.ndarray, uniform: float) -> tuple[int, np.ndarray]:
+    # The kernel's first click from full filling, drawn with the given uniform.
+    walk = _click_walk(n_sites, n_sites, _initial_amplitudes(n_sites, n_sites), u, [[uniform]])
+    detectors, amplitudes = next(walk)
+    return int(detectors[0]), amplitudes[0]
 
 
 def test_apply_jump_symmetric_click_gives_bell_state():
-    state = apply_jump(initial_state(2, 2), balanced_splitter(), 0)
-    np.testing.assert_allclose(state.amplitudes, symmetric_bell().amplitudes, atol=1e-12)
+    # Both detectors weigh 1, so a uniform below 1/2 picks detector 0.
+    detector, amplitudes = first_click(2, balanced_splitter(), 0.25)
+    assert detector == 0
+    np.testing.assert_allclose(amplitudes, symmetric_bell().amplitudes, atol=1e-12)
 
 
 def test_apply_jump_identity_clears_one_bit():
-    state = apply_jump(initial_state(4, 4), np.eye(4, dtype=complex), 2)
+    # Each local detector weighs 1, so a uniform in [2/4, 3/4) picks detector 2.
+    detector, amplitudes = first_click(4, np.eye(4, dtype=complex), 0.6)
+    assert detector == 2
     expected = state_from_mask(4, 0b1011)
-    np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(amplitudes, expected.amplitudes, atol=1e-14)
 
 
 def test_apply_jump_matches_dense_reference():
@@ -133,24 +142,20 @@ def test_apply_jump_matches_dense_reference():
     detector = 1
     jumped = collective_jump(u, detector) @ embed(state)
     jumped /= np.linalg.norm(jumped)
-    result = embed(apply_jump(state, u, detector))
+    # The uniform at the middle of detector 1's share of the inverse CDF.
+    weights = jump_weights(4, 2, state.amplitudes, u)
+    uniform = (weights[0] + weights[1] / 2) / weights.sum()
+    (detectors, amplitudes), *_ = _click_walk(4, 2, state.amplitudes, u, [[uniform]])
+    assert detectors[0] == detector
+    result = embed(SectorState(4, 1, amplitudes[0]))
     fidelity = abs(np.vdot(jumped, result))
     assert fidelity >= 1 - 1e-10
-
-
-def test_apply_jump_rejects_zero_weight_detector():
-    # Site 1 is in the ground state, so the local detector 1 cannot click.
-    with pytest.raises(ValueError, match="zero weight"):
-        apply_jump(initial_state(2, 1), np.eye(2, dtype=complex), 1)
 
 
 def test_apply_jump_preserves_normalization_along_cascades():
     rng = np.random.default_rng(40)
     u = haar_unitary(6, rng)
-    state = initial_state(6, 6)
-    while state.n_excited > 0:
-        weights = jump_weights(state, u)
-        state = apply_jump(state, u, int(np.argmax(weights)))
+    for _, state in evolve_clicks(initial_state(6, 6), u, rng):
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
@@ -169,8 +174,7 @@ def test_single_click_entropy_is_binary_entropy_of_row_mass(seed):
     rng = np.random.default_rng(100 + seed)
     n = 6
     u = haar_unitary(n, rng)
-    detector = int(rng.integers(n))
-    state = apply_jump(initial_state(n, n), u, detector)
+    detector, state = next(evolve_clicks(initial_state(n, n), u, rng))
     for cut in range(1, n):
         p = float(np.sum(np.abs(u[detector, :cut]) ** 2))
         expected = -p * np.log(p) - (1 - p) * np.log(1 - p)
@@ -227,7 +231,7 @@ def kernel_test_state(n_sites: int, n_excited: int, seed: int) -> SectorState:
     rng = np.random.default_rng(seed)
     if n_excited == n_sites:
         u = haar_unitary(n_sites, rng)
-        return apply_jump(initial_state(n_sites, n_sites), u, int(rng.integers(n_sites)))
+        return next(evolve_clicks(initial_state(n_sites, n_sites), u, rng))[1]
     return random_sector_state(n_sites, n_excited, rng)
 
 
@@ -300,9 +304,9 @@ def test_dense_cut_matrix_reproduces_reduced_state():
 
 def test_site_occupations_track_excited_sites():
     state = initial_state(5, 2)
-    np.testing.assert_allclose(site_occupations(state), [1, 1, 0, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(occupations(5, 2, state.amplitudes), [1, 1, 0, 0, 0], atol=1e-14)
     rng = np.random.default_rng(64)
     random_state = random_sector_state(6, 4, rng)
-    occupations = site_occupations(random_state)
-    assert abs(occupations.sum() - 4.0) < 1e-10
-    assert np.all(occupations >= 0)
+    values = occupations(6, 4, random_state.amplitudes)
+    assert abs(values.sum() - 4.0) < 1e-10
+    assert np.all(values >= 0)
