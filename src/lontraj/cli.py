@@ -254,7 +254,7 @@ def parse_config(argv=None) -> RunConfig:
             raise ValueError(f"mode {mode} requires {flag}")
     n, m = s.get("n"), s.get("m")
     _check_range("n", n, 1, MAX_SITES)
-    if "cut" in s and n < 2:
+    if ("cut" in s or mode == "entropy-grid") and n < 2:  # a grid's columns are its cuts
         raise ValueError(f"mode {mode} needs --n >= 2, so that a cut has a site on each side")
     _check_range("m", m, 0, n)
     if m is not None:

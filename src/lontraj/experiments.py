@@ -36,8 +36,9 @@ from .unitary import _brickwall_stack, _haar_stack, check_unitary
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
 MAX_SAMPLES = 2**32  # so every trajectory index is one 32-bit seed word
-# Complex elements in the largest lowered array of a lockstep click group:
-# groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and 1 at N = 16 (full filling).
+# Complex elements in the largest array of a lockstep click group: with one
+# unitary per trajectory, groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and
+# 1 at N = 16 (full filling); under a shared unitary see _group_size.
 _LOCKSTEP_BUDGET = 3 * 2**14
 
 
@@ -238,12 +239,15 @@ def _worker_count(threads: int, n_chunks: int) -> int:
     return max(1, min(threads, n_chunks, cores))
 
 
-def _group_size(n_sites: int, n_excited: int) -> int:
-    # Trajectories walked in lockstep: the group's largest lowered array,
-    # (size, n_sites, C(n_sites, e - 1)) over e = n_excited..1, stays within
-    # _LOCKSTEP_BUDGET.
+def _group_size(n_sites: int, n_excited: int, shared: bool = False) -> int:
+    # Trajectories walked in lockstep.  With one unitary per trajectory the
+    # group's largest lowered array, (size, n_sites, C(n_sites, e - 1)) over
+    # e = n_excited..1, stays within _LOCKSTEP_BUDGET.  Under a shared unitary
+    # the walk lowers its distinct states in slices within the budget, so only
+    # the states, (size, C(n_sites, e - 1)), must fit it: a whole chunk at
+    # N = 8, 195 trajectories at N = 10, 53 at N = 12 and 3 at N = 16.
     widest = max((comb(n_sites, j) for j in range(n_excited)), default=1)
-    return max(1, _LOCKSTEP_BUDGET // (n_sites * widest))
+    return max(1, _LOCKSTEP_BUDGET // (widest if shared else n_sites * widest))
 
 
 def _openblas_threads():
@@ -289,7 +293,7 @@ def _accumulate(args):
     (make, source, n_sites, master_seed), lo, hi = args
     part = make()
     e = part.n_excited
-    step = _group_size(n_sites, e)
+    step = _group_size(n_sites, e, shared=not source.fresh_per_sample)
     # One hash per stream for the whole chunk; each group builds its generators from its rows.
     unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else None
     click_words = _stream_words(master_seed, lo, hi, 1)
@@ -350,7 +354,7 @@ class _Records:
         self.records: list[TrajectoryRecord] = []
 
     def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
-        records = _records(self.n_sites, self.n_excited, u, self.cut, uniforms)
+        records = _records(self.n_sites, self.n_excited, u, self.cut, uniforms, _LOCKSTEP_BUDGET)
         if self.waiting_times:
             seeds = _stream_words(self.master_seed, first, first + len(records), 2)
             records = [
@@ -414,11 +418,13 @@ class _GridSums:
     def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
+        step = _group_size(n, e)  # a profile gathers n - 1 cuts of each state
         # Row 0 stays zero: the initial product state has no entanglement.
         profiles = np.zeros((len(uniforms),) + self.sums.shape)
-        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T)
-        for k, (_, amplitudes) in enumerate(walk, start=1):
-            profiles[:, k] = _entropies(n, e - k, amplitudes, cuts)
+        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T, _LOCKSTEP_BUDGET)
+        for k, (_, rows, states) in enumerate(walk, start=1):
+            slices = (states[i : i + step] for i in range(0, len(states), step))
+            profiles[:, k] = np.concatenate([_entropies(n, e - k, s, cuts) for s in slices])[rows]
         for profile in profiles:  # row by row, so no sum depends on the group size
             self.sums += profile
             self.square_sums += profile * profile
@@ -503,7 +509,8 @@ class _OutcomeCounts:
         n, e = self.n_sites, self.n_excited
         counts = np.zeros((len(uniforms), n), dtype=np.int64)
         rows = np.arange(len(uniforms))
-        for detectors, _ in _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T):
+        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T, _LOCKSTEP_BUDGET)
+        for detectors, _, _ in walk:
             counts[rows, detectors] += 1
         self.counts.update(map(tuple, counts.tolist()))
 
@@ -582,25 +589,34 @@ class _MixtureSums:
 
     def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
         n, e = self.n_sites, self.n_excited - self.k
-        start = _initial_amplitudes(n, self.n_excited)
-        amplitudes = np.broadcast_to(start, (len(uniforms), len(start)))
+        states = _initial_amplitudes(n, self.n_excited)[None]
+        rows = np.zeros(len(uniforms), dtype=np.intp)
         sequences = [()] * len(uniforms)
         if self.k > 0:
-            for detectors, amplitudes in _click_walk(n, self.n_excited, start, u, uniforms.T):
+            walk = _click_walk(n, self.n_excited, states[0], u, uniforms.T, _LOCKSTEP_BUDGET)
+            for detectors, rows, states in walk:
                 sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
                 if len(sequences[0]) == self.k:
                     break
-        entropies = _entropies(n, e, amplitudes, (self.cut,))[:, 0].tolist()
-        blocks = [amplitudes.take(idx, axis=-1) for idx in _cut_blocks(n, e, self.cut)]
-        grams = [x @ x.conj().swapaxes(-1, -2) for x in blocks]  # each row as it would be alone
-        # Row by row in trajectory order, so neither the sums nor the
-        # histogram's insertion order depend on the group size.
-        for row, (sequence, entropy) in enumerate(zip(sequences, entropies)):
-            self.entropy_sum += entropy
-            self.entropy_square_sum += entropy * entropy
-            for rho, gram in zip(self.rho_sum, grams):
-                rho += gram[row]
-            self.histogram[sequence] += 1
+        # One entropy per distinct state: a single cut gathers no more than the states hold.
+        entropies = _entropies(n, e, states, (self.cut,))[:, 0]
+        blocks = _cut_blocks(n, e, self.cut)
+        step = _group_size(n, self.n_excited)
+        # Trajectory by trajectory in index order, so neither the sums nor the
+        # histogram's insertion order depend on the group size.  The Grams of
+        # at most ``step`` trajectories' distinct states are held at a time.
+        for lo in range(0, len(rows), step):
+            needed, local = np.unique(rows[lo : lo + step], return_inverse=True)
+            held = states[needed]
+            grams = [x @ x.conj().swapaxes(-1, -2) for x in (held.take(i, axis=-1) for i in blocks)]
+            held_entropies = entropies[needed].tolist()
+            for b, row in enumerate(local.tolist(), start=lo):
+                entropy = held_entropies[row]
+                self.entropy_sum += entropy
+                self.entropy_square_sum += entropy * entropy
+                for rho, gram in zip(self.rho_sum, grams):
+                    rho += gram[row]
+                self.histogram[sequences[b]] += 1
 
     def merge(self, other: "_MixtureSums") -> None:
         self.entropy_sum += other.entropy_sum
@@ -708,12 +724,20 @@ def distribution_csv(report: DistributionReport) -> str:
     The per-outcome standard error is the binomial error of the empirical
     frequency at this sample size.
     """
-    lines = ["outcome,exact,empirical,stderr"]
-    for outcome, exact, empirical in zip(report.outcomes, report.exact, report.empirical):
-        stderr = float(np.sqrt(empirical * (1.0 - empirical) / report.n_samples))
-        label = " ".join(str(c) for c in outcome)
-        lines.append(f"{label},{float(exact)!r},{float(empirical)!r},{stderr!r}")
-    return "\n".join(lines) + "\n"
+    exact = np.asarray(report.exact, dtype=float)
+    empirical = np.asarray(report.empirical, dtype=float)
+    stderr = np.sqrt(empirical * (1.0 - empirical) / report.n_samples)
+    lines = ["outcome,exact,empirical,stderr\n"]
+    # 256 rows at a time, so that few Python floats are alive at once: the
+    # table is formatted near the run's memory peak.
+    for lo in range(0, len(stderr), 256):
+        hi = lo + 256
+        rows = zip(
+            report.outcomes[lo:hi], exact[lo:hi].tolist(), empirical[lo:hi].tolist(),
+            stderr[lo:hi].tolist(),
+        )
+        lines += [f"{' '.join(map(str, o))},{p!r},{f!r},{s!r}\n" for o, p, f, s in rows]
+    return "".join(lines)
 
 
 def scaling_csv(rows: list[ScalingPoint]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -73,28 +74,80 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
     return detectors
 
 
+def _shared_click(
+    n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r, budget
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # One click of trajectories that share the (n_sites, n_sites) unitary u:
+    # trajectory b sits in states[rows[b]] and clicks by r[b].  Each distinct
+    # state is lowered, weighed and normalized once, in slices.  A slice's
+    # lowering makes four arrays of at most (slice, n_sites, C(n_sites, e - 1))
+    # elements: the gathered amplitudes, the zero-filled stack, its product
+    # with u and that product's conjugate.  Together they stay within
+    # ``budget`` complex elements (None: one slice).  The new states are the
+    # distinct (state, detector) pairs, in ascending order.
+    step = len(states)
+    if budget is not None:
+        step = max(1, budget // (4 * n_sites * comb(n_sites, e - 1)))
+    detectors = np.empty(len(rows), dtype=np.intp)
+    new_rows = np.empty(len(rows), dtype=np.intp)
+    parts = []
+    made = 0
+    for lo in range(0, len(states), step):
+        lowered = _lowered_raw(n_sites, e, states[lo : lo + step], u)
+        weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
+        # The trajectories in this slice's states, each picking by its own uniform.
+        mine = slice(None)
+        if step < len(states):
+            mine = np.nonzero((rows >= lo) & (rows < lo + step))[0]
+        local = rows[mine] - lo
+        picked = _pick_detectors(weights[local], e, r[mine])
+        detectors[mine] = picked
+        keys, inverse = np.unique(local * n_sites + picked, return_inverse=True)
+        src, det = np.divmod(keys, n_sites)
+        parts.append(lowered[src, det] / np.sqrt(weights[src, det])[:, None])
+        new_rows[mine] = made + inverse
+        made += len(keys)
+    return detectors, new_rows, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _click_walk(
-    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms, budget=None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # The one click loop.  It advances a group of B trajectories in lockstep:
     # row b starts from amplitudes[b], is lowered through u[b] and makes its
     # k-th click from row b of the k-th (B,) array of uniforms in [0, 1) that
     # ``uniforms`` yields, taken only as that click starts.  A (dim,) start
     # state or an (n_sites, n_sites) unitary is shared by every row.  Yields
-    # (detectors[B], normalized post-click amplitudes[B, dim_lo]) until the
-    # chain reaches the ground state.
+    # (detectors[B], rows[B], states[R, dim_lo]) until the chain reaches the
+    # ground state: trajectory b's normalized post-click state is
+    # states[rows[b]].
+    #
+    # Under a shared unitary, trajectories that clicked the same detectors in
+    # the same order are in the same state, so states holds each distinct
+    # ordered prefix once (see _shared_click) and ``budget`` bounds its
+    # lowering slices.  Under one unitary per row, row b is states[b].  Each
+    # state's arithmetic is what it would be walked alone, so no click or
+    # amplitude depends on the group or on which prefixes it shares.
+    states = amplitudes.reshape(-1, amplitudes.shape[-1])
+    rows = None
     for e, r in zip(range(n_excited, 0, -1), uniforms):
         size = len(r)
         if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
             raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
-        amplitudes = np.broadcast_to(amplitudes, (size, amplitudes.shape[-1]))
-        lowered = _lowered_raw(n_sites, e, amplitudes, u)
-        weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
-        detectors = _pick_detectors(weights, e, r)
-        rows = np.arange(size)
-        amplitudes = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
-        del lowered  # the group's largest array, not held while the caller works on the yield
-        yield detectors, amplitudes
+        if rows is None:
+            if len(states) not in (1, size):
+                raise ValueError(f"{len(states)} start states do not match {size} trajectories")
+            rows = np.arange(size) if len(states) == size else np.zeros(size, dtype=np.intp)
+        if u.ndim == 2:
+            detectors, rows, states = _shared_click(n_sites, e, states, rows, u, r, budget)
+        else:
+            lowered = _lowered_raw(n_sites, e, np.broadcast_to(states, (size, states.shape[-1])), u)
+            weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
+            detectors = _pick_detectors(weights, e, r)
+            rows = np.arange(size)
+            states = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
+            del lowered  # the group's largest array, not held while the caller works on the yield
+        yield detectors, rows, states
 
 
 def evolve_clicks(
@@ -107,8 +160,8 @@ def evolve_clicks(
     """
     uniforms = (rng.random(1) for _ in range(state.n_excited))
     walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, uniforms)
-    for e, (detectors, amplitudes) in zip(range(state.n_excited - 1, -1, -1), walk):
-        yield int(detectors[0]), SectorState(state.n_sites, e, amplitudes[0])
+    for e, (detectors, rows, states) in zip(range(state.n_excited - 1, -1, -1), walk):
+        yield int(detectors[0]), SectorState(state.n_sites, e, states[rows[0]])
 
 
 def sample_click_sequence(
@@ -120,21 +173,23 @@ def sample_click_sequence(
     """
     uniforms = rng.random((n_excited, 1))
     walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, uniforms)
-    return tuple(int(detectors[0]) for detectors, _ in walk)
+    return tuple(int(detectors[0]) for detectors, _, _ in walk)
 
 
 def _records(
-    n_sites: int, n_excited: int, u: np.ndarray, cut: int, uniforms: np.ndarray
+    n_sites: int, n_excited: int, u: np.ndarray, cut: int, uniforms: np.ndarray, budget=None
 ) -> list[TrajectoryRecord]:
     # One record per row of a lockstep group started from the standard
     # initial state; row b of the (B, n_excited) ``uniforms`` holds
-    # trajectory b's click draws, and u is shared as in _click_walk.
+    # trajectory b's click draws, and u and budget are as in _click_walk.
     _check_cut(n_sites, cut)
     clicks: list[list[int]] = [[] for _ in uniforms]
     entropies = [[0.0] for _ in uniforms]  # the initial product state has no entanglement
-    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, uniforms.T)
-    for k, (detectors, amplitudes) in enumerate(walk, start=1):
-        values = _entropies(n_sites, n_excited - k, amplitudes, (cut,))[:, 0]
+    start = _initial_amplitudes(n_sites, n_excited)
+    walk = _click_walk(n_sites, n_excited, start, u, uniforms.T, budget)
+    for k, (detectors, rows, states) in enumerate(walk, start=1):
+        # One entropy per distinct state: a single cut gathers no more than the states hold.
+        values = _entropies(n_sites, n_excited - k, states, (cut,))[rows, 0]
         for b, (detector, value) in enumerate(zip(detectors.tolist(), values.tolist())):
             clicks[b].append(detector)
             entropies[b].append(value)

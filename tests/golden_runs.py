@@ -10,9 +10,14 @@ A refactor that must keep results byte-identical runs
 
     python tests/golden_runs.py > golden.txt
 
-in a checkout of the parent commit and in the change and compares the two
-files.  An optimisation that may move the last bits passes an output
-directory as well,
+in a checkout of the parent commit, then
+
+    python tests/golden_runs.py --against golden.txt
+
+in the change: after printing its own lines it compares them with the saved
+listing, prints each line that differs to stderr (``-`` saved, ``+`` now)
+and exits 1 on any difference.  An optimisation that may move the last bits
+passes an output directory as well,
 
     python tests/golden_runs.py OUTDIR > golden.txt
 
@@ -24,6 +29,7 @@ does not match ``test_*.py``, so pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import shutil
@@ -81,20 +87,41 @@ def run(args: str, threads: int, keep: Path | None = None) -> str:
     return f"{_sha(output)} {_sha(manifest)} {_sha(done.stdout)} t{threads} {args}"
 
 
+def differences(saved: list[str], lines: list[str]) -> list[str]:
+    """The lines of two listings that differ, as ``-`` saved and ``+`` now, in listing order."""
+    out = []
+    for index in range(max(len(saved), len(lines))):
+        before = saved[index] if index < len(saved) else None
+        now = lines[index] if index < len(lines) else None
+        if before != now:
+            pairs = (("-", before), ("+", now))
+            out += [f"{sign} {line}" for sign, line in pairs if line is not None]
+    return out
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print("usage: golden_runs.py [OUTDIR]", file=sys.stderr)
-        return 2
-    outdir = Path(argv[0]) if argv else None
+    parser = argparse.ArgumentParser(prog="golden_runs.py")
+    parser.add_argument("outdir", nargs="?", type=Path, help="keep each run's outputs here")
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="a saved listing; exit 1 if any line differs from it")
+    args = parser.parse_args(argv)
+    saved = None if args.against is None else args.against.read_text().splitlines()
+    lines = []
     try:
-        for index, args in enumerate(GOLDEN):
+        for index, flags in enumerate(GOLDEN):
             for threads in (1, 2):
-                keep = None if outdir is None else outdir / f"g{index:02d}-t{threads}"
-                print(run(args, threads, keep), flush=True)
+                keep = None if args.outdir is None else args.outdir / f"g{index:02d}-t{threads}"
+                lines.append(run(flags, threads, keep))
+                print(lines[-1], flush=True)
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    return 0
+    if saved is None:
+        return 0
+    diff = differences(saved, lines)
+    for line in diff:
+        print(line, file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

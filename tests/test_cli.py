@@ -581,10 +581,13 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
          "mode trajectory-dump needs --n >= 2, so that a cut has a site on each side"),
         ("--mode mixture-entropy --n 1 --m 1",
          "mode mixture-entropy needs --n >= 2, so that a cut has a site on each side"),
+        ("--mode entropy-grid --n 1 --m 1",
+         "mode entropy-grid needs --n >= 2, so that a cut has a site on each side"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
          "dump-unitary-depth", "point-depth", "mixture-cut", "mixture-explicit-cut",
-         "mixture-default-cut", "samples", "dump-samples", "dump-one-site", "mixture-one-site"],
+         "mixture-default-cut", "samples", "dump-samples", "dump-one-site", "mixture-one-site",
+         "grid-one-site"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
@@ -657,13 +660,29 @@ def test_malformed_unitary_file_names_the_option_and_path(tmp_path, capsys, text
             ["--mode", "entropy-grid", "--n", "7", "--m", "5", "--unitary", "brickwall:5"],
             id="entropy-grid-brickwall-5",
         ),
+        # Fixed sources walk distinct click prefixes, lowered in budget slices.
+        pytest.param(
+            ["--mode", "entropy-grid", "--n", "6", "--m", "5", "--unitary", "identity"],
+            id="entropy-grid-identity",
+        ),
+        pytest.param(
+            ["--mode", "trajectory-dump", "--n", "6", "--m", "6", "--unitary", "identity",
+             "--cut", "3", "--waiting-times"],
+            id="trajectory-dump-identity",
+        ),
+        pytest.param(
+            ["--mode", "distribution", "--n", "8", "--m", "8", "--unitary", "haar"],
+            id="distribution-8",
+        ),
     ],
     ids=lambda args: args[1],
 )
 def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch, args):
     # 300 trajectories are a chunk of 256 and one of 44; groups of 3 leave a
     # short group of 1 at the end of the first chunk and of 2 at the end of
-    # the second.  A fresh source draws each group's unitaries together.
+    # the second.  A fresh source draws each group's unitaries together.  A
+    # fixed source walks groups n times as large, whose distinct click
+    # prefixes are lowered one state at a time at the widest click.
     n, m = int(args[args.index("--n") + 1]), int(args[args.index("--m") + 1])
 
     def run(name):

@@ -1,13 +1,15 @@
 import os
 import warnings
 from concurrent.futures import Future
+from functools import partial
 from math import comb
 
 import numpy as np
 import pytest
 
+from click_walk_reference import click_walk
 from dense_reference import dense_cut_matrix, random_sector_state
-from lontraj import experiments, oracle
+from lontraj import experiments, oracle, trajectory
 from lontraj.experiments import (
     CHUNK_SIZE,
     MAX_SAMPLES,
@@ -30,7 +32,8 @@ from lontraj.experiments import (
     scaling_csv,
     scaling_sweep,
 )
-from lontraj.state import sector_masks
+from lontraj.state import _lowered_raw, initial_state, sector_masks
+from lontraj.trajectory import _click_walk
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -123,6 +126,86 @@ def test_group_size_keeps_the_lowered_array_within_the_lockstep_budget(
     # The permanent oracle's budget is its own.
     monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", 2**7)
     assert experiments._group_size(n_sites, n_excited) == size
+
+
+@pytest.mark.parametrize("n_sites", [8, 10, 12, 16])
+@pytest.mark.parametrize("filling", ["full", "half"])
+def test_shared_group_keeps_its_distinct_states_within_the_lockstep_budget(n_sites, filling):
+    # Under a shared unitary a group row holds a state, not a lowered array.
+    n_excited = n_sites if filling == "full" else n_sites // 2
+    widest = max(comb(n_sites, j) for j in range(n_excited))
+    size = experiments._group_size(n_sites, n_excited, shared=True)
+    assert size == 1 or size * widest <= experiments._LOCKSTEP_BUDGET
+    assert (size + 1) * widest > experiments._LOCKSTEP_BUDGET
+    assert size >= experiments._group_size(n_sites, n_excited)
+    if n_sites == 8:
+        assert size >= CHUNK_SIZE  # a whole chunk walks as one group
+
+
+def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
+    # Every trajectory starts in the same state, and after one click each is
+    # in one of n states; a chunk that walked its trajectories apart would
+    # lower 256 rows at both clicks.
+    n = 8
+    lowered = []
+
+    def counting(n_sites, n_excited, amplitudes, u):
+        lowered.append((n_excited, len(amplitudes)))
+        return _lowered_raw(n_sites, n_excited, amplitudes, u)
+
+    monkeypatch.setattr(trajectory, "_lowered_raw", counting)
+    source = UnitarySource.fixed(haar_unitary(n, np.random.default_rng(91)))
+    make = partial(experiments._OutcomeCounts, n, n)
+    part = experiments._accumulate(((make, source, n, 5), 0, CHUNK_SIZE))
+    assert sum(part.counts.values()) == CHUNK_SIZE
+    rows = {e: sum(size for e_, size in lowered if e_ == e) for e in range(1, n + 1)}
+    assert rows[n] == 1
+    assert rows[n - 1] <= n
+    assert all(rows[e] <= CHUNK_SIZE for e in rows)
+    # Each slice's four lowering arrays stay within the budget.
+    for e, size in lowered:
+        assert size == 1 or 4 * size * n * comb(n, e - 1) <= experiments._LOCKSTEP_BUDGET
+
+
+@pytest.mark.parametrize("slice_rows", [1, 3])
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_sites, slice_rows):
+    # With the budget cut down, the widest click lowers its distinct states
+    # slice_rows at a time and a chunk walks in several groups.  Every
+    # trajectory must still click and land exactly as it does alone.
+    widest = max(comb(n_sites, j) for j in range(n_sites))
+    monkeypatch.setattr(experiments, "_LOCKSTEP_BUDGET", slice_rows * 4 * n_sites * widest)
+    slices = []
+
+    def recording(n, e, amplitudes, u):
+        slices.append((e, len(amplitudes)))
+        return _lowered_raw(n, e, amplitudes, u)
+
+    walked = []
+
+    def walk(*args):
+        steps = list(_click_walk(*args))
+        walked.append(steps)
+        yield from steps
+
+    monkeypatch.setattr(trajectory, "_lowered_raw", recording)
+    monkeypatch.setattr(experiments, "_click_walk", walk)
+    u = haar_unitary(n_sites, np.random.default_rng(92 + n_sites))
+    seed, size = 93, 200
+    make = partial(experiments._OutcomeCounts, n_sites, n_sites)
+    experiments._accumulate(((make, UnitarySource.fixed(u), n_sites, seed), 0, size))
+    group = experiments._group_size(n_sites, n_sites, shared=True)
+    assert len(walked) == -(-size // group) > 1
+    at_widest = [rows for e, rows in slices if comb(n_sites, e - 1) == widest]
+    assert max(at_widest) == slice_rows
+    start = initial_state(n_sites, n_sites).amplitudes
+    for index in range(size):
+        steps = walked[index // group]
+        b = index % group
+        alone = click_walk(n_sites, n_sites, start, u, derive_rng(seed, index, 1))
+        for (detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
+            assert detectors[b] == detector
+            assert states[rows[b]].tobytes() == amplitudes.tobytes()
 
 
 def test_worker_count_is_bounded_by_chunks_and_cores():
@@ -318,8 +401,9 @@ def test_mixture_block_state_matches_the_dense_reduced_state(
     states = [random_sector_state(n_sites, n_excited, rng) for _ in range(5)]
 
     # One click takes every trajectory to one of the random states.
-    def one_click_to_the_states(n, m, start, u, uniforms):
-        yield np.zeros(len(states), dtype=np.intp), np.stack([s.amplitudes for s in states])
+    def one_click_to_the_states(n, m, start, u, uniforms, budget):
+        rows = np.arange(len(states))
+        yield np.zeros(len(states), dtype=np.intp), rows, np.stack([s.amplitudes for s in states])
 
     monkeypatch.setattr(experiments, "_click_walk", one_click_to_the_states)
     sums = experiments._MixtureSums(n_sites, n_excited + 1, 1, cut)

@@ -116,8 +116,8 @@ def test_jump_weights_sum_to_excitation_count(n_sites, n_excited):
 def first_click(n_sites: int, u: np.ndarray, uniform: float) -> tuple[int, np.ndarray]:
     # The kernel's first click from full filling, drawn with the given uniform.
     walk = _click_walk(n_sites, n_sites, _initial_amplitudes(n_sites, n_sites), u, [[uniform]])
-    detectors, amplitudes = next(walk)
-    return int(detectors[0]), amplitudes[0]
+    detectors, rows, states = next(walk)
+    return int(detectors[0]), states[rows[0]]
 
 
 def test_apply_jump_symmetric_click_gives_bell_state():
@@ -145,9 +145,9 @@ def test_apply_jump_matches_dense_reference():
     # The uniform at the middle of detector 1's share of the inverse CDF.
     weights = jump_weights(4, 2, state.amplitudes, u)
     uniform = (weights[0] + weights[1] / 2) / weights.sum()
-    (detectors, amplitudes), *_ = _click_walk(4, 2, state.amplitudes, u, [[uniform]])
+    (detectors, rows, states), *_ = _click_walk(4, 2, state.amplitudes, u, [[uniform]])
     assert detectors[0] == detector
-    result = embed(SectorState(4, 1, amplitudes[0]))
+    result = embed(SectorState(4, 1, states[rows[0]]))
     fidelity = abs(np.vdot(jumped, result))
     assert fidelity >= 1 - 1e-10
 

@@ -152,9 +152,9 @@ def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
         assert len(group) == n_excited
         for b in range(size):
             alone = click_walk(n_sites, n_excited, start, row_u(b), np.random.default_rng(b))
-            for (detectors, amplitudes), (detector, row) in zip(group, alone, strict=True):
+            for (detectors, rows, states), (detector, row) in zip(group, alone, strict=True):
                 assert detectors[b] == detector
-                assert amplitudes[b].tobytes() == row.tobytes()
+                assert states[rows[b]].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("fault", ["scaled", "nan"])
