@@ -33,7 +33,6 @@ from .state import SectorState, entanglement_entropy, initial_state
 from .trajectory import (
     TrajectoryRecord,
     attach_waiting_times,
-    clicks_to_counts,
     run_trajectory,
 )
 from .unitary import (
@@ -53,7 +52,6 @@ __all__ = [
     "averaged_entropy_grid",
     "beamsplitter_unitary",
     "build_repeated_matrix",
-    "clicks_to_counts",
     "distribution_comparison",
     "entanglement_entropy",
     "entropy_bound",

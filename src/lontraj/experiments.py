@@ -6,11 +6,14 @@ against the exact permanent-based probabilities, and check the sandwich
 relation between mean trajectory entropy, the entropy of the averaged state,
 and the Shannon entropy of the trajectory mixture.
 
-Every estimator, and the trajectory dump, feeds its trajectories to an
-accumulator in fixed-size chunks whose parts are merged in chunk order, so
-results are byte-identical for any worker count.  Randomness is derived per
-trajectory index from the master seed, so they are also independent of
-chunking.
+Every estimator, and the trajectory dump, is a reducer over the click kernel
+with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
+(see _run).  It computes once per distinct state of the walk and adds per
+trajectory, in trajectory order; the kernel owns the lockstep budget,
+trajectory._LOCKSTEP_BUDGET.  Reducers run in fixed-size chunks whose parts
+are merged in chunk order, so results are byte-identical for any worker
+count.  Randomness is derived per trajectory index from the master seed, so
+they are also independent of chunking and of the group size.
 """
 
 from __future__ import annotations
@@ -28,18 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trajectory
 from .oracle import enumerate_outcomes, outcome_law
-from .state import _cut_blocks, _entropies, _initial_amplitudes, _spectrum_entropy
-from .trajectory import TrajectoryRecord, _click_walk, _records, attach_waiting_times
+from .state import _cut_blocks, _entropies, _spectrum_entropy
+from .trajectory import TrajectoryRecord, _records, _walk, attach_waiting_times
 from .unitary import _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
 MAX_SAMPLES = 2**32  # so every trajectory index is one 32-bit seed word
-# Complex elements in the largest array of a lockstep click group: with one
-# unitary per trajectory, groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and
-# 1 at N = 16 (full filling); under a shared unitary see _group_size.
-_LOCKSTEP_BUDGET = 3 * 2**14
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -242,12 +242,13 @@ def _worker_count(threads: int, n_chunks: int) -> int:
 def _group_size(n_sites: int, n_excited: int, shared: bool = False) -> int:
     # Trajectories walked in lockstep.  With one unitary per trajectory the
     # group's largest lowered array, (size, n_sites, C(n_sites, e - 1)) over
-    # e = n_excited..1, stays within _LOCKSTEP_BUDGET.  Under a shared unitary
+    # e = n_excited..1, stays within the click kernel's budget,
+    # trajectory._LOCKSTEP_BUDGET, read at each call.  Under a shared unitary
     # the walk lowers its distinct states in slices within the budget, so only
     # the states, (size, C(n_sites, e - 1)), must fit it: a whole chunk at
     # N = 8, 195 trajectories at N = 10, 53 at N = 12 and 3 at N = 16.
     widest = max((comb(n_sites, j) for j in range(n_excited)), default=1)
-    return max(1, _LOCKSTEP_BUDGET // (widest if shared else n_sites * widest))
+    return max(1, trajectory._LOCKSTEP_BUDGET // (widest if shared else n_sites * widest))
 
 
 def _openblas_threads():
@@ -304,7 +305,8 @@ def _accumulate(args):
         else:
             u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
         # random(e) gives the bits of e successive random() calls.
-        part.add(start, u, np.array([_generator(words).random(e) for words in click_words[rows]]))
+        uniforms = np.array([_generator(words).random(e) for words in click_words[rows]])
+        part.add(start, _walk(n_sites, e, u, uniforms, part.clicks))
     return part
 
 
@@ -316,11 +318,13 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     generators from one vectorised SeedSequence hash per stream, bit for bit
     the generators derive_rng(master_seed, i, k) gives.  At most MAX_SAMPLES
     trajectories run, so every index is one 32-bit seed word.  Each chunk
-    hands its trajectories to its accumulator's ``add(first_index, u,
-    uniforms)`` in lockstep groups of consecutive indices: ``u`` is the fixed
-    matrix or the group's stacked draws, and row b of the (B, n_excited)
-    ``uniforms`` holds the uniforms in [0, 1) that trajectory first_index + b
-    clicks by, drawn from its click stream in one call.
+    walks its trajectories in lockstep groups of consecutive indices, sized
+    by _group_size, and hands each group's walk to its accumulator's
+    ``add(first_index, walk)``.  ``walk`` is trajectory._walk under the fixed
+    matrix or the group's stacked draws, over the accumulator's first
+    ``clicks`` clicks: trajectory first_index + b clicks by the n_excited
+    uniforms in [0, 1) drawn from its click stream in one call, and sits in
+    ``states[rows[b]]`` after each yield.  Parts combine by ``merge``.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
@@ -348,13 +352,14 @@ class _Records:
     ) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
+        self.clicks = n_excited
         self.cut = cut
         self.master_seed = master_seed
         self.waiting_times = waiting_times
         self.records: list[TrajectoryRecord] = []
 
-    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
-        records = _records(self.n_sites, self.n_excited, u, self.cut, uniforms, _LOCKSTEP_BUDGET)
+    def add(self, first: int, walk) -> None:
+        records = _records(self.n_sites, self.n_excited, self.cut, walk)
         if self.waiting_times:
             seeds = _stream_words(self.master_seed, first, first + len(records), 2)
             records = [
@@ -412,20 +417,19 @@ class _GridSums:
     def __init__(self, n_sites: int, n_excited: int) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
+        self.clicks = n_excited
         self.sums = np.zeros((n_excited + 1, n_sites - 1))
         self.square_sums = np.zeros_like(self.sums)
 
-    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
+    def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
         step = _group_size(n, e)  # a profile gathers n - 1 cuts of each state
-        # Row 0 stays zero: the initial product state has no entanglement.
-        profiles = np.zeros((len(uniforms),) + self.sums.shape)
-        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T, _LOCKSTEP_BUDGET)
-        for k, (_, rows, states) in enumerate(walk, start=1):
+        profiles = []  # one (B, n_sites - 1) array per click count; the start's is +0.0
+        for k, _, rows, states in walk:
             slices = (states[i : i + step] for i in range(0, len(states), step))
-            profiles[:, k] = np.concatenate([_entropies(n, e - k, s, cuts) for s in slices])[rows]
-        for profile in profiles:  # row by row, so no sum depends on the group size
+            profiles.append(np.concatenate([_entropies(n, e - k, s, cuts) for s in slices])[rows])
+        for profile in np.stack(profiles, 1):  # row by row, so no sum depends on the group size
             self.sums += profile
             self.square_sums += profile * profile
 
@@ -503,15 +507,15 @@ class _OutcomeCounts:
     def __init__(self, n_sites: int, n_excited: int) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
+        self.clicks = n_excited
         self.counts: Counter = Counter()
 
-    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
-        n, e = self.n_sites, self.n_excited
-        counts = np.zeros((len(uniforms), n), dtype=np.int64)
-        rows = np.arange(len(uniforms))
-        walk = _click_walk(n, e, _initial_amplitudes(n, e), u, uniforms.T, _LOCKSTEP_BUDGET)
-        for detectors, _, _ in walk:
-            counts[rows, detectors] += 1
+    def add(self, first: int, walk) -> None:
+        _, _, rows, _ = next(walk)  # the start state: one row per trajectory
+        counts = np.zeros((len(rows), self.n_sites), dtype=np.int64)
+        trajectories = np.arange(len(rows))
+        for _, detectors, _, _ in walk:
+            counts[trajectories, detectors] += 1
         self.counts.update(map(tuple, counts.tolist()))
 
     def merge(self, other: "_OutcomeCounts") -> None:
@@ -578,7 +582,7 @@ class _MixtureSums:
     def __init__(self, n_sites: int, n_excited: int, k: int, cut: int) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
-        self.k = k
+        self.clicks = k
         self.cut = cut
         self.entropy_sum = 0.0
         self.entropy_square_sum = 0.0
@@ -587,17 +591,12 @@ class _MixtureSums:
         self.rho_sum = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
         self.histogram: Counter = Counter()
 
-    def add(self, first: int, u: np.ndarray, uniforms: np.ndarray) -> None:
-        n, e = self.n_sites, self.n_excited - self.k
-        states = _initial_amplitudes(n, self.n_excited)[None]
-        rows = np.zeros(len(uniforms), dtype=np.intp)
-        sequences = [()] * len(uniforms)
-        if self.k > 0:
-            walk = _click_walk(n, self.n_excited, states[0], u, uniforms.T, _LOCKSTEP_BUDGET)
-            for detectors, rows, states in walk:
-                sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
-                if len(sequences[0]) == self.k:
-                    break
+    def add(self, first: int, walk) -> None:
+        n, e = self.n_sites, self.n_excited - self.clicks
+        _, _, rows, states = next(walk)  # the start state: one row per trajectory
+        sequences = [()] * len(rows)
+        for _, detectors, rows, states in walk:
+            sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
         # One entropy per distinct state: a single cut gathers no more than the states hold.
         entropies = _entropies(n, e, states, (self.cut,))[:, 0]
         blocks = _cut_blocks(n, e, self.cut)

@@ -55,7 +55,7 @@ def build_repeated_matrix(u: np.ndarray, m: int, counts) -> np.ndarray:
     Keeps the first M columns of ``u`` with row i repeated ``counts[i]`` times, rows in
     ascending detector order (a canonical form: the permanent is row-order invariant).
     ``counts[i]`` is the number of clicks on detector i; click sequences are first
-    reduced to counts (e.g. with ``trajectory.clicks_to_counts``).
+    reduced to counts (e.g. with ``np.bincount(clicks, minlength=n)``).
     """
     u = np.asarray(u, dtype=complex)
     counts = np.asarray(counts, dtype=np.int64)

@@ -74,8 +74,14 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
     return detectors
 
 
+# Complex elements in the largest array of a lockstep click group: with one
+# unitary per trajectory, groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and
+# 1 at N = 16 (full filling); under a shared unitary see experiments._group_size.
+_LOCKSTEP_BUDGET = 3 * 2**14
+
+
 def _shared_click(
-    n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r, budget
+    n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # One click of trajectories that share the (n_sites, n_sites) unitary u:
     # trajectory b sits in states[rows[b]] and clicks by r[b].  Each distinct
@@ -83,11 +89,9 @@ def _shared_click(
     # lowering makes four arrays of at most (slice, n_sites, C(n_sites, e - 1))
     # elements: the gathered amplitudes, the zero-filled stack, its product
     # with u and that product's conjugate.  Together they stay within
-    # ``budget`` complex elements (None: one slice).  The new states are the
-    # distinct (state, detector) pairs, in ascending order.
-    step = len(states)
-    if budget is not None:
-        step = max(1, budget // (4 * n_sites * comb(n_sites, e - 1)))
+    # _LOCKSTEP_BUDGET complex elements, so a single state is one slice.  The
+    # new states are the distinct (state, detector) pairs, in ascending order.
+    step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
     detectors = np.empty(len(rows), dtype=np.intp)
     new_rows = np.empty(len(rows), dtype=np.intp)
     parts = []
@@ -111,35 +115,33 @@ def _shared_click(
 
 
 def _click_walk(
-    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms, budget=None
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # The one click loop.  It advances a group of B trajectories in lockstep:
-    # row b starts from amplitudes[b], is lowered through u[b] and makes its
-    # k-th click from row b of the k-th (B,) array of uniforms in [0, 1) that
-    # ``uniforms`` yields, taken only as that click starts.  A (dim,) start
-    # state or an (n_sites, n_sites) unitary is shared by every row.  Yields
+    # every row starts from the one (dim,) or (1, dim) state ``amplitudes``;
+    # row b is lowered through u[b] and makes its k-th click from row b of the
+    # k-th (B,) array of uniforms in [0, 1) that ``uniforms`` yields, taken
+    # only as that click starts.  An (n_sites, n_sites) u is shared.  Yields
     # (detectors[B], rows[B], states[R, dim_lo]) until the chain reaches the
     # ground state: trajectory b's normalized post-click state is
     # states[rows[b]].
     #
     # Under a shared unitary, trajectories that clicked the same detectors in
     # the same order are in the same state, so states holds each distinct
-    # ordered prefix once (see _shared_click) and ``budget`` bounds its
+    # ordered prefix once (see _shared_click) and _LOCKSTEP_BUDGET bounds its
     # lowering slices.  Under one unitary per row, row b is states[b].  Each
     # state's arithmetic is what it would be walked alone, so no click or
     # amplitude depends on the group or on which prefixes it shares.
-    states = amplitudes.reshape(-1, amplitudes.shape[-1])
+    states = amplitudes.reshape(1, amplitudes.shape[-1])
     rows = None
     for e, r in zip(range(n_excited, 0, -1), uniforms):
         size = len(r)
         if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
             raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
         if rows is None:
-            if len(states) not in (1, size):
-                raise ValueError(f"{len(states)} start states do not match {size} trajectories")
-            rows = np.arange(size) if len(states) == size else np.zeros(size, dtype=np.intp)
+            rows = np.zeros(size, dtype=np.intp)
         if u.ndim == 2:
-            detectors, rows, states = _shared_click(n_sites, e, states, rows, u, r, budget)
+            detectors, rows, states = _shared_click(n_sites, e, states, rows, u, r)
         else:
             lowered = _lowered_raw(n_sites, e, np.broadcast_to(states, (size, states.shape[-1])), u)
             weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
@@ -148,6 +150,20 @@ def _click_walk(
             states = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
             del lowered  # the group's largest array, not held while the caller works on the yield
         yield detectors, rows, states
+
+
+def _walk(
+    n_sites: int, n_excited: int, u: np.ndarray, uniforms: np.ndarray, clicks: int
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, np.ndarray]]:
+    # A lockstep group's walk from the standard initial state; row b of the
+    # (B, n_excited) ``uniforms`` holds trajectory b's click draws.  Yields
+    # (k, detectors, rows, states) for k = 0..clicks: click 0 is the start
+    # state, detectors None and every row at state 0, then _click_walk's.
+    states = _initial_amplitudes(n_sites, n_excited)[None]
+    yield 0, None, np.zeros(len(uniforms), dtype=np.intp), states
+    walk = _click_walk(n_sites, n_excited, states, u, uniforms.T[:clicks])
+    for k, (detectors, rows, states) in enumerate(walk, start=1):
+        yield k, detectors, rows, states
 
 
 def evolve_clicks(
@@ -171,28 +187,22 @@ def sample_click_sequence(
 
     Draws the same clicks as :func:`evolve_clicks` for the same generator state.
     """
-    uniforms = rng.random((n_excited, 1))
-    walk = _click_walk(n_sites, n_excited, _initial_amplitudes(n_sites, n_excited), u, uniforms)
-    return tuple(int(detectors[0]) for detectors, _, _ in walk)
+    walk = _walk(n_sites, n_excited, u, rng.random((1, n_excited)), n_excited)
+    return tuple(int(detectors[0]) for k, detectors, _, _ in walk if k)
 
 
-def _records(
-    n_sites: int, n_excited: int, u: np.ndarray, cut: int, uniforms: np.ndarray, budget=None
-) -> list[TrajectoryRecord]:
-    # One record per row of a lockstep group started from the standard
-    # initial state; row b of the (B, n_excited) ``uniforms`` holds
-    # trajectory b's click draws, and u and budget are as in _click_walk.
+def _records(n_sites: int, n_excited: int, cut: int, walk) -> list[TrajectoryRecord]:
+    # One record per trajectory of a _walk over all n_excited clicks, with
+    # the entropy at ``cut`` of the start state and of every post-click state.
     _check_cut(n_sites, cut)
-    clicks: list[list[int]] = [[] for _ in uniforms]
-    entropies = [[0.0] for _ in uniforms]  # the initial product state has no entanglement
-    start = _initial_amplitudes(n_sites, n_excited)
-    walk = _click_walk(n_sites, n_excited, start, u, uniforms.T, budget)
-    for k, (detectors, rows, states) in enumerate(walk, start=1):
+    detectors_by_click, entropies_by_click = [], []
+    for k, detectors, rows, states in walk:
         # One entropy per distinct state: a single cut gathers no more than the states hold.
-        values = _entropies(n_sites, n_excited - k, states, (cut,))[rows, 0]
-        for b, (detector, value) in enumerate(zip(detectors.tolist(), values.tolist())):
-            clicks[b].append(detector)
-            entropies[b].append(value)
+        entropies_by_click.append(_entropies(n_sites, n_excited - k, states, (cut,))[rows, 0])
+        if detectors is not None:
+            detectors_by_click.append(detectors)
+    clicks = np.array(detectors_by_click).reshape(-1, len(rows)).T.tolist()
+    entropies = np.array(entropies_by_click).T.tolist()
     return [TrajectoryRecord(tuple(c), tuple(s)) for c, s in zip(clicks, entropies)]
 
 
@@ -205,7 +215,8 @@ def run_trajectory(
     after every click; the terminal state is the all-ground product state
     with entropy 0.
     """
-    return _records(n_sites, n_excited, u, cut, rng.random((1, n_excited)))[0]
+    walk = _walk(n_sites, n_excited, u, rng.random((1, n_excited)), n_excited)
+    return _records(n_sites, n_excited, cut, walk)[0]
 
 
 def attach_waiting_times(
@@ -224,14 +235,6 @@ def attach_waiting_times(
         float(rng.exponential(1.0 / (n_excited_initial - k))) for k in range(len(record.clicks))
     )
     return dataclasses.replace(record, waiting_times=times)
-
-
-def clicks_to_counts(clicks, n_detectors: int) -> np.ndarray:
-    """Per-detector click multiplicities of a sequence, as a length-n_detectors vector."""
-    clicks = list(clicks)
-    if any(not 0 <= c < n_detectors for c in clicks):
-        raise ValueError(f"click indices must lie in [0, {n_detectors})")
-    return np.bincount(clicks, minlength=n_detectors).astype(np.int64)
 
 
 def record_to_json(record: TrajectoryRecord) -> str:

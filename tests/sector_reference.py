@@ -5,7 +5,8 @@ The package applies clicks only in the lockstep kernel
 apply a chosen detector's jump instead, on the raw ``(n_sites, n_excited,
 amplitudes)`` form and through the same lowering, ``state._lowered_raw``.
 They take no guards: a caller passes a state with an excitation left and a
-detector of nonzero weight.
+detector of nonzero weight.  ``clicks_to_counts`` reduces a click sequence
+to the per-detector counts the permanent oracle takes.
 """
 
 import numpy as np
@@ -45,3 +46,11 @@ def conditional_click_probability(u: np.ndarray, prior, next_detector: int, m: i
         amplitudes = forced_jump(n, m - k, amplitudes, u, detector)
     left = m - len(prior)
     return float(jump_weights(n, left, amplitudes, u)[next_detector]) / left
+
+
+def clicks_to_counts(clicks, n_detectors: int) -> np.ndarray:
+    """Per-detector click multiplicities of a sequence, as a length-n_detectors vector."""
+    clicks = list(clicks)
+    if any(not 0 <= c < n_detectors for c in clicks):
+        raise ValueError(f"click indices must lie in [0, {n_detectors})")
+    return np.bincount(clicks, minlength=n_detectors).astype(np.int64)

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from lontraj import experiments
+from lontraj import experiments, trajectory
 from lontraj.cli import MODES, RunConfig, _build_parser, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
@@ -695,6 +695,6 @@ def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch,
     assert experiments._group_size(n, m) > 3
     widest = n * max(comb(n, j) for j in range(m))
     for size in (1, 3):
-        monkeypatch.setattr(experiments, "_LOCKSTEP_BUDGET", size * widest)
+        monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", size * widest)
         assert experiments._group_size(n, m) == size
         assert run(f"groups-of-{size}") == default

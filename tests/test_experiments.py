@@ -31,9 +31,10 @@ from lontraj.experiments import (
     mixture_entropy_report,
     scaling_csv,
     scaling_sweep,
+    trajectory_records,
 )
 from lontraj.state import _lowered_raw, initial_state, sector_masks
-from lontraj.trajectory import _click_walk
+from lontraj.trajectory import _click_walk, run_trajectory
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -121,8 +122,8 @@ def test_group_size_keeps_the_lowered_array_within_the_lockstep_budget(
     widest = max(comb(n_sites, j) for j in range(n_excited))
     size = experiments._group_size(n_sites, n_excited)
     assert size >= 1
-    assert size == 1 or size * n_sites * widest <= experiments._LOCKSTEP_BUDGET
-    assert (size + 1) * n_sites * widest > experiments._LOCKSTEP_BUDGET
+    assert size == 1 or size * n_sites * widest <= trajectory._LOCKSTEP_BUDGET
+    assert (size + 1) * n_sites * widest > trajectory._LOCKSTEP_BUDGET
     # The permanent oracle's budget is its own.
     monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", 2**7)
     assert experiments._group_size(n_sites, n_excited) == size
@@ -135,8 +136,8 @@ def test_shared_group_keeps_its_distinct_states_within_the_lockstep_budget(n_sit
     n_excited = n_sites if filling == "full" else n_sites // 2
     widest = max(comb(n_sites, j) for j in range(n_excited))
     size = experiments._group_size(n_sites, n_excited, shared=True)
-    assert size == 1 or size * widest <= experiments._LOCKSTEP_BUDGET
-    assert (size + 1) * widest > experiments._LOCKSTEP_BUDGET
+    assert size == 1 or size * widest <= trajectory._LOCKSTEP_BUDGET
+    assert (size + 1) * widest > trajectory._LOCKSTEP_BUDGET
     assert size >= experiments._group_size(n_sites, n_excited)
     if n_sites == 8:
         assert size >= CHUNK_SIZE  # a whole chunk walks as one group
@@ -164,7 +165,7 @@ def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
     assert all(rows[e] <= CHUNK_SIZE for e in rows)
     # Each slice's four lowering arrays stay within the budget.
     for e, size in lowered:
-        assert size == 1 or 4 * size * n * comb(n, e - 1) <= experiments._LOCKSTEP_BUDGET
+        assert size == 1 or 4 * size * n * comb(n, e - 1) <= trajectory._LOCKSTEP_BUDGET
 
 
 @pytest.mark.parametrize("slice_rows", [1, 3])
@@ -174,7 +175,7 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_site
     # slice_rows at a time and a chunk walks in several groups.  Every
     # trajectory must still click and land exactly as it does alone.
     widest = max(comb(n_sites, j) for j in range(n_sites))
-    monkeypatch.setattr(experiments, "_LOCKSTEP_BUDGET", slice_rows * 4 * n_sites * widest)
+    monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", slice_rows * 4 * n_sites * widest)
     slices = []
 
     def recording(n, e, amplitudes, u):
@@ -189,7 +190,7 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_site
         yield from steps
 
     monkeypatch.setattr(trajectory, "_lowered_raw", recording)
-    monkeypatch.setattr(experiments, "_click_walk", walk)
+    monkeypatch.setattr(trajectory, "_click_walk", walk)
     u = haar_unitary(n_sites, np.random.default_rng(92 + n_sites))
     seed, size = 93, 200
     make = partial(experiments._OutcomeCounts, n_sites, n_sites)
@@ -206,6 +207,21 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_site
         for (detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
             assert detectors[b] == detector
             assert states[rows[b]].tobytes() == amplitudes.tobytes()
+
+
+def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs():
+    # At N = 8 a fixed unitary walks each chunk as one group of shared click
+    # prefixes; every record must be the one its trajectory gives alone.
+    n, m, cut, seed, samples = 8, 8, 4, 97, 300
+    assert experiments._group_size(n, m, shared=True) >= CHUNK_SIZE
+    u = haar_unitary(n, np.random.default_rng(96))
+    records = trajectory_records(n, m, UnitarySource.fixed(u), cut, samples, seed)
+    assert len(records) == samples
+    for i, record in enumerate(records):
+        alone = run_trajectory(n, m, u, cut, derive_rng(seed, i, 1))
+        assert record.clicks == alone.clicks, f"record {i}"
+        entropies = np.array(record.entropies).tobytes()
+        assert entropies == np.array(alone.entropies).tobytes(), f"record {i}"
 
 
 def test_worker_count_is_bounded_by_chunks_and_cores():
@@ -383,6 +399,22 @@ def test_mixture_sandwich_holds_for_haar_unitary():
     assert report.n_distinct_sequences <= 6**3
 
 
+@pytest.mark.parametrize("k, sectors", [(2, {6, 5}), (0, set())])
+def test_mixture_walks_exactly_k_clicks(monkeypatch, k, sectors):
+    # The walk stops after click k: no sector below n_excited - k + 1 is lowered.
+    lowered = []
+
+    def recording(n_sites, n_excited, amplitudes, u):
+        lowered.append(n_excited)
+        return _lowered_raw(n_sites, n_excited, amplitudes, u)
+
+    monkeypatch.setattr(trajectory, "_lowered_raw", recording)
+    u = haar_unitary(6, np.random.default_rng(98))
+    report = mixture_entropy_report(6, 6, u, k, 3, 300, 99)
+    assert report.click_count == k
+    assert set(lowered) == sectors
+
+
 def test_mixture_rejects_oversized_subsystem():
     with pytest.raises(ValueError, match="too large"):
         mixture_entropy_report(16, 16, np.eye(16, dtype=complex), 1, 13, 10, 0)
@@ -394,20 +426,19 @@ def test_mixture_rejects_oversized_subsystem():
     ids=["left-smaller", "left-larger", "half", "left-larger-full", "e0-left-smaller",
          "e0-left-larger"],
 )
-def test_mixture_block_state_matches_the_dense_reduced_state(
-    monkeypatch, n_sites, n_excited, cut
-):
+def test_mixture_block_state_matches_the_dense_reduced_state(n_sites, n_excited, cut):
     rng = np.random.default_rng(90 + 10 * n_sites + cut)
     states = [random_sector_state(n_sites, n_excited, rng) for _ in range(5)]
 
     # One click takes every trajectory to one of the random states.
-    def one_click_to_the_states(n, m, start, u, uniforms, budget):
-        rows = np.arange(len(states))
-        yield np.zeros(len(states), dtype=np.intp), rows, np.stack([s.amplitudes for s in states])
-
-    monkeypatch.setattr(experiments, "_click_walk", one_click_to_the_states)
+    start = initial_state(n_sites, n_excited + 1).amplitudes[None]
+    zeros = np.zeros(len(states), dtype=np.intp)
+    walk = [
+        (0, None, zeros, start),
+        (1, zeros, np.arange(len(states)), np.stack([s.amplitudes for s in states])),
+    ]
     sums = experiments._MixtureSums(n_sites, n_excited + 1, 1, cut)
-    sums.add(0, None, np.zeros((len(states), n_excited + 1)))
+    sums.add(0, iter(walk))
     assembled = np.zeros((1 << cut, 1 << cut), dtype=complex)
     first = max(0, n_excited - (n_sites - cut))
     for b, block in enumerate(sums.rho_sum, start=first):
@@ -435,7 +466,9 @@ def test_serial_run_merges_each_part_before_making_the_next():
         def __init__(self) -> None:
             log.append("make")
 
-        def add(self, first, u, uniforms) -> None:
+        clicks = 1
+
+        def add(self, first, walk) -> None:
             pass
 
         def merge(self, other) -> None:
@@ -464,7 +497,9 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
         def __init__(self) -> None:
             self.firsts = []
 
-        def add(self, first, u, uniforms) -> None:
+        clicks = 1
+
+        def add(self, first, walk) -> None:
             self.firsts.append(first)
 
         def merge(self, other) -> None:

@@ -1,8 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import lontraj
-from lontraj import oracle
+from lontraj import oracle, trajectory
 
 
 def test_every_exported_name_resolves():
@@ -18,3 +19,57 @@ def test_oracle_does_not_import_the_state_module():
     modules = {getattr(node, "module", None) for node in imports}
     names = {alias.name for node in imports for alias in node.names}
     assert not {"state", "lontraj.state"} & (modules | names)
+
+
+def _package_trees():
+    for path in sorted(Path(lontraj.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _users(name: str) -> set[tuple[str, str | None]]:
+    # (module, innermost enclosing function) of every reference to ``name``
+    # in the package, call or not; None for module level.
+    users = set()
+
+    def visit(node, module, scope):
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            users.add((module, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, tree in _package_trees():
+        visit(tree, module, None)
+    return users
+
+
+def test_one_walk_driver_drives_the_click_kernel():
+    # The estimators and the dump are reducers over trajectory._walk, which
+    # _accumulate alone hands them; evolve_clicks starts from any state.
+    assert _users("_click_walk") == {("trajectory", "_walk"), ("trajectory", "evolve_clicks")}
+    assert _users("_walk") == {
+        ("experiments", "_accumulate"),
+        ("trajectory", "run_trajectory"),
+        ("trajectory", "sample_click_sequence"),
+    }
+
+
+def test_the_lockstep_budget_is_bound_only_beside_the_click_kernel():
+    # Importing the name would freeze a copy that a patched budget misses.
+    bound = set()
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [ast.Name(alias.asname or alias.name) for alias in node.names]
+            else:
+                continue
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "_LOCKSTEP_BUDGET" for t in targets):
+                bound.add(module)
+    assert bound == {"trajectory"}
+    for kernel in (trajectory._click_walk, trajectory._shared_click, trajectory._records):
+        assert "budget" not in inspect.signature(kernel).parameters

@@ -12,7 +12,6 @@ from lontraj.state import initial_state
 from lontraj.trajectory import (
     TrajectoryRecord,
     attach_waiting_times,
-    clicks_to_counts,
     evolve_clicks,
     record_to_json,
     _click_walk,
@@ -21,7 +20,7 @@ from lontraj.trajectory import (
     sample_click_sequence,
 )
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
-from sector_reference import jump_weights, occupations
+from sector_reference import clicks_to_counts, jump_weights, occupations
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
