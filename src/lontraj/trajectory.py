@@ -86,11 +86,11 @@ def _shared_click(
     # One click of trajectories that share the (n_sites, n_sites) unitary u:
     # trajectory b sits in states[rows[b]] and clicks by r[b].  Each distinct
     # state is lowered, weighed and normalized once, in slices.  A slice's
-    # lowering makes four arrays of at most (slice, n_sites, C(n_sites, e - 1))
-    # elements: the gathered amplitudes, the zero-filled stack, its product
-    # with u and that product's conjugate.  Together they stay within
-    # _LOCKSTEP_BUDGET complex elements, so a single state is one slice.  The
-    # new states are the distinct (state, detector) pairs, in ascending order.
+    # lowering makes three arrays of at most (slice, n_sites, C(n_sites, e - 1))
+    # elements: the gathered amplitudes, the zero-filled stack and its product
+    # with u.  Slices are sized for four such arrays within _LOCKSTEP_BUDGET
+    # complex elements, so a single state is one slice.  The new states are
+    # the distinct (state, detector) pairs, in ascending order.
     step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
     detectors = np.empty(len(rows), dtype=np.intp)
     new_rows = np.empty(len(rows), dtype=np.intp)
@@ -98,7 +98,7 @@ def _shared_click(
     made = 0
     for lo in range(0, len(states), step):
         lowered = _lowered_raw(n_sites, e, states[lo : lo + step], u)
-        weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
+        weights = np.vecdot(lowered, lowered).real
         # The trajectories in this slice's states, each picking by its own uniform.
         mine = slice(None)
         if step < len(states):
@@ -144,7 +144,7 @@ def _click_walk(
             detectors, rows, states = _shared_click(n_sites, e, states, rows, u, r)
         else:
             lowered = _lowered_raw(n_sites, e, np.broadcast_to(states, (size, states.shape[-1])), u)
-            weights = np.einsum("bij,bij->bi", lowered, lowered.conj()).real
+            weights = np.vecdot(lowered, lowered).real
             detectors = _pick_detectors(weights, e, r)
             rows = np.arange(size)
             states = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -87,28 +86,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_stack(n, [rng])[0]
 
 
-def _beamsplitter_entries(gates: np.ndarray) -> np.ndarray:
-    # Row [a, b, -e^{i phi} b*, e^{i phi} a*] per 2x2 unitary [[a, b], [c, d]]
-    # of ``gates``, bit-equal to beamsplitter_unitary(a, b, cmath.phase(a d -
-    # b c)) on Python complex numbers (see haar_brickwall).  Every complex
-    # product is written out as CPython forms it: (x y).real = xr yr - xi yi,
-    # (x y).imag = xr yi + xi yr.
-    (ar, br), (cr, dr) = gates.real.transpose(1, 2, 0)
-    (ai, bi), (ci, di) = gates.imag.transpose(1, 2, 0)
-    det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
-    det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
-    phis = map(math.atan2, det_i.tolist(), det_r.tolist())
-    phase = np.array([cmath.exp(1j * phi) for phi in phis], dtype=complex)
-    er, ei = phase.real, phase.imag
-    nr, ni = -er, -ei  # -e^{i phi}
-    mbi, mai = -bi, -ai  # the imaginary parts of b* and a*
-    rows = np.empty((len(gates), 4), dtype=complex)
-    rows[:, :2] = gates[:, 0]
-    rows.real[:, 2], rows.imag[:, 2] = nr * br - ni * mbi, nr * mbi + ni * br
-    rows.real[:, 3], rows.imag[:, 3] = er * ar - ei * mai, er * mai + ei * ar
-    return rows
-
-
 @lru_cache(maxsize=8)
 def _layer_plan(n_modes: int, parity: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     # ``count`` consecutive brick-wall layers, the first of the given parity,
@@ -147,7 +124,7 @@ def _brickwall_stack(n_modes: int, depth: int, rngs) -> np.ndarray:
         identity, slots = _layer_plan(n_modes, first % 2, count)
         normals = _normals(rngs, (len(slots) // 4, 2, 2, 2)).reshape(-1, 2, 2, 2)
         layers = np.tile(identity, (size, 1))
-        layers[:, slots] = _beamsplitter_entries(_haar_from_normals(normals)).reshape(size, -1)
+        layers[:, slots] = _haar_from_normals(normals).reshape(size, -1)
         # Whole dense layers multiply from the left, as a dense layer product
         # does: updating only the two rows a gate touches would sum fewer
         # terms and could change signed zeros and last bits.
@@ -166,19 +143,11 @@ def haar_brickwall(n_modes: int, depth: int, rng: np.random.Generator) -> np.nda
     half-width < 2 * depth; depth 0 gives the identity.
 
     The stream holds one Haar 2x2 per gate, in layer-then-top-mode order,
-    each drawn as for ``haar_unitary(2, rng)``: 4 real then 4 imaginary
-    standard normals.
-
-    Each gate [[a, b], [c, d]] enters its layer as
-    ``beamsplitter_unitary(a, b, phi)`` with e^{i phi} = a d - b c, and whole
-    dense layers multiply one by one, so the result is byte-identical to
-    building every gate with that function (the per-gate reference in the
-    tests).  The rebuild runs over arrays, for all gates of a lockstep group
-    at once.  numpy's complex multiply and ``np.arctan2`` can round
-    differently from CPython's complex arithmetic and ``cmath.phase``, so it
-    writes each complex product as real multiplies and adds in CPython's
-    order and takes phi from ``math.atan2``, the libm call behind
-    ``cmath.phase``.
+    and each gate is the ``haar_unitary(2, rng)`` draw itself: 4 real then
+    4 imaginary standard normals, one QR, the column phases of diag(R).
+    Whole dense layers multiply one by one, so the result is byte-identical
+    to placing every such draw in its own identity-padded layer (the
+    per-gate reference in the tests), however the gates are batched.
     """
     return _brickwall_stack(n_modes, depth, [rng])[0]
 

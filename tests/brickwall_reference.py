@@ -1,15 +1,10 @@
 """Per-gate brick-wall draw: the reference ``haar_brickwall`` is tested against.
 
 Draws each 2x2 gate with its own Ginibre + QR, in layer-then-top-mode order,
-round-trips it through the (a, b, phi) beam-splitter form in numpy complex
-scalar arithmetic, and multiplies identity-padded layers from the left.
+and multiplies identity-padded layers from the left.
 """
 
-import cmath
-
 import numpy as np
-
-from lontraj.unitary import beamsplitter_unitary
 
 
 def haar_unitary_reference(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -20,18 +15,12 @@ def haar_unitary_reference(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _gate_round_trip(g: np.ndarray) -> np.ndarray:
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    return beamsplitter_unitary(complex(g[0, 0]), complex(g[0, 1]), float(cmath.phase(det)))
-
-
 def brickwall_reference(n_modes: int, depth: int, rng: np.random.Generator) -> np.ndarray:
     """Dense brick-wall unitary, one gate draw and one dense layer at a time."""
     u = np.eye(n_modes, dtype=complex)
     for layer in range(depth):
         layer_mat = np.eye(n_modes, dtype=complex)
         for top in range(layer % 2, n_modes - 1, 2):
-            gate = _gate_round_trip(haar_unitary_reference(2, rng))
-            layer_mat[top : top + 2, top : top + 2] = gate
+            layer_mat[top : top + 2, top : top + 2] = haar_unitary_reference(2, rng)
         u = layer_mat @ u
     return u

@@ -29,7 +29,7 @@ def click_walk(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarr
     """Yield (detector, normalized post-click amplitudes) of one trajectory."""
     for e in range(n_excited, 0, -1):
         lowered = _lowered_raw(n_sites, e, amplitudes, u)
-        weights = np.einsum("ij,ij->i", lowered, lowered.conj()).real
+        weights = np.vecdot(lowered, lowered).real
         detector = pick_detector(weights, e, rng)
         amplitudes = lowered[detector] / np.sqrt(weights[detector])
         yield detector, amplitudes

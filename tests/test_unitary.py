@@ -128,6 +128,14 @@ def test_brickwall_two_modes_single_gate():
     assert rng.bit_generator.state == gate_rng.bit_generator.state
 
 
+def test_brickwall_gate_is_the_haar_draw():
+    # A gate enters its layer as haar_unitary(2, rng) draws it, to the byte.
+    for seed in range(200):
+        rng, gate_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert haar_brickwall(2, 1, rng).tobytes() == haar_unitary(2, gate_rng).tobytes()
+        assert rng.bit_generator.state == gate_rng.bit_generator.state
+
+
 def test_brickwall_depth_zero_is_identity_network():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
