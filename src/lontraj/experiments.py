@@ -9,8 +9,9 @@ and the Shannon entropy of the trajectory mixture.
 Every estimator, and the trajectory dump, is a reducer over the click kernel
 with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
 (see _run).  It computes once per distinct state of the walk and adds per
-trajectory, in trajectory order; the kernel owns the lockstep budget,
-trajectory._LOCKSTEP_BUDGET.  Reducers run in fixed-size chunks whose parts
+trajectory, in trajectory order.  Trajectories walk in lockstep groups whose
+states fit the kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed
+or a fresh source alike.  Reducers run in fixed-size chunks whose parts
 are merged in chunk order, so results are byte-identical for any worker
 count.  Randomness is derived per trajectory index from the master seed, so
 they are also independent of chunking and of the group size.
@@ -239,16 +240,14 @@ def _worker_count(threads: int, n_chunks: int) -> int:
     return max(1, min(threads, n_chunks, cores))
 
 
-def _group_size(n_sites: int, n_excited: int, shared: bool = False) -> int:
-    # Trajectories walked in lockstep.  With one unitary per trajectory the
-    # group's largest lowered array, (size, n_sites, C(n_sites, e - 1)) over
-    # e = n_excited..1, stays within the click kernel's budget,
-    # trajectory._LOCKSTEP_BUDGET, read at each call.  Under a shared unitary
-    # the walk lowers its distinct states in slices within the budget, so only
-    # the states, (size, C(n_sites, e - 1)), must fit it: a whole chunk at
-    # N = 8, 195 trajectories at N = 10, 53 at N = 12 and 3 at N = 16.
+def _group_size(n_sites: int, n_excited: int) -> int:
+    # Trajectories walked in lockstep: the group's states, (size, C(n_sites,
+    # e - 1)) over e = n_excited..1, stay within the click kernel's budget,
+    # trajectory._LOCKSTEP_BUDGET, read at each call; the kernel lowers them
+    # in slices within it.  A whole chunk at N = 8, 195 trajectories at
+    # N = 10, 53 at N = 12 and 3 at N = 16 (full filling), for any source.
     widest = max((comb(n_sites, j) for j in range(n_excited)), default=1)
-    return max(1, trajectory._LOCKSTEP_BUDGET // (widest if shared else n_sites * widest))
+    return max(1, trajectory._LOCKSTEP_BUDGET // widest)
 
 
 def _openblas_threads():
@@ -294,7 +293,7 @@ def _accumulate(args):
     (make, source, n_sites, master_seed), lo, hi = args
     part = make()
     e = part.n_excited
-    step = _group_size(n_sites, e, shared=not source.fresh_per_sample)
+    step = _group_size(n_sites, e)
     # One hash per stream for the whole chunk; each group builds its generators from its rows.
     unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else None
     click_words = _stream_words(master_seed, lo, hi, 1)
@@ -424,7 +423,7 @@ class _GridSums:
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
-        step = _group_size(n, e)  # a profile gathers n - 1 cuts of each state
+        step = max(1, _group_size(n, e) // n)  # a profile gathers n - 1 cuts of each state
         profiles = []  # one (B, n_sites - 1) array per click count; the start's is +0.0
         for k, _, rows, states in walk:
             slices = (states[i : i + step] for i in range(0, len(states), step))
@@ -600,7 +599,7 @@ class _MixtureSums:
         # One entropy per distinct state: a single cut gathers no more than the states hold.
         entropies = _entropies(n, e, states, (self.cut,))[:, 0]
         blocks = _cut_blocks(n, e, self.cut)
-        step = _group_size(n, self.n_excited)
+        step = max(1, _group_size(n, self.n_excited) // n)
         # Trajectory by trajectory in index order, so neither the sums nor the
         # histogram's insertion order depend on the group size.  The Grams of
         # at most ``step`` trajectories' distinct states are held at a time.

@@ -74,30 +74,35 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
     return detectors
 
 
-# Complex elements in the largest array of a lockstep click group: with one
-# unitary per trajectory, groups of 87 at N = 8, 19 at N = 10, 4 at N = 12 and
-# 1 at N = 16 (full filling); under a shared unitary see experiments._group_size.
+# Complex elements in the states of a lockstep click group (group sizes in
+# experiments._group_size); _click lowers the states in slices within it.
 _LOCKSTEP_BUDGET = 3 * 2**14
 
 
-def _shared_click(
+def _click(
     n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # One click of trajectories that share the (n_sites, n_sites) unitary u:
-    # trajectory b sits in states[rows[b]] and clicks by r[b].  Each distinct
-    # state is lowered, weighed and normalized once, in slices.  A slice's
-    # lowering makes three arrays of at most (slice, n_sites, C(n_sites, e - 1))
-    # elements: the gathered amplitudes, the zero-filled stack and its product
-    # with u.  Slices are sized for four such arrays within _LOCKSTEP_BUDGET
-    # complex elements, so a single state is one slice.  The new states are
-    # the distinct (state, detector) pairs, in ascending order.
+    # One click of a lockstep group: trajectory b sits in states[rows[b]] and
+    # clicks by r[b].  An (n_sites, n_sites) u is shared; under a (B, n_sites,
+    # n_sites) stack trajectory b is lowered through u[b], so every row is its
+    # own state.  Each distinct state is lowered, weighed and normalized once,
+    # in slices of _LOCKSTEP_BUDGET // (4 * n_sites * C(n_sites, e - 1))
+    # states, so a single state is one slice.  The 4 is measured, not an array
+    # count: on a 2-core Xeon, slices sized for one lowered array within the
+    # budget (87 states at N = 8) made a shared 256-trajectory N = M = 8 walk
+    # take 5.9 ms against 4.4 ms, and its distribution chunk 7.0 ms against
+    # 4.8 ms (medians of 200).  The new states are the distinct (state,
+    # detector) pairs, in ascending order.
+    if u.ndim == 3:
+        states, rows = states[rows], np.arange(len(rows))
     step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
     detectors = np.empty(len(rows), dtype=np.intp)
     new_rows = np.empty(len(rows), dtype=np.intp)
     parts = []
     made = 0
     for lo in range(0, len(states), step):
-        lowered = _lowered_raw(n_sites, e, states[lo : lo + step], u)
+        through = u[lo : lo + step] if u.ndim == 3 else u
+        lowered = _lowered_raw(n_sites, e, states[lo : lo + step], through)
         weights = np.vecdot(lowered, lowered).real
         # The trajectories in this slice's states, each picking by its own uniform.
         mine = slice(None)
@@ -126,29 +131,20 @@ def _click_walk(
     # ground state: trajectory b's normalized post-click state is
     # states[rows[b]].
     #
-    # Under a shared unitary, trajectories that clicked the same detectors in
-    # the same order are in the same state, so states holds each distinct
-    # ordered prefix once (see _shared_click) and _LOCKSTEP_BUDGET bounds its
-    # lowering slices.  Under one unitary per row, row b is states[b].  Each
-    # state's arithmetic is what it would be walked alone, so no click or
-    # amplitude depends on the group or on which prefixes it shares.
+    # Every click is one _click.  Under a shared unitary, trajectories that
+    # clicked the same detectors in the same order are in the same state, so
+    # states holds each distinct ordered prefix once; under one unitary per
+    # row, row b is states[b].  Each state's arithmetic is what it would be
+    # walked alone, so no click or amplitude depends on the group or on which
+    # prefixes it shares.
     states = amplitudes.reshape(1, amplitudes.shape[-1])
     rows = None
     for e, r in zip(range(n_excited, 0, -1), uniforms):
-        size = len(r)
-        if u.shape not in ((n_sites, n_sites), (size, n_sites, n_sites)):
+        if u.shape not in ((n_sites, n_sites), (len(r), n_sites, n_sites)):
             raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
         if rows is None:
-            rows = np.zeros(size, dtype=np.intp)
-        if u.ndim == 2:
-            detectors, rows, states = _shared_click(n_sites, e, states, rows, u, r)
-        else:
-            lowered = _lowered_raw(n_sites, e, np.broadcast_to(states, (size, states.shape[-1])), u)
-            weights = np.vecdot(lowered, lowered).real
-            detectors = _pick_detectors(weights, e, r)
-            rows = np.arange(size)
-            states = lowered[rows, detectors] / np.sqrt(weights[rows, detectors])[:, None]
-            del lowered  # the group's largest array, not held while the caller works on the yield
+            rows = np.zeros(len(r), dtype=np.intp)
+        detectors, rows, states = _click(n_sites, e, states, rows, u, r)
         yield detectors, rows, states
 
 

@@ -680,9 +680,8 @@ def test_malformed_unitary_file_names_the_option_and_path(tmp_path, capsys, text
 def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch, args):
     # 300 trajectories are a chunk of 256 and one of 44; groups of 3 leave a
     # short group of 1 at the end of the first chunk and of 2 at the end of
-    # the second.  A fresh source draws each group's unitaries together.  A
-    # fixed source walks groups n times as large, whose distinct click
-    # prefixes are lowered one state at a time at the widest click.
+    # the second.  A fresh source draws each group's unitaries together.
+    # Every source lowers a group's states one at a time at the widest click.
     n, m = int(args[args.index("--n") + 1]), int(args[args.index("--m") + 1])
 
     def run(name):
@@ -693,7 +692,7 @@ def test_outputs_do_not_depend_on_the_lockstep_group_size(tmp_path, monkeypatch,
 
     default = run("default")
     assert experiments._group_size(n, m) > 3
-    widest = n * max(comb(n, j) for j in range(m))
+    widest = max(comb(n, j) for j in range(m))
     for size in (1, 3):
         monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", size * widest)
         assert experiments._group_size(n, m) == size

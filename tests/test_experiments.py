@@ -115,15 +115,17 @@ def test_chunk_hash_rejects_a_negative_seed_and_wide_indices():
 
 @pytest.mark.parametrize("n_sites", [8, 10, 12, 16])
 @pytest.mark.parametrize("filling", ["full", "half"])
-def test_group_size_keeps_the_lowered_array_within_the_lockstep_budget(
-    monkeypatch, n_sites, filling
-):
+def test_group_size_keeps_its_states_within_the_lockstep_budget(monkeypatch, n_sites, filling):
+    # A group row holds a state, under any source; the click kernel slices
+    # the lowering of the group's states.
     n_excited = n_sites if filling == "full" else n_sites // 2
     widest = max(comb(n_sites, j) for j in range(n_excited))
     size = experiments._group_size(n_sites, n_excited)
     assert size >= 1
-    assert size == 1 or size * n_sites * widest <= trajectory._LOCKSTEP_BUDGET
-    assert (size + 1) * n_sites * widest > trajectory._LOCKSTEP_BUDGET
+    assert size == 1 or size * widest <= trajectory._LOCKSTEP_BUDGET
+    assert (size + 1) * widest > trajectory._LOCKSTEP_BUDGET
+    if n_sites == 8:
+        assert size >= CHUNK_SIZE  # a whole chunk walks as one group
     # The permanent oracle's budget is its own.
     monkeypatch.setattr(oracle, "_ELEMENT_BUDGET", 2**7)
     assert experiments._group_size(n_sites, n_excited) == size
@@ -131,16 +133,36 @@ def test_group_size_keeps_the_lowered_array_within_the_lockstep_budget(
 
 @pytest.mark.parametrize("n_sites", [8, 10, 12, 16])
 @pytest.mark.parametrize("filling", ["full", "half"])
-def test_shared_group_keeps_its_distinct_states_within_the_lockstep_budget(n_sites, filling):
-    # Under a shared unitary a group row holds a state, not a lowered array.
+def test_every_source_walks_a_chunk_in_the_same_groups(monkeypatch, n_sites, filling):
+    # A chunk walks consecutive groups of _group_size rows whether its
+    # trajectories share one unitary or each draw their own; a fresh group
+    # hands the walk one unitary per row.
     n_excited = n_sites if filling == "full" else n_sites // 2
-    widest = max(comb(n_sites, j) for j in range(n_excited))
-    size = experiments._group_size(n_sites, n_excited, shared=True)
-    assert size == 1 or size * widest <= trajectory._LOCKSTEP_BUDGET
-    assert (size + 1) * widest > trajectory._LOCKSTEP_BUDGET
-    assert size >= experiments._group_size(n_sites, n_excited)
-    if n_sites == 8:
-        assert size >= CHUNK_SIZE  # a whole chunk walks as one group
+    size = experiments._group_size(n_sites, n_excited)
+
+    class Groups:
+        clicks = n_excited
+
+        def __init__(self) -> None:
+            self.n_excited, self.groups = n_excited, []
+
+        def add(self, first, walk) -> None:
+            u, uniforms = walk
+            self.groups.append((first, np.shape(u), uniforms.shape))
+
+    monkeypatch.setattr(experiments, "_walk", lambda n, e, u, uniforms, clicks: (u, uniforms))
+    lo, hi = CHUNK_SIZE, 2 * CHUNK_SIZE
+    starts = list(range(lo, hi, size))
+    rows = [min(start + size, hi) - start for start in starts]
+    fixed = UnitarySource.fixed(haar_unitary(n_sites, np.random.default_rng(90)))
+    shared = experiments._accumulate(((Groups, fixed, n_sites, 7), lo, hi)).groups
+    assert shared == [
+        (start, (n_sites, n_sites), (b, n_excited)) for start, b in zip(starts, rows)
+    ]
+    fresh = experiments._accumulate(((Groups, UnitarySource.haar(), n_sites, 7), lo, hi)).groups
+    assert fresh == [
+        (start, (b, n_sites, n_sites), (b, n_excited)) for start, b in zip(starts, rows)
+    ]
 
 
 def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
@@ -163,17 +185,21 @@ def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
     assert rows[n] == 1
     assert rows[n - 1] <= n
     assert all(rows[e] <= CHUNK_SIZE for e in rows)
-    # Each slice's four lowering arrays stay within the budget.
+    # Each slice stays within a quarter of the budget.
     for e, size in lowered:
         assert size == 1 or 4 * size * n * comb(n, e - 1) <= trajectory._LOCKSTEP_BUDGET
 
 
+@pytest.mark.parametrize("kind", ["fixed", "haar"])
 @pytest.mark.parametrize("slice_rows", [1, 3])
 @pytest.mark.parametrize("n_sites", [6, 8])
-def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_sites, slice_rows):
+def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
+    monkeypatch, n_sites, slice_rows, kind
+):
     # With the budget cut down, the widest click lowers its distinct states
     # slice_rows at a time and a chunk walks in several groups.  Every
-    # trajectory must still click and land exactly as it does alone.
+    # trajectory must still click and land exactly as it does alone, under
+    # the fixed unitary or under its own draw from stream (i, 0).
     widest = max(comb(n_sites, j) for j in range(n_sites))
     monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", slice_rows * 4 * n_sites * widest)
     slices = []
@@ -192,10 +218,11 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_site
     monkeypatch.setattr(trajectory, "_lowered_raw", recording)
     monkeypatch.setattr(trajectory, "_click_walk", walk)
     u = haar_unitary(n_sites, np.random.default_rng(92 + n_sites))
+    source = UnitarySource.fixed(u) if kind == "fixed" else UnitarySource.haar()
     seed, size = 93, 200
     make = partial(experiments._OutcomeCounts, n_sites, n_sites)
-    experiments._accumulate(((make, UnitarySource.fixed(u), n_sites, seed), 0, size))
-    group = experiments._group_size(n_sites, n_sites, shared=True)
+    experiments._accumulate(((make, source, n_sites, seed), 0, size))
+    group = experiments._group_size(n_sites, n_sites)
     assert len(walked) == -(-size // group) > 1
     at_widest = [rows for e, rows in slices if comb(n_sites, e - 1) == widest]
     assert max(at_widest) == slice_rows
@@ -203,6 +230,8 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(monkeypatch, n_site
     for index in range(size):
         steps = walked[index // group]
         b = index % group
+        if source.fresh_per_sample:
+            u = source.draw(n_sites, derive_rng(seed, index, 0))
         alone = click_walk(n_sites, n_sites, start, u, derive_rng(seed, index, 1))
         for (detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
             assert detectors[b] == detector
@@ -213,7 +242,7 @@ def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs():
     # At N = 8 a fixed unitary walks each chunk as one group of shared click
     # prefixes; every record must be the one its trajectory gives alone.
     n, m, cut, seed, samples = 8, 8, 4, 97, 300
-    assert experiments._group_size(n, m, shared=True) >= CHUNK_SIZE
+    assert experiments._group_size(n, m) >= CHUNK_SIZE
     u = haar_unitary(n, np.random.default_rng(96))
     records = trajectory_records(n, m, UnitarySource.fixed(u), cut, samples, seed)
     assert len(records) == samples

@@ -55,6 +55,11 @@ def test_one_walk_driver_drives_the_click_kernel():
     }
 
 
+def test_one_click_step_lowers_the_states():
+    # Shared and per-trajectory unitaries alike lower through trajectory._click.
+    assert _users("_lowered_raw") == {("trajectory", "_click")}
+
+
 def test_the_lockstep_budget_is_bound_only_beside_the_click_kernel():
     # Importing the name would freeze a copy that a patched budget misses.
     bound = set()
@@ -71,5 +76,5 @@ def test_the_lockstep_budget_is_bound_only_beside_the_click_kernel():
             if any(getattr(t, "id", getattr(t, "attr", None)) == "_LOCKSTEP_BUDGET" for t in targets):
                 bound.add(module)
     assert bound == {"trajectory"}
-    for kernel in (trajectory._click_walk, trajectory._shared_click, trajectory._records):
+    for kernel in (trajectory._click_walk, trajectory._click, trajectory._records):
         assert "budget" not in inspect.signature(kernel).parameters

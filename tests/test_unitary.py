@@ -121,13 +121,6 @@ def test_brickwall_staggering_rule():
     assert np.all(u[1:3] != 0.0)
 
 
-def test_brickwall_two_modes_single_gate():
-    rng, gate_rng = np.random.default_rng(0), np.random.default_rng(0)
-    u = haar_brickwall(2, 1, rng)
-    np.testing.assert_allclose(u, haar_unitary(2, gate_rng), atol=1e-15)
-    assert rng.bit_generator.state == gate_rng.bit_generator.state
-
-
 def test_brickwall_gate_is_the_haar_draw():
     # A gate enters its layer as haar_unitary(2, rng) draws it, to the byte.
     for seed in range(200):
