@@ -79,6 +79,9 @@ def _scaling_sweep(s, source, u, seed, threads):
     for spec in s["points"]:
         n_sites, source_spec = _parse_point(spec)
         points.append((n_sites, _parse_source(source_spec, n_sites, "--point")))
+        matrix = points[-1][1].matrix  # a file: point is checked before any point runs
+        if matrix is not None and len(matrix) != n_sites:
+            raise ValueError(f"--point {spec}: fixed unitary is {len(matrix)}-mode, need {n_sites}")
     return scaling_csv(scaling_sweep(points, s["samples"], seed, threads=threads)), None
 
 

@@ -79,35 +79,28 @@ def _initial_amplitudes(n_sites: int, n_excited: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lowering_tables(n_sites: int, n_excited: int):
-    """Index maps realizing every local decay operator sector -> sector-1 at once.
+def _lowering_table(n_sites: int, n_excited: int) -> np.ndarray:
+    """Gather table realizing every local decay operator sector -> sector-1 at once.
 
-    Returns (src, flat_dst, dim_lo): writing ``amplitudes[src]`` into a flat
-    (n_sites * dim_lo) buffer at ``flat_dst`` fills the stacked matrix whose
-    row j holds the state with bit j cleared wherever it was set.
+    A read-only (n_sites, dim_lo) matrix of indices into the sector's
+    amplitudes with one zero appended: entry [j, r] is the index of the
+    lower sector's mask r with bit j set, or the zero's where it already is.
     """
-    masks_hi = sector_masks(n_sites, n_excited)
     masks_lo = sector_masks(n_sites, n_excited - 1)
-    dim_lo = len(masks_lo)
-    src_parts = []
-    dst_parts = []
-    for j in range(n_sites):
-        src = np.nonzero((masks_hi >> j) & 1)[0]
-        dst = np.searchsorted(masks_lo, masks_hi[src] ^ (1 << j))
-        src_parts.append(src)
-        dst_parts.append(j * dim_lo + dst)
-    return np.concatenate(src_parts), np.concatenate(dst_parts), dim_lo
+    bits = (1 << np.arange(n_sites, dtype=np.int64))[:, None]
+    table = np.searchsorted(sector_masks(n_sites, n_excited), masks_lo | bits)
+    table[(masks_lo & bits) != 0] = comb(n_sites, n_excited)
+    table.setflags(write=False)
+    return table
 
 
 def _lowered_raw(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Leading axes of ``amplitudes`` (and of ``u``, if stacked) index a group
-    # of states lowered together: (..., dim) -> (..., n_sites, dim_lo).  Row i
-    # of each (n_sites, dim_lo) block is detector i's unnormalized jump of the
-    # state, and its squared norm is that detector's click weight.
-    src, flat_dst, dim_lo = _lowering_tables(n_sites, n_excited)
-    lowered = np.zeros(amplitudes.shape[:-1] + (n_sites * dim_lo,), dtype=complex)
-    lowered[..., flat_dst] = amplitudes[..., src]
-    return u @ lowered.reshape(amplitudes.shape[:-1] + (n_sites, dim_lo))
+    # Leading axes of ``amplitudes`` (and of ``u``, if stacked) index a group of
+    # states lowered together: (..., dim) -> (..., n_sites, dim_lo), gathered
+    # with one zero appended.  Row i of each (n_sites, dim_lo) block is detector
+    # i's unnormalized jump of the state; its squared norm is the click weight.
+    padded = np.concatenate((amplitudes, np.zeros(amplitudes.shape[:-1] + (1,), complex)), -1)
+    return u @ padded.take(_lowering_table(n_sites, n_excited), axis=-1)
 
 
 def _spectrum_length(n_sites: int, n_excited: int, cut: int) -> int:

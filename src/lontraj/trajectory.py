@@ -90,9 +90,9 @@ def _click(
     # states, so a single state is one slice.  The 4 is measured, not an array
     # count: on a 2-core Xeon, slices sized for one lowered array within the
     # budget (87 states at N = 8) made a shared 256-trajectory N = M = 8 walk
-    # take 5.9 ms against 4.4 ms, and its distribution chunk 7.0 ms against
-    # 4.8 ms (medians of 200).  The new states are the distinct (state,
-    # detector) pairs, in ascending order.
+    # take 8.0-10.3 ms against 5.3-7.2 ms, and its distribution chunk 9.1-12.0
+    # against 6.5-8.9 ms (medians of 200, three runs).  The new states are the
+    # distinct (state, detector) pairs, in ascending order.
     if u.ndim == 3:
         states, rows = states[rows], np.arange(len(rows))
     step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))

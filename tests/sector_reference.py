@@ -6,12 +6,33 @@ apply a chosen detector's jump instead, on the raw ``(n_sites, n_excited,
 amplitudes)`` form and through the same lowering, ``state._lowered_raw``.
 They take no guards: a caller passes a state with an excitation left and a
 detector of nonzero weight.  ``clicks_to_counts`` reduces a click sequence
-to the per-detector counts the permanent oracle takes.
+to the per-detector counts the permanent oracle takes.  ``lowered_by_scatter``
+builds the lowering by zero fill and scatter, the reference that the
+package's gather must match byte for byte.
 """
 
 import numpy as np
 
 from lontraj.state import _initial_amplitudes, _lowered_raw, sector_masks
+
+
+def lowered_by_scatter(
+    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """``state._lowered_raw`` by zero-filling the lowered stack and scattering into it.
+
+    For each site j, every state with bit j set is written, with bit j
+    cleared, into row j of a zero (..., n_sites, dim_lo) stack, which is then
+    multiplied by ``u``.
+    """
+    masks_hi = sector_masks(n_sites, n_excited)
+    masks_lo = sector_masks(n_sites, n_excited - 1)
+    lowered = np.zeros(amplitudes.shape[:-1] + (n_sites, len(masks_lo)), dtype=complex)
+    for j in range(n_sites):
+        src = np.nonzero((masks_hi >> j) & 1)[0]
+        dst = np.searchsorted(masks_lo, masks_hi[src] ^ (1 << j))
+        lowered[..., j, dst] = amplitudes[..., src]
+    return u @ lowered
 
 
 def jump_weights(n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -436,6 +436,31 @@ def test_file_unitary_of_the_wrong_size_is_rejected_before_running(tmp_path, cap
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_sweep_file_point_of_the_wrong_size_is_rejected_before_any_point_runs(
+    tmp_path, capsys, monkeypatch
+):
+    six = tmp_path / "six.json"
+    six.write_text(unitary_to_json(np.eye(6, dtype=complex)))
+    ran = []
+    grid = experiments.averaged_entropy_grid
+
+    def recording(n_sites, *args, **kwargs):
+        ran.append(n_sites)
+        return grid(n_sites, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "averaged_entropy_grid", recording)
+    out = tmp_path / "out"
+    point = f"8:file:{six}"
+    code = main(
+        ["--mode", "scaling-sweep", "--point", "10:brickwall:2", "--point", point,
+         "--samples", "20", "--seed", "1", "--output", str(out / "s.csv"), "--threads", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --point {point}: fixed unitary is 6-mode, need 8\n"
+    assert ran == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["distribution", "trajectory-dump"])
 def test_nan_file_unitary_is_rejected(tmp_path, capsys, mode):
     entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from lontraj.state import (
 from lontraj.trajectory import _click_walk, evolve_clicks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from schmidt_reference import schmidt_entropy
-from sector_reference import jump_weights, occupations
+from sector_reference import jump_weights, lowered_by_scatter, occupations
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -90,18 +92,34 @@ def test_jump_weights_bell_state_only_symmetric_detector():
     np.testing.assert_allclose(weights, [1.0, 0.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("n_excited", [1, 2])
-def test_jump_weights_match_dense_reference(n_excited):
+@pytest.mark.parametrize("n_sites,n_excited", [(3, 1), (3, 2), (3, 3), (5, 2), (6, 6)])
+def test_jump_weights_match_dense_reference(n_sites, n_excited):
+    # Every lowered row is the dense collective jump of the state, restricted
+    # to the lower sector, so a permutation within a row fails too.
     rng = np.random.default_rng(31 + n_excited)
-    u = haar_unitary(3, rng)
-    state = random_sector_state(3, n_excited, rng)
-    dense = embed(state)
-    expected = []
-    for detector in range(3):
-        jumped = collective_jump(u, detector) @ dense
-        expected.append(np.vdot(jumped, jumped).real)
-    lowered = _lowered_raw(3, n_excited, state.amplitudes, u)
-    np.testing.assert_allclose(np.linalg.norm(lowered, axis=1) ** 2, expected, atol=1e-12)
+    u = haar_unitary(n_sites, rng)
+    state = random_sector_state(n_sites, n_excited, rng)
+    lowered = _lowered_raw(n_sites, n_excited, state.amplitudes, u)
+    masks_lo = sector_masks(n_sites, n_excited - 1)
+    for detector in range(n_sites):
+        jumped = collective_jump(u, detector) @ embed(state)
+        np.testing.assert_allclose(lowered[detector], jumped[masks_lo], atol=1e-12)
+        assert np.linalg.norm(jumped[masks_lo]) == pytest.approx(np.linalg.norm(jumped))
+
+
+@pytest.mark.parametrize("n_sites", [6, 8, 10, 16])
+def test_lowering_gives_the_bytes_of_the_scatter_reference(n_sites):
+    rng = np.random.default_rng(n_sites)
+    for n_excited in (n_sites, n_sites // 2 + 1, 1):
+        dim = comb(n_sites, n_excited)
+        for size in (1, 3):
+            amplitudes = rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
+            stack = np.stack([haar_unitary(n_sites, rng) for _ in range(size)])
+            for u in (stack[0], stack):
+                lowered = _lowered_raw(n_sites, n_excited, amplitudes, u)
+                expected = lowered_by_scatter(n_sites, n_excited, amplitudes, u)
+                assert lowered.shape == expected.shape
+                assert lowered.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_sites,n_excited", [(4, 1), (5, 3), (6, 6)])
