@@ -423,11 +423,8 @@ class _GridSums:
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
-        step = max(1, _group_size(n, e) // n)  # a profile gathers n - 1 cuts of each state
-        profiles = []  # one (B, n_sites - 1) array per click count; the start's is +0.0
-        for k, _, rows, states in walk:
-            slices = (states[i : i + step] for i in range(0, len(states), step))
-            profiles.append(np.concatenate([_entropies(n, e - k, s, cuts) for s in slices])[rows])
+        # One (B, n_sites - 1) array per click count; the start's is +0.0.
+        profiles = [_entropies(n, e - k, states, cuts)[rows] for k, _, rows, states in walk]
         for profile in np.stack(profiles, 1):  # row by row, so no sum depends on the group size
             self.sums += profile
             self.square_sums += profile * profile
@@ -481,6 +478,8 @@ def max_averaged_entropy(grid: EntropyGrid) -> tuple[float, int, int]:
 
 def entropy_bound(subsystem_size: int, n_sites: int) -> float:
     """Binary entropy h(l/N) in nats: the cap on the averaged entropy after one click."""
+    if n_sites < 1:
+        raise ValueError(f"need n_sites >= 1, got {n_sites}")
     if not 0 <= subsystem_size <= n_sites:
         raise ValueError(f"subsystem size {subsystem_size} outside [0, {n_sites}]")
     x = subsystem_size / n_sites
@@ -686,6 +685,11 @@ def scaling_sweep(
     threads: int = 1,
 ) -> list[ScalingPoint]:
     """Run one entropy grid per (system size, source) and record each maximum."""
+    for index, (n_sites, source) in enumerate(points):  # checked before any point runs
+        if source.matrix is not None and len(source.matrix) != n_sites:
+            raise ValueError(
+                f"point {index}: fixed unitary is {len(source.matrix)}-mode, need {n_sites}"
+            )
     rows = []
     for index, (n_sites, source) in enumerate(points):
         grid = averaged_entropy_grid(

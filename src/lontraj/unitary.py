@@ -15,7 +15,6 @@ import numpy as np
 
 UNITARITY_TOL = 1e-12
 MAX_DEPTH = 4096  # deepest brick wall a run may ask for; above N^2 at N = 63
-_LAYER_BUDGET = 2**16  # dense layer entries one brick-wall pass builds over its group
 
 
 def check_unitary(u: np.ndarray) -> None:
@@ -87,20 +86,18 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _layer_plan(n_modes: int, parity: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # ``count`` consecutive brick-wall layers, the first of the given parity,
-    # as flat (count * n_modes * n_modes) dense matrices: the identity, and
-    # for every gate in layer-then-top-mode order the four flat slots of its
-    # entries [top, top], [top, top + 1], [top + 1, top], [top + 1, top + 1].
-    identity = np.zeros((count, n_modes, n_modes), dtype=complex)
-    identity[:, range(n_modes), range(n_modes)] = 1.0
+def _layer_plan(n_modes: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    # One brick-wall layer of the given parity as a flat (n_modes * n_modes)
+    # dense matrix: the identity, and for every gate in top-mode order the
+    # four flat slots of its entries [top, top], [top, top + 1], [top + 1, top],
+    # [top + 1, top + 1].
+    identity = np.eye(n_modes, dtype=complex).ravel()
     slots = [
-        (layer * n_modes + top + row) * n_modes + top + col
-        for layer in range(count)
-        for top in range((parity + layer) % 2, n_modes - 1, 2)
+        (top + row) * n_modes + top + col
+        for top in range(parity, n_modes - 1, 2)
         for row, col in ((0, 0), (0, 1), (1, 0), (1, 1))
     ]
-    identity, slots = identity.ravel(), np.array(slots, dtype=np.intp)
+    slots = np.array(slots, dtype=np.intp)
     identity.flags.writeable = slots.flags.writeable = False  # shared by every caller
     return identity, slots
 
@@ -115,21 +112,18 @@ def _brickwall_stack(n_modes: int, depth: int, rngs) -> np.ndarray:
         raise ValueError(f"need at least 2 modes for depth {depth}, got {n_modes}")
     size = len(rngs)
     u = np.tile(np.eye(n_modes, dtype=complex), (size, 1, 1))
-    # The layers go in passes of at most _LAYER_BUDGET dense entries over the
-    # group.  A pass draws its gates in layer-then-top-mode order, so every
-    # stream is read on from where the last pass left it.
-    step = max(1, _LAYER_BUDGET // (size * n_modes * n_modes))
-    for first in range(0, depth, step):
-        count = min(step, depth - first)
-        identity, slots = _layer_plan(n_modes, first % 2, count)
+    for layer in range(depth):
+        # Every stream draws the layer's gates in top-mode order, so each is
+        # read as the gate-by-gate draw reads it.  A dense layer over the
+        # group holds as many entries as the group's unitaries.
+        identity, slots = _layer_plan(n_modes, layer % 2)
         normals = _normals(rngs, (len(slots) // 4, 2, 2, 2)).reshape(-1, 2, 2, 2)
-        layers = np.tile(identity, (size, 1))
-        layers[:, slots] = _haar_from_normals(normals).reshape(size, -1)
+        dense = np.tile(identity, (size, 1))
+        dense[:, slots] = _haar_from_normals(normals).reshape(size, -1)
         # Whole dense layers multiply from the left, as a dense layer product
         # does: updating only the two rows a gate touches would sum fewer
         # terms and could change signed zeros and last bits.
-        for layer in layers.reshape(size, count, n_modes, n_modes).transpose(1, 0, 2, 3):
-            u = layer @ u
+        u = dense.reshape(size, n_modes, n_modes) @ u
     return u
 
 

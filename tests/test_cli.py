@@ -685,6 +685,11 @@ def test_malformed_unitary_file_names_the_option_and_path(tmp_path, capsys, text
             ["--mode", "entropy-grid", "--n", "7", "--m", "5", "--unitary", "brickwall:5"],
             id="entropy-grid-brickwall-5",
         ),
+        # The grid-deep shape: a default group of 195 computes its entropies at once.
+        pytest.param(
+            ["--mode", "entropy-grid", "--n", "10", "--m", "10", "--unitary", "brickwall:20"],
+            id="entropy-grid-brickwall-20",
+        ),
         # Fixed sources walk distinct click prefixes, lowered in budget slices.
         pytest.param(
             ["--mode", "entropy-grid", "--n", "6", "--m", "5", "--unitary", "identity"],

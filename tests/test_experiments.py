@@ -33,7 +33,7 @@ from lontraj.experiments import (
     scaling_sweep,
     trajectory_records,
 )
-from lontraj.state import _lowered_raw, initial_state, sector_masks
+from lontraj.state import _entropies, _lowered_raw, initial_state, sector_masks
 from lontraj.trajectory import _click_walk, run_trajectory
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 
@@ -51,6 +51,9 @@ def test_entropy_bound_values():
     assert entropy_bound(n, n) == 0.0
     assert entropy_bound(0, n) == 0.0
     assert abs(entropy_bound(2, n) - 0.5004024235381879) < 1e-14
+    for subsystem_size, n_sites in ((0, 0), (1, 0), (-1, n), (n + 1, n)):
+        with pytest.raises(ValueError):
+            entropy_bound(subsystem_size, n_sites)
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -364,6 +367,24 @@ def test_grid_reductions_independent_of_thread_count():
     np.testing.assert_array_equal(grid1.stderr, grid2.stderr)
 
 
+@pytest.mark.parametrize("n_sites", [8, 10, 12, 14, 16])
+@pytest.mark.parametrize("widest", [False, True], ids=["first-click", "widest"])
+def test_grid_entropies_of_a_whole_group_match_each_state_alone(n_sites, widest):
+    # The grid takes each click's entropies for a fresh group in one call:
+    # 256 states at N = 8, 195 at N = 10, 53 at N = 12, 14 at N = 14 and 3 at
+    # N = 16, after the first click and at the widest sector.
+    n_excited = n_sites // 2 if widest else n_sites - 1
+    size = min(CHUNK_SIZE, experiments._group_size(n_sites, n_sites))
+    rng = np.random.default_rng(90 + n_sites)
+    states = np.stack(
+        [random_sector_state(n_sites, n_excited, rng).amplitudes for _ in range(size)]
+    )
+    cuts = tuple(range(1, n_sites))
+    group = _entropies(n_sites, n_excited, states, cuts)
+    for b in range(size):
+        assert np.array_equal(_entropies(n_sites, n_excited, states[b : b + 1], cuts)[0], group[b])
+
+
 def test_identity_distribution_is_a_point_mass():
     report = distribution_comparison(3, 3, np.eye(3, dtype=complex), 500, 8)
     index = report.outcomes.index((1, 1, 1))
@@ -581,6 +602,21 @@ def test_scaling_sweep_rows_and_csv():
     assert len(lines) == 3
     assert lines[1].startswith("3,brickwall,1,")
     assert lines[2].startswith("4,haar,,")
+
+
+def test_sweep_fixed_source_of_the_wrong_size_is_rejected_before_any_point_runs(monkeypatch):
+    ran = []
+    grid = experiments.averaged_entropy_grid
+
+    def recording(n_sites, *args, **kwargs):
+        ran.append(n_sites)
+        return grid(n_sites, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "averaged_entropy_grid", recording)
+    points = [(4, UnitarySource.haar()), (8, UnitarySource.fixed(np.eye(6)))]
+    with pytest.raises(ValueError, match="6-mode, need 8"):
+        scaling_sweep(points, 10, 1)
+    assert ran == []
 
 
 def test_grid_csv_shape():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brickwall_reference import brickwall_reference, haar_unitary_reference
-from lontraj import unitary
 from lontraj.unitary import (
     _brickwall_stack,
     _haar_stack,
@@ -182,20 +181,6 @@ def test_compose_matches_explicit_layer_product():
                     reference = brickwall_reference(n_modes, depth, reference_rng)
                     assert row.tobytes() == reference.tobytes()
                     assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("budget", [1, 36, 1800])
-@pytest.mark.parametrize("n_modes, depth, size", [(10, 20, 6), (7, 3, 2), (2, 5, 3), (16, 9, 1)])
-def test_brickwall_passes_do_not_change_the_draw(monkeypatch, budget, n_modes, depth, size):
-    # A small layer budget splits the layers into passes of 1, 3 or 7
-    # layers, some starting on an odd layer; each pass reads the streams on
-    # from where the last one stopped.
-    monkeypatch.setattr(unitary, "_LAYER_BUDGET", budget)
-    rngs, reference_rngs = _group(depth, size), _group(depth, size)
-    stack = _brickwall_stack(n_modes, depth, rngs)
-    for row, rng, reference_rng in zip(stack, rngs, reference_rngs):
-        assert row.tobytes() == brickwall_reference(n_modes, depth, reference_rng).tobytes()
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_unitary_json_roundtrip_is_exact(tmp_path):
