@@ -318,8 +318,7 @@ def _parse_source(spec: str, n_sites: int | None, option: str = "--unitary") -> 
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
-            # load_unitary has checked unitarity; UnitarySource.fixed would again.
-            return UnitarySource(kind="fixed", matrix=load_unitary(path))
+            return UnitarySource.fixed(load_unitary(path))
         except OSError as error:
             raise ValueError(f"{option}: cannot read {path!r}: {error.strerror}") from None
         except ValueError as error:

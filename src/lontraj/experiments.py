@@ -34,9 +34,9 @@ import numpy as np
 
 from . import trajectory
 from .oracle import enumerate_outcomes, outcome_law
-from .state import _cut_blocks, _entropies, _spectrum_entropy
+from .state import _check_cut, _cut_blocks, _entropies, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _records, _walk, attach_waiting_times
-from .unitary import _brickwall_stack, _haar_stack, check_unitary
+from .unitary import MAX_DEPTH, _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
@@ -153,7 +153,7 @@ class UnitarySource:
     """Where each trajectory's network unitary comes from.
 
     ``haar`` and ``brickwall`` draw a fresh unitary per trajectory; ``fixed``
-    reuses the given matrix for every trajectory.
+    reuses a read-only copy of the given matrix for every trajectory.
     """
 
     kind: str
@@ -163,7 +163,9 @@ class UnitarySource:
     @classmethod
     def fixed(cls, u: np.ndarray) -> "UnitarySource":
         check_unitary(u)
-        return cls(kind="fixed", matrix=np.asarray(u, dtype=complex))
+        matrix = np.array(u, dtype=complex)
+        matrix.setflags(write=False)  # shared by every trajectory and worker
+        return cls(kind="fixed", matrix=matrix)
 
     @classmethod
     def identity(cls, n_modes: int) -> "UnitarySource":
@@ -175,8 +177,8 @@ class UnitarySource:
 
     @classmethod
     def brickwall(cls, depth: int) -> "UnitarySource":
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+        if not 0 <= depth <= MAX_DEPTH:  # every trajectory draws this many layers
+            raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {depth}")
         return cls(kind="brickwall", depth=depth)
 
     @property
@@ -184,19 +186,19 @@ class UnitarySource:
         return self.kind in ("haar", "brickwall")
 
     def draw(self, n_modes: int, rngs) -> np.ndarray:
-        """The unitary drawn from one generator, or the stack drawn from a list of them.
+        """The unitary or the stack that trajectory._click takes, for ``rngs``.
 
-        A single generator gives one (n_modes, n_modes) matrix; a list of B
-        generators gives the (B, n_modes, n_modes) stack whose row b is the
-        matrix rngs[b] alone would give, from one batched draw.  A fixed
-        source reads no generator.
+        A fixed source gives its (n_modes, n_modes) matrix, shared, and reads
+        no generator.  A fresh one gives a matrix from one generator, and from
+        a list of B the (B, n_modes, n_modes) stack whose row b is the matrix
+        rngs[b] alone would give, from one batched draw.
         """
-        group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
         if self.kind == "fixed":
             if self.matrix.shape[0] != n_modes:
                 raise ValueError(f"fixed unitary is {self.matrix.shape[0]}-mode, need {n_modes}")
-            stack = np.broadcast_to(self.matrix, (len(group), n_modes, n_modes))
-        elif self.kind == "haar":
+            return self.matrix
+        group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
+        if self.kind == "haar":
             stack = _haar_stack(n_modes, group)
         elif self.kind == "brickwall":
             stack = _brickwall_stack(n_modes, self.depth, group)
@@ -294,15 +296,12 @@ def _accumulate(args):
     part = make()
     e = part.n_excited
     step = _group_size(n_sites, e)
-    # One hash per stream for the whole chunk; each group builds its generators from its rows.
-    unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else None
+    # One hash per drawn stream for the chunk; each group builds its generators from its rows.
+    unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else ()
     click_words = _stream_words(master_seed, lo, hi, 1)
     for start in range(lo, hi, step):
         rows = slice(start - lo, min(start + step, hi) - lo)
-        if unitary_words is None:
-            u = source.matrix
-        else:
-            u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
+        u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
         # random(e) gives the bits of e successive random() calls.
         uniforms = np.array([_generator(words).random(e) for words in click_words[rows]])
         part.add(start, _walk(n_sites, e, u, uniforms, part.clicks))
@@ -327,6 +326,8 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
+    if not source.fresh_per_sample:  # a wrong-sized matrix or unknown kind fails here, once
+        source.draw(n_sites, [])
     starts = _chunks(n_samples)
     shared = (make, source, n_sites, master_seed)
     tasks = ((shared, lo, min(lo + CHUNK_SIZE, n_samples)) for lo in starts)
@@ -387,6 +388,7 @@ def trajectory_records(
     master seed and source draws; ``waiting_times`` attaches exponential
     waiting times from the separate stream (i, 2).
     """
+    _check_cut(n_sites, cut)  # before any chunk, not in a worker
     make = partial(_Records, n_sites, n_excited, cut, master_seed, waiting_times)
     return _run(make, source, n_sites, n_samples, master_seed, threads).records
 
@@ -529,10 +531,11 @@ def distribution_comparison(
     threads: int = 1,
 ) -> DistributionReport:
     """Sample trajectories under a fixed unitary and compare to the exact outcome law."""
+    source = UnitarySource.fixed(u)
     outcomes = enumerate_outcomes(n_sites, n_excited)
-    exact = outcome_law(u, outcomes, n_excited)
+    exact = outcome_law(source.draw(n_sites, []), outcomes, n_excited)  # checked against N first
     make = partial(_OutcomeCounts, n_sites, n_excited)
-    seen = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads).counts
+    seen = _run(make, source, n_sites, n_samples, master_seed, threads).counts
     counts = np.array([seen[outcome] for outcome in outcomes], dtype=np.int64)
     empirical = counts / n_samples
     tvd = 0.5 * float(np.abs(exact - empirical).sum())
@@ -598,10 +601,10 @@ class _MixtureSums:
         # One entropy per distinct state: a single cut gathers no more than the states hold.
         entropies = _entropies(n, e, states, (self.cut,))[:, 0]
         blocks = _cut_blocks(n, e, self.cut)
-        step = max(1, _group_size(n, self.n_excited) // n)
+        step = max(1, trajectory._LOCKSTEP_BUDGET // sum(len(idx) ** 2 for idx in blocks))
         # Trajectory by trajectory in index order, so neither the sums nor the
-        # histogram's insertion order depend on the group size.  The Grams of
-        # at most ``step`` trajectories' distinct states are held at a time.
+        # histogram's insertion order depend on the group size.  The Gram blocks
+        # of at most ``step`` distinct states, within the budget, are held at a time.
         for lo in range(0, len(rows), step):
             needed, local = np.unique(rows[lo : lo + step], return_inverse=True)
             held = states[needed]

@@ -129,7 +129,7 @@ def _click_walk(
     # only as that click starts.  An (n_sites, n_sites) u is shared.  Yields
     # (detectors[B], rows[B], states[R, dim_lo]) until the chain reaches the
     # ground state: trajectory b's normalized post-click state is
-    # states[rows[b]].
+    # states[rows[b]].  The shape of u is tested once, at the first click.
     #
     # Every click is one _click.  Under a shared unitary, trajectories that
     # clicked the same detectors in the same order are in the same state, so
@@ -140,9 +140,9 @@ def _click_walk(
     states = amplitudes.reshape(1, amplitudes.shape[-1])
     rows = None
     for e, r in zip(range(n_excited, 0, -1), uniforms):
-        if u.shape not in ((n_sites, n_sites), (len(r), n_sites, n_sites)):
-            raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
         if rows is None:
+            if u.shape not in ((n_sites, n_sites), (len(r), n_sites, n_sites)):
+                raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
             rows = np.zeros(len(r), dtype=np.intp)
         detectors, rows, states = _click(n_sites, e, states, rows, u, r)
         yield detectors, rows, states
@@ -189,8 +189,7 @@ def sample_click_sequence(
 
 def _records(n_sites: int, n_excited: int, cut: int, walk) -> list[TrajectoryRecord]:
     # One record per trajectory of a _walk over all n_excited clicks, with
-    # the entropy at ``cut`` of the start state and of every post-click state.
-    _check_cut(n_sites, cut)
+    # the entropy at the (checked) ``cut`` of the start state and of every post-click state.
     detectors_by_click, entropies_by_click = [], []
     for k, detectors, rows, states in walk:
         # One entropy per distinct state: a single cut gathers no more than the states hold.
@@ -211,6 +210,7 @@ def run_trajectory(
     after every click; the terminal state is the all-ground product state
     with entropy 0.
     """
+    _check_cut(n_sites, cut)
     walk = _walk(n_sites, n_excited, u, rng.random((1, n_excited)), n_excited)
     return _records(n_sites, n_excited, cut, walk)[0]
 

@@ -8,7 +8,8 @@ They take no guards: a caller passes a state with an excitation left and a
 detector of nonzero weight.  ``clicks_to_counts`` reduces a click sequence
 to the per-detector counts the permanent oracle takes.  ``lowered_by_scatter``
 builds the lowering by zero fill and scatter, the reference that the
-package's gather must match byte for byte.
+package's gather must match byte for byte.  ``click_multiset_law`` gives the
+exact law of the full click record from the tree of click multisets.
 """
 
 import numpy as np
@@ -47,6 +48,32 @@ def forced_jump(
     """Normalized amplitudes, one sector down, after ``detector`` clicks."""
     row = _lowered_raw(n_sites, n_excited, amplitudes, u)[detector]
     return row / np.linalg.norm(row)
+
+
+def click_multiset_law(n_sites: int, n_excited: int, u: np.ndarray) -> dict:
+    """Exact probability of each multiset of all ``n_excited`` clicks, by sorted detectors.
+
+    The collective jumps commute, so the state after clicks S depends on the
+    multiset S alone: it is the forced jump of S minus its largest detector,
+    from that multiset's state.  With e excitations left in S,
+    P(S + d) sums P(S) * w_S[d] / e over the parents S of S + d.  Multisets of
+    probability exactly 0 are dropped; a reachable multiset always has a
+    reachable parent without its largest detector, because the jumps commute.
+    """
+    level = {(): (1.0, _initial_amplitudes(n_sites, n_excited))}
+    for e in range(n_excited, 0, -1):
+        probabilities = {}
+        for multiset, (p, amplitudes) in level.items():
+            weights = jump_weights(n_sites, e, amplitudes, u)
+            for d in np.nonzero(weights)[0].tolist():
+                child = tuple(sorted(multiset + (d,)))
+                probabilities[child] = probabilities.get(child, 0.0) + p * weights[d] / e
+        level = {
+            child: (p, forced_jump(n_sites, e, level[child[:-1]][1], u, child[-1]))
+            for child, p in probabilities.items()
+            if p > 0.0
+        }
+    return {multiset: p for multiset, (p, _) in level.items()}
 
 
 def occupations(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:

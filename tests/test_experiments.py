@@ -35,7 +35,7 @@ from lontraj.experiments import (
 )
 from lontraj.state import _entropies, _lowered_raw, initial_state, sector_masks
 from lontraj.trajectory import _click_walk, run_trajectory
-from lontraj.unitary import beamsplitter_unitary, haar_unitary
+from lontraj.unitary import MAX_DEPTH, beamsplitter_unitary, haar_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -272,12 +272,14 @@ def test_unitary_source_draw_kinds():
     assert u.shape == (6, 6)
     with pytest.raises(ValueError, match="3-mode"):
         UnitarySource.identity(3).draw(4, rng)
+    for depth in (-1, MAX_DEPTH + 1):  # every trajectory would draw this many layers
+        with pytest.raises(ValueError, match=rf"depth must lie in \[0, {MAX_DEPTH}\], got {depth}"):
+            UnitarySource.brickwall(depth)
+    assert UnitarySource.brickwall(MAX_DEPTH).depth == MAX_DEPTH  # accepted, not drawn
 
 
 @pytest.mark.parametrize(
-    "source",
-    [UnitarySource.haar(), UnitarySource.brickwall(3), UnitarySource.identity(5)],
-    ids=["haar", "brickwall", "fixed"],
+    "source", [UnitarySource.haar(), UnitarySource.brickwall(3)], ids=["haar", "brickwall"]
 )
 def test_unitary_source_draws_a_group_as_its_generators_alone(source):
     rngs = [np.random.default_rng([4, b]) for b in range(3)]
@@ -287,6 +289,21 @@ def test_unitary_source_draws_a_group_as_its_generators_alone(source):
     assert stack.shape == (3, 5, 5)
     assert [row.tobytes() for row in stack] == [u.tobytes() for u in alone]
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone_rngs]
+
+
+def test_a_fixed_source_gives_its_one_read_only_matrix_for_any_group():
+    # What trajectory._click takes for a shared unitary: the (n, n) matrix itself.
+    u = haar_unitary(5, np.random.default_rng(8))
+    source = UnitarySource.fixed(u)
+    rngs = [np.random.default_rng([4, b]) for b in range(3)]
+    states = [r.bit_generator.state for r in rngs]
+    alone = source.draw(5, np.random.default_rng(4))
+    drawn = source.draw(5, rngs)
+    assert drawn.shape == (5, 5)
+    assert drawn.tobytes() == alone.tobytes() == u.tobytes()
+    assert not drawn.flags.writeable
+    assert u.flags.writeable  # the caller's array is copied, not frozen
+    assert [r.bit_generator.state for r in rngs] == states
 
 
 def test_identity_grid_is_exactly_zero():
@@ -602,6 +619,59 @@ def test_scaling_sweep_rows_and_csv():
     assert len(lines) == 3
     assert lines[1].startswith("3,brickwall,1,")
     assert lines[2].startswith("4,haar,,")
+
+
+def _recorded(monkeypatch, name: str) -> list:
+    # The argument tuples of every call to experiments.<name>, which still runs.
+    calls = []
+    original = getattr(experiments, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, recording)
+    return calls
+
+
+SIX_MODES_AT_EIGHT_SITES = {  # run with two chunks, so that two threads start a pool
+    "grid": lambda samples, threads: averaged_entropy_grid(
+        8, 8, UnitarySource.fixed(np.eye(6)), samples, 1, threads
+    ),
+    "records": lambda samples, threads: trajectory_records(
+        8, 8, UnitarySource.fixed(np.eye(6)), 4, samples, 1, threads=threads
+    ),
+    "mixture": lambda samples, threads: mixture_entropy_report(
+        8, 8, np.eye(6), 4, 4, samples, 1, threads
+    ),
+    "distribution": lambda samples, threads: distribution_comparison(
+        8, 4, np.eye(6), samples, 1, threads
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run", SIX_MODES_AT_EIGHT_SITES)
+def test_a_fixed_unitary_of_the_wrong_size_fails_before_any_chunk(monkeypatch, run, threads):
+    chunks = _recorded(monkeypatch, "_accumulate")
+    laws = _recorded(monkeypatch, "outcome_law")
+    with pytest.raises(ValueError, match="^fixed unitary is 6-mode, need 8$"):
+        SIX_MODES_AT_EIGHT_SITES[run](CHUNK_SIZE + 1, threads)
+    assert chunks == [] and laws == []
+
+
+def test_an_unknown_source_kind_fails_before_any_chunk(monkeypatch):
+    chunks = _recorded(monkeypatch, "_accumulate")
+    with pytest.raises(ValueError, match="^unknown unitary source 'bogus'$"):
+        averaged_entropy_grid(4, 4, UnitarySource(kind="bogus"), 10, 1)
+    assert chunks == []
+
+
+def test_a_dump_cut_outside_the_chain_fails_before_any_chunk(monkeypatch):
+    chunks = _recorded(monkeypatch, "_accumulate")
+    with pytest.raises(ValueError, match=r"^cut must be in \[1, 3\], got 0$"):
+        trajectory_records(4, 2, UnitarySource.haar(), 0, CHUNK_SIZE + 1, 1, threads=2)
+    assert chunks == []
 
 
 def test_sweep_fixed_source_of_the_wrong_size_is_rejected_before_any_point_runs(monkeypatch):

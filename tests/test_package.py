@@ -55,6 +55,11 @@ def test_one_walk_driver_drives_the_click_kernel():
     }
 
 
+def test_only_the_chunk_walk_reads_the_group_size():
+    # Reducers bound what they hold by the lockstep budget, not by the group.
+    assert _users("_group_size") == {("experiments", "_accumulate")}
+
+
 def test_one_click_step_lowers_the_states():
     # Shared and per-trajectory unitaries alike lower through trajectory._click.
     assert _users("_lowered_raw") == {("trajectory", "_click")}

@@ -7,7 +7,7 @@ from scipy import stats
 
 from click_walk_reference import click_walk, pick_detector
 from dense_reference import random_sector_state
-from lontraj.oracle import ENUMERATION_LIMIT
+from lontraj.oracle import ENUMERATION_LIMIT, enumerate_outcomes, outcome_law
 from lontraj.state import initial_state
 from lontraj.trajectory import (
     TrajectoryRecord,
@@ -19,8 +19,8 @@ from lontraj.trajectory import (
     run_trajectory,
     sample_click_sequence,
 )
-from lontraj.unitary import beamsplitter_unitary, haar_unitary
-from sector_reference import clicks_to_counts, jump_weights, occupations
+from lontraj.unitary import beamsplitter_unitary, haar_brickwall, haar_unitary
+from sector_reference import click_multiset_law, clicks_to_counts, jump_weights, occupations
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -28,6 +28,34 @@ LN2 = float(np.log(2.0))
 
 def balanced_splitter() -> np.ndarray:
     return beamsplitter_unitary(INV_SQRT2, INV_SQRT2, np.pi)
+
+
+@pytest.mark.parametrize(
+    "n, m, network",
+    [
+        (6, 6, "haar"),
+        (8, 8, "haar"),
+        (8, 4, "haar"),
+        (7, 7, "brickwall:3"),
+        (8, 5, "brickwall:3"),
+        (6, 6, "identity"),
+    ],
+)
+def test_the_kernels_click_law_is_the_oracles(n, m, network):
+    # Exact, not sampled: the multiset tree goes through the kernel's lowering,
+    # the oracle through permanents.  Brick walls have exact-zero weights.
+    rng = np.random.default_rng([n, m])
+    u = {
+        "haar": lambda: haar_unitary(n, rng),
+        "brickwall:3": lambda: haar_brickwall(n, 3, rng),
+        "identity": lambda: np.eye(n, dtype=complex),
+    }[network]()
+    law = click_multiset_law(n, m, u)
+    outcomes = enumerate_outcomes(n, m)
+    multisets = [tuple(np.repeat(np.arange(n), counts).tolist()) for counts in outcomes]
+    assert set(law) <= set(multisets)
+    tree = np.array([law.get(multiset, 0.0) for multiset in multisets])
+    np.testing.assert_allclose(tree, outcome_law(u, outcomes, m), rtol=0, atol=1e-12)
 
 
 def test_first_click_uniform_chi_squared():
