@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,20 +37,20 @@ from .experiments import (
 from .oracle import ENUMERATION_LIMIT
 from .state import MAX_SITES
 from .trajectory import record_to_json
-from .unitary import MAX_DEPTH, load_unitary, unitary_to_json
+from .unitary import load_unitary, unitary_to_json
 
 
-# Each mode's runner turns the settings the mode reads, its unitary source and
-# its single unitary (None for fresh-per-sample runs) into the output text and
-# an optional stdout line.  Runners look the library functions up when called,
-# so a wrapper patched into this module's namespace sees every call.
+# Each mode's runner turns the settings the mode reads and its unitary source
+# (None for a sweep; a run's single unitary is ``source.matrix``) into the
+# output text and an optional stdout line.  Runners look the library functions
+# up when called, so a wrapper patched into this module's namespace sees every call.
 
 
-def _dump_unitary(s, source, u, seed, threads):
-    return unitary_to_json(u) + "\n", None
+def _dump_unitary(s, source, seed, threads):
+    return unitary_to_json(source.matrix) + "\n", None
 
 
-def _trajectory_dump(s, source, u, seed, threads):
+def _trajectory_dump(s, source, seed, threads):
     records = trajectory_records(
         s["n"], s["m"], source, s["cut"], s["samples"], seed,
         waiting_times=s["waiting_times"], threads=threads,
@@ -57,31 +58,28 @@ def _trajectory_dump(s, source, u, seed, threads):
     return "\n".join(map(record_to_json, records)) + "\n", None
 
 
-def _entropy_grid(s, source, u, seed, threads):
+def _entropy_grid(s, source, seed, threads):
     grid = averaged_entropy_grid(s["n"], s["m"], source, s["samples"], seed, threads=threads)
     return grid_csv(grid), None
 
 
-def _distribution(s, source, u, seed, threads):
-    report = distribution_comparison(s["n"], s["m"], u, s["samples"], seed, threads=threads)
+def _distribution(s, source, seed, threads):
+    report = distribution_comparison(s["n"], s["m"], source.matrix, s["samples"], seed, threads)
     return distribution_csv(report), f"tvd={report.tvd!r} over {len(report.outcomes)} outcomes"
 
 
-def _mixture_entropy(s, source, u, seed, threads):
+def _mixture_entropy(s, source, seed, threads):
     report = mixture_entropy_report(
-        s["n"], s["m"], u, s["k"], s["cut"], s["samples"], seed, threads=threads
+        s["n"], s["m"], source.matrix, s["k"], s["cut"], s["samples"], seed, threads=threads
     )
     return json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n", None
 
 
-def _scaling_sweep(s, source, u, seed, threads):
-    points = []
+def _scaling_sweep(s, source, seed, threads):
+    points = []  # every point is parsed and checked before any point runs
     for spec in s["points"]:
-        n_sites, source_spec = _parse_point(spec)
-        points.append((n_sites, _parse_source(source_spec, n_sites, "--point")))
-        matrix = points[-1][1].matrix  # a file: point is checked before any point runs
-        if matrix is not None and len(matrix) != n_sites:
-            raise ValueError(f"--point {spec}: fixed unitary is {len(matrix)}-mode, need {n_sites}")
+        n_sites = _parse_point(spec)
+        points.append((n_sites, _parse_source(spec, n_sites, "--point")))
     return scaling_csv(scaling_sweep(points, s["samples"], seed, threads=threads)), None
 
 
@@ -93,7 +91,7 @@ class Mode(NamedTuple):
     # Whether the run keeps one unitary drawn from stream (0, 2), even from
     # a fresh-per-sample source.  A fixed source always gives one.
     single_unitary: bool
-    # (settings, source, u, seed, threads) -> (output text, stdout line or None)
+    # (settings, source, seed, threads) -> (output text, stdout line or None)
     run: Callable
 
 
@@ -220,15 +218,6 @@ def _check_sector(what: str, n: int, m: int) -> None:
         )
 
 
-def _check_depth(option: str, source_spec: str, spec: str) -> None:
-    # Every trajectory of a brick-wall source draws and multiplies DEPTH
-    # layers of (N - 1) / 2 gates each.
-    if source_spec.startswith("brickwall:"):
-        depth = _parse_int(source_spec.split(":", 1)[1], "depth", option, spec)
-        if not 0 <= depth <= MAX_DEPTH:
-            raise ValueError(f"{option}: depth must lie in [0, {MAX_DEPTH}], got {depth} in {spec!r}")
-
-
 def parse_config(argv=None) -> RunConfig:
     """Merge flags over an optional key=value config file into a validated RunConfig.
 
@@ -263,11 +252,10 @@ def parse_config(argv=None) -> RunConfig:
     if m is not None:
         _check_sector(f"--n {n} --m {m}", n, m)
     for spec in s.get("points") or ():
-        n_point, source_spec = _parse_point(spec)
+        n_point = _parse_point(spec)
         if not 2 <= n_point <= MAX_SITES:
             raise ValueError(f"--point: N must lie in [2, {MAX_SITES}], got {n_point} in {spec!r}")
         _check_sector(f"--point {spec}", n_point, n_point)  # a sweep point runs at full filling
-        _check_depth("--point", source_spec, spec)
     # A mode that reads cut or k also reads n and m, checked by now.
     if mode == "mixture-entropy" and s["cut"] is None and n // 2 > MIXTURE_MAX_SUBSYSTEM:
         raise ValueError(
@@ -281,8 +269,6 @@ def parse_config(argv=None) -> RunConfig:
         defaults["k"] = m // 2
     s = {key: defaults.get(key) if value is None else value for key, value in s.items()}
     _check_range("samples", s.get("samples"), 1, MAX_SAMPLES)
-    if "unitary" in s:
-        _check_depth("--unitary", s["unitary"], s["unitary"])
     if mode == "mixture-entropy":  # the averaged reduced state of the cut is held in memory
         _check_range("cut", s["cut"], 1, min(n - 1, MIXTURE_MAX_SUBSYSTEM))
     elif "cut" in s:
@@ -306,31 +292,41 @@ def _parse_int(text: str, what: str, option: str, spec: str) -> int:
         raise ValueError(f"{option}: cannot read {what} {text!r} in {spec!r}") from None
 
 
-def _parse_source(spec: str, n_sites: int | None, option: str = "--unitary") -> UnitarySource:
-    if spec == "identity":
-        if n_sites is None:
-            raise ValueError("identity unitary needs --n")
-        return UnitarySource.identity(n_sites)
-    if spec == "haar":
-        return UnitarySource.haar()
-    if spec.startswith("brickwall:"):
-        return UnitarySource.brickwall(_parse_int(spec.split(":", 1)[1], "depth", option, spec))
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
+def _parse_source(spec: str, n_sites: int, option: str = "--unitary") -> UnitarySource:
+    # ``spec`` is the value as typed: for --point the whole N:SOURCE.  The
+    # library checks a source when it is made, and a fixed one against
+    # n_sites when it is drawn; its ValueError is relayed naming both.
+    text = spec.partition(":")[2] if option == "--point" else spec
+    kind, sep, arg = text.partition(":")
+    if text == "identity":
+        make = partial(UnitarySource.identity, n_sites)
+    elif text == "haar":
+        make = UnitarySource.haar
+    elif kind == "brickwall" and sep:
+        make = partial(UnitarySource.brickwall, _parse_int(arg, "depth", option, spec))
+    elif kind == "file" and sep:
         try:
-            return UnitarySource.fixed(load_unitary(path))
+            make = partial(UnitarySource.fixed, load_unitary(arg))
         except OSError as error:
-            raise ValueError(f"{option}: cannot read {path!r}: {error.strerror}") from None
+            raise ValueError(f"{option}: cannot read {arg!r}: {error.strerror}") from None
         except ValueError as error:
-            raise ValueError(f"{option}: cannot read {path!r}: {error}") from None
-    raise ValueError(f"{option}: cannot read unitary source {spec!r}")
+            raise ValueError(f"{option}: cannot read {arg!r}: {error}") from None
+    else:
+        raise ValueError(f"{option}: cannot read unitary source {text!r}")
+    try:
+        source = make()
+        if not source.fresh_per_sample:
+            source.draw(n_sites, [])
+    except ValueError as error:
+        raise ValueError(f"{option}: {error} in {spec!r}") from None
+    return source
 
 
-def _parse_point(spec: str) -> tuple[int, str]:
-    n_text, sep, source = spec.partition(":")
+def _parse_point(spec: str) -> int:
+    n_text, sep, _ = spec.partition(":")
     if not sep:
         raise ValueError(f"cannot read sweep point {spec!r} (expected N:SOURCE)")
-    return _parse_int(n_text, "N", "--point", spec), source
+    return _parse_int(n_text, "N", "--point", spec)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -365,27 +361,26 @@ def execute(config: RunConfig) -> int:
     mode, s = MODES[config.mode], config.settings
     outputs = [config.output]
     source = None
-    u = None  # the run's single unitary, for runs that have one
     if "unitary" in mode.reads:
         source = _parse_source(s["unitary"], s["n"])
-        if not source.fresh_per_sample or mode.single_unitary:
-            # Stream (0, 2) is never used by per-trajectory derivations (i, 0)
-            # and (i, 1).  It is also trajectory 0's waiting-time stream, but
-            # only trajectory-dump attaches waiting times, and it draws no
-            # unitary from the seed.  A fixed matrix of the wrong size fails here.
-            u = source.draw(s["n"], derive_rng(config.seed, 0, 2))
+        if source.fresh_per_sample and mode.single_unitary:
+            # The run's single unitary is drawn from stream (0, 2), which
+            # per-trajectory derivations (i, 0) and (i, 1) never use.  It is
+            # also trajectory 0's waiting-time stream, but only trajectory-dump
+            # attaches waiting times, and it draws no unitary from the seed.
+            source = UnitarySource.fixed(source.draw(s["n"], derive_rng(config.seed, 0, 2)))
     if config.dump_unitary is not None:
         # Checked before any mode runs, so a rejected run writes nothing.
-        if u is None:
+        if source is None or source.matrix is None:
             raise ValueError("--dump-unitary needs a run with a single fixed unitary")
         outputs.append(config.dump_unitary)
 
-    text, line = mode.run(s, source, u, config.seed, config.threads)
+    text, line = mode.run(s, source, config.seed, config.threads)
     _write_atomic(config.output, text)
     if line is not None:
         print(line)
     if config.dump_unitary is not None:
-        _write_atomic(config.dump_unitary, unitary_to_json(u) + "\n")
+        _write_atomic(config.dump_unitary, unitary_to_json(source.matrix) + "\n")
 
     manifest_path = config.output.with_name(config.output.name + ".manifest.json")
     _write_atomic(manifest_path, _manifest(config, outputs))

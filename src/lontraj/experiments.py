@@ -153,19 +153,30 @@ class UnitarySource:
     """Where each trajectory's network unitary comes from.
 
     ``haar`` and ``brickwall`` draw a fresh unitary per trajectory; ``fixed``
-    reuses a read-only copy of the given matrix for every trajectory.
+    reuses a read-only copy of the given matrix for every trajectory.  A
+    source is checked when it is made, so every one that exists is valid.
     """
 
     kind: str
     matrix: np.ndarray | None = None
     depth: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind == "fixed":
+            check_unitary(self.matrix)
+            matrix = np.array(self.matrix, dtype=complex)
+            matrix.setflags(write=False)  # shared by every trajectory and worker
+            object.__setattr__(self, "matrix", matrix)
+        elif self.kind == "brickwall":
+            # Every trajectory draws and multiplies this many layers.
+            if not (isinstance(self.depth, (int, np.integer)) and 0 <= self.depth <= MAX_DEPTH):
+                raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {self.depth}")
+        elif self.kind != "haar":
+            raise ValueError(f"unknown unitary source {self.kind!r}")
+
     @classmethod
     def fixed(cls, u: np.ndarray) -> "UnitarySource":
-        check_unitary(u)
-        matrix = np.array(u, dtype=complex)
-        matrix.setflags(write=False)  # shared by every trajectory and worker
-        return cls(kind="fixed", matrix=matrix)
+        return cls(kind="fixed", matrix=u)
 
     @classmethod
     def identity(cls, n_modes: int) -> "UnitarySource":
@@ -177,8 +188,6 @@ class UnitarySource:
 
     @classmethod
     def brickwall(cls, depth: int) -> "UnitarySource":
-        if not 0 <= depth <= MAX_DEPTH:  # every trajectory draws this many layers
-            raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {depth}")
         return cls(kind="brickwall", depth=depth)
 
     @property
@@ -200,10 +209,8 @@ class UnitarySource:
         group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
         if self.kind == "haar":
             stack = _haar_stack(n_modes, group)
-        elif self.kind == "brickwall":
-            stack = _brickwall_stack(n_modes, self.depth, group)
         else:
-            raise ValueError(f"unknown unitary source {self.kind!r}")
+            stack = _brickwall_stack(n_modes, self.depth, group)
         return stack if group is rngs else stack[0]
 
 
@@ -326,7 +333,7 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
-    if not source.fresh_per_sample:  # a wrong-sized matrix or unknown kind fails here, once
+    if not source.fresh_per_sample:  # a wrong-sized matrix fails here, once
         source.draw(n_sites, [])
     starts = _chunks(n_samples)
     shared = (make, source, n_sites, master_seed)
@@ -643,8 +650,7 @@ def mixture_entropy_report(
     """
     if not 0 <= k <= n_excited:
         raise ValueError(f"click count {k} outside [0, {n_excited}]")
-    if not 1 <= cut <= n_sites - 1:
-        raise ValueError(f"cut {cut} outside [1, {n_sites - 1}]")
+    _check_cut(n_sites, cut)
     if cut > MIXTURE_MAX_SUBSYSTEM:
         raise ValueError(f"subsystem of {cut} sites too large (at most {MIXTURE_MAX_SUBSYSTEM})")
     make = partial(_MixtureSums, n_sites, n_excited, k, cut)
@@ -688,11 +694,9 @@ def scaling_sweep(
     threads: int = 1,
 ) -> list[ScalingPoint]:
     """Run one entropy grid per (system size, source) and record each maximum."""
-    for index, (n_sites, source) in enumerate(points):  # checked before any point runs
-        if source.matrix is not None and len(source.matrix) != n_sites:
-            raise ValueError(
-                f"point {index}: fixed unitary is {len(source.matrix)}-mode, need {n_sites}"
-            )
+    for n_sites, source in points:  # a wrong-sized matrix fails before any point runs
+        if not source.fresh_per_sample:
+            source.draw(n_sites, [])
     rows = []
     for index, (n_sites, source) in enumerate(points):
         grid = averaged_entropy_grid(

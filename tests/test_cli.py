@@ -456,7 +456,8 @@ def test_sweep_file_point_of_the_wrong_size_is_rejected_before_any_point_runs(
          "--samples", "20", "--seed", "1", "--output", str(out / "s.csv"), "--threads", "1"]
     )
     assert code == 1
-    assert capsys.readouterr().err == f"error: --point {point}: fixed unitary is 6-mode, need 8\n"
+    err = capsys.readouterr().err
+    assert err == f"error: --point: fixed unitary is 6-mode, need 8 in {point!r}\n"
     assert ran == []
     assert not out.exists()
 
@@ -619,7 +620,8 @@ def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, me
     # reaches is enumerated, every trajectory draws and multiplies each
     # brick-wall layer, the mixture holds the averaged state of its cut,
     # every trajectory index must be one 32-bit seed word, and a cut needs a
-    # site on each side; all six bounds are checked while parsing.
+    # site on each side.  The depth bound is checked when the source is built,
+    # the other five while parsing: all six before anything runs.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -674,6 +674,53 @@ def test_a_dump_cut_outside_the_chain_fails_before_any_chunk(monkeypatch):
     assert chunks == []
 
 
+def test_a_mixture_cut_outside_the_chain_fails_before_any_chunk(monkeypatch):
+    # The same rule, and the same words, as the dump's cut.
+    chunks = _recorded(monkeypatch, "_accumulate")
+    with pytest.raises(ValueError, match=r"^cut must be in \[1, 3\], got 0$"):
+        mixture_entropy_report(4, 2, np.eye(4), 1, 0, CHUNK_SIZE + 1, 1, threads=2)
+    assert chunks == []
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "bogus"}, r"unknown unitary source 'bogus'"),
+        ({"kind": "brickwall"}, rf"depth must lie in \[0, {MAX_DEPTH}\], got None"),
+        ({"kind": "brickwall", "depth": -1}, rf"depth must lie in \[0, {MAX_DEPTH}\], got -1"),
+        ({"kind": "brickwall", "depth": 2.0}, rf"depth must lie in \[0, {MAX_DEPTH}\], got 2.0"),
+        ({"kind": "brickwall", "depth": MAX_DEPTH + 1},
+         rf"depth must lie in \[0, {MAX_DEPTH}\], got {MAX_DEPTH + 1}"),
+        ({"kind": "fixed"}, r"expected a square matrix, got shape \(\)"),
+        ({"kind": "fixed", "matrix": np.ones((2, 3))},
+         r"expected a square matrix, got shape \(2, 3\)"),
+        ({"kind": "fixed", "matrix": 2 * np.eye(3)}, r"matrix is not unitary: .*"),
+    ],
+    ids=["kind", "no-depth", "negative-depth", "float-depth", "deep", "no-matrix", "non-square",
+         "non-unitary"],
+)
+def test_a_bad_source_is_rejected_when_it_is_made(fields, message):
+    # Built directly, not only through the constructors: no invalid source exists.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UnitarySource(**fields)
+
+
+def test_a_fixed_source_holds_a_read_only_copy_however_it_is_made():
+    u = np.eye(3, dtype=complex)
+    for source in (UnitarySource(kind="fixed", matrix=u), UnitarySource.fixed(u)):
+        assert not np.shares_memory(source.matrix, u)
+        assert source.matrix.dtype == complex and not source.matrix.flags.writeable
+        assert source.matrix.tobytes() == u.tobytes()
+    assert u.flags.writeable  # the caller's array is left as it was
+
+
+def test_sweep_source_of_unknown_kind_is_rejected_before_any_point_runs(monkeypatch):
+    grids = _recorded(monkeypatch, "averaged_entropy_grid")
+    with pytest.raises(ValueError, match="^unknown unitary source 'bogus'$"):
+        scaling_sweep([(4, UnitarySource.haar()), (6, UnitarySource(kind="bogus"))], 10, 1)
+    assert grids == []
+
+
 def test_sweep_fixed_source_of_the_wrong_size_is_rejected_before_any_point_runs(monkeypatch):
     ran = []
     grid = experiments.averaged_entropy_grid

@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import lontraj
-from lontraj import oracle, trajectory
+from lontraj import cli, oracle, trajectory
 
 
 def test_every_exported_name_resolves():
@@ -58,6 +58,23 @@ def test_one_walk_driver_drives_the_click_kernel():
 def test_only_the_chunk_walk_reads_the_group_size():
     # Reducers bound what they hold by the lockstep budget, not by the group.
     assert _users("_group_size") == {("experiments", "_accumulate")}
+
+
+def test_a_unitary_source_is_checked_only_where_it_is_made():
+    # UnitarySource's validation owns the depth bound and the kinds; the CLI
+    # relays what it raises.
+    assert _users("MAX_DEPTH") == {("unitary", None), ("experiments", "__post_init__")}
+    assert _users("_check_depth") == set() and not hasattr(cli, "_check_depth")
+    raisers = [
+        (module, function.name)
+        for module, tree in _package_trees()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise)
+        and any("unknown unitary source" in str(getattr(c, "value", "")) for c in ast.walk(node))
+    ]
+    assert raisers == [("experiments", "__post_init__")]
 
 
 def test_one_click_step_lowers_the_states():
