@@ -11,10 +11,13 @@ with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
 (see _run).  It computes once per distinct state of the walk and adds per
 trajectory, in trajectory order.  Trajectories walk in lockstep groups whose
 states fit the kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed
-or a fresh source alike.  Reducers run in fixed-size chunks whose parts
-are merged in chunk order, so results are byte-identical for any worker
-count.  Randomness is derived per trajectory index from the master seed, so
-they are also independent of chunking and of the group size.
+or a fresh source alike.  A fixed source whose click-multiset tree is
+small walks that tree instead of its ordered click prefixes; the tree is
+built once per run, in the calling process, and handed to each pool worker
+once.  Reducers run in fixed-size chunks whose parts are merged in
+chunk order, so results are byte-identical for any worker count.
+Randomness is derived per trajectory index from the master seed, so they
+are also independent of chunking and of the group size.
 """
 
 from __future__ import annotations
@@ -148,13 +151,14 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitarySource:
     """Where each trajectory's network unitary comes from.
 
     ``haar`` and ``brickwall`` draw a fresh unitary per trajectory; ``fixed``
     reuses a read-only copy of the given matrix for every trajectory.  A
     source is checked when it is made, so every one that exists is valid.
+    Sources compare and hash by kind, depth and the bytes of the matrix.
     """
 
     kind: str
@@ -173,6 +177,18 @@ class UnitarySource:
                 raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {self.depth}")
         elif self.kind != "haar":
             raise ValueError(f"unknown unitary source {self.kind!r}")
+
+    def _key(self) -> tuple:
+        matrix = None if self.matrix is None else (self.matrix.shape, self.matrix.tobytes())
+        return self.kind, self.depth, matrix
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnitarySource):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def fixed(cls, u: np.ndarray) -> "UnitarySource":
@@ -298,8 +314,20 @@ def _one_blas_thread():
         set_(before)
 
 
-def _accumulate(args):
+# The click-multiset tree that a pool worker's chunks walk, handed over once
+# per worker by the pool's initializer (see _run).  The caller never sets it.
+_worker_tree = None
+
+
+def _hold_tree(tree) -> None:
+    global _worker_tree
+    _worker_tree = tree
+
+
+def _accumulate(args, tree=None):
     (make, source, n_sites, master_seed), lo, hi = args
+    if tree is None:
+        tree = _worker_tree
     part = make()
     e = part.n_excited
     step = _group_size(n_sites, e)
@@ -308,10 +336,14 @@ def _accumulate(args):
     click_words = _stream_words(master_seed, lo, hi, 1)
     for start in range(lo, hi, step):
         rows = slice(start - lo, min(start + step, hi) - lo)
-        u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
         # random(e) gives the bits of e successive random() calls.
         uniforms = np.array([_generator(words).random(e) for words in click_words[rows]])
-        part.add(start, _walk(n_sites, e, u, uniforms, part.clicks))
+        if tree is None:
+            u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
+            walk = _walk(n_sites, e, u, uniforms, part.clicks)
+        else:
+            walk = tree.walk(uniforms)
+        part.add(start, walk)
     return part
 
 
@@ -330,21 +362,31 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     ``clicks`` clicks: trajectory first_index + b clicks by the n_excited
     uniforms in [0, 1) drawn from its click stream in one call, and sits in
     ``states[rows[b]]`` after each yield.  Parts combine by ``merge``.
+
+    A fixed source whose click-multiset tree fits (trajectory._click_tree)
+    walks that tree instead.  It is built once, here, and freed on return;
+    each pool worker receives it once, from the pool's initializer (under
+    fork it inherits the caller's copy), and builds none.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
-    if not source.fresh_per_sample:  # a wrong-sized matrix fails here, once
-        source.draw(n_sites, [])
+    # A wrong-sized fixed matrix fails here, once.
+    u = None if source.fresh_per_sample else source.draw(n_sites, [])
     starts = _chunks(n_samples)
     shared = (make, source, n_sites, master_seed)
     tasks = ((shared, lo, min(lo + CHUNK_SIZE, n_samples)) for lo in starts)
     workers = _worker_count(threads, len(starts))
     total = make()
     with _one_blas_thread(), ExitStack() as stack:
-        parts = map(_accumulate, tasks)
+        tree = None
+        if u is not None:
+            tree = trajectory._click_tree(n_sites, total.n_excited, u, total.clicks)
+        parts = map(partial(_accumulate, tree=tree), tasks)
         if workers > 1:
             # Two chunks per worker keep each worker busy while this process merges.
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_hold_tree, initargs=(tree,))
+            )
             parts = _in_order(pool, _accumulate, tasks, 2 * workers)
         for part in parts:  # in chunk order, each merged as it arrives
             total.merge(part)

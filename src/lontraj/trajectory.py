@@ -77,6 +77,9 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
 # Complex elements in the states of a lockstep click group (group sizes in
 # experiments._group_size); _click lowers the states in slices within it.
 _LOCKSTEP_BUDGET = 3 * 2**14
+# Amplitudes a click-multiset tree may hold (3 MiB).  Bound once, so the
+# group size never decides whether a run walks the tree.
+_TREE_BUDGET = 4 * _LOCKSTEP_BUDGET
 
 
 def _click(
@@ -122,7 +125,7 @@ def _click(
 def _click_walk(
     n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    # The one click loop.  It advances a group of B trajectories in lockstep:
+    # The ordered click loop.  It advances a group of B trajectories in lockstep:
     # every row starts from the one (dim,) or (1, dim) state ``amplitudes``;
     # row b is lowered through u[b] and makes its k-th click from row b of the
     # k-th (B,) array of uniforms in [0, 1) that ``uniforms`` yields, taken
@@ -136,7 +139,8 @@ def _click_walk(
     # states holds each distinct ordered prefix once; under one unitary per
     # row, row b is states[b].  Each state's arithmetic is what it would be
     # walked alone, so no click or amplitude depends on the group or on which
-    # prefixes it shares.
+    # prefixes it shares.  A fixed unitary whose click-multiset tree is small
+    # walks _ClickTree instead (see experiments._run).
     states = amplitudes.reshape(1, amplitudes.shape[-1])
     rows = None
     for e, r in zip(range(n_excited, 0, -1), uniforms):
@@ -160,6 +164,97 @@ def _walk(
     walk = _click_walk(n_sites, n_excited, states, u, uniforms.T[:clicks])
     for k, (detectors, rows, states) in enumerate(walk, start=1):
         yield k, detectors, rows, states
+
+
+def _tree_size(n_sites: int, n_excited: int, clicks: int) -> int:
+    # Amplitudes in a click-multiset tree over ``clicks`` clicks: level k holds
+    # the C(n_sites + k - 1, k) multisets of k detectors, each a C(n_sites,
+    # n_excited - k) state.
+    return sum(comb(n_sites + k - 1, k) * comb(n_sites, n_excited - k) for k in range(clicks + 1))
+
+
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
+class _ClickTree:
+    """The state of every multiset of at most ``clicks`` clicks under one fixed unitary.
+
+    The collective jumps commute, so the state after k clicks depends only on
+    the multiset of detectors clicked.  Level k lists the multisets of k
+    detectors in lexicographic order of their sorted detectors; node p of
+    level k has the normalized state ``states[k][p]``, and for k < clicks
+    its jump weights ``weights[k][p]`` and the level-(k + 1) node of each
+    detector's click, ``children[k][p]``.
+    """
+
+    n_excited: int
+    states: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+
+    def walk(self, uniforms: np.ndarray) -> Iterator[tuple]:
+        # _walk's (k, detectors, rows, states) for a group whose row b of the
+        # (B, >= clicks) ``uniforms`` holds trajectory b's click draws.  Each
+        # trajectory picks by its node's weights through _pick_detectors;
+        # ``states`` after each click holds the group's distinct nodes, ascending.
+        nodes = np.zeros(len(uniforms), dtype=np.intp)
+        yield 0, None, nodes, self.states[0]
+        for k, (weights, children) in enumerate(zip(self.weights, self.children), start=1):
+            detectors = _pick_detectors(weights[nodes], self.n_excited - k + 1, uniforms[:, k - 1])
+            visited, rows = np.unique(children[nodes, detectors], return_inverse=True)
+            nodes = visited[rows]
+            yield k, detectors, rows, self.states[k][visited]
+
+
+def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _ClickTree | None:
+    """The click-multiset tree of the (n_sites, n_sites) ``u`` over ``clicks`` clicks, or None.
+
+    None when its states would hold more than _TREE_BUDGET amplitudes:
+    N = M = 8 (157,184) fits, N = M = 9 (864,146) does not.
+    Multiset S's state is the lowering of its canonical parent, S without its
+    largest detector d, at detector d, normalized by its weight as _click
+    does; so a node's bits do not depend on which trajectories reach it.
+    Each level is lowered once, in _click's slices.  A canonical child of
+    exactly zero weight (behind exact zeros of ``u``) is kept unnormalized:
+    no walk picks it.
+    """
+    if _tree_size(n_sites, n_excited, clicks) > _TREE_BUDGET:
+        return None
+    states = [_initial_amplitudes(n_sites, n_excited)[None]]
+    weights, children = [], []
+    # Largest detector of each node of the current level (the root's counts
+    # as 0), and the canonical parent of each (unused at the root).
+    last = np.zeros(1, dtype=np.intp)
+    parent = np.zeros(1, dtype=np.intp)
+    detectors = np.arange(n_sites)
+    for e in range(n_excited, n_excited - clicks, -1):
+        level = states[-1]
+        # Node p's canonical children, by detectors last[p]..n_sites - 1, are
+        # consecutive in the next level from first[p] on.
+        widths = n_sites - last
+        first = np.cumsum(widths) - widths
+        child_parent = np.repeat(np.arange(len(level)), widths)
+        child_last = np.arange(widths.sum()) - first[child_parent] + last[child_parent]
+        # The child of detector d < last[p]: p is its parent's canonical child
+        # by last[p], so p + d is the canonical child by last[p] of parent + d.
+        table = first[:, None] + detectors - last[:, None]
+        below = np.nonzero(detectors < last[:, None])
+        if children:
+            via = children[-1][parent[below[0]], below[1]]
+            table[below] = first[via] + last[below[0]] - last[via]
+        level_weights = np.empty((len(level), n_sites))
+        next_states = np.empty((len(child_parent), comb(n_sites, e - 1)), dtype=complex)
+        step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
+        for lo in range(0, len(level), step):
+            lowered = _lowered_raw(n_sites, e, level[lo : lo + step], u)
+            level_weights[lo : lo + step] = np.vecdot(lowered, lowered).real
+            made = slice(first[lo], first[lo] + widths[lo : lo + step].sum())
+            src, det = child_parent[made], child_last[made]
+            w = level_weights[src, det]
+            next_states[made] = lowered[src - lo, det] / np.sqrt(np.where(w > 0, w, 1.0))[:, None]
+        states.append(next_states)
+        weights.append(level_weights)
+        children.append(table.astype(np.int32))
+        last, parent = child_last, child_parent
+    return _ClickTree(n_excited, tuple(states), tuple(weights), tuple(children))
 
 
 def evolve_clicks(

@@ -23,8 +23,16 @@ passes an output directory as well,
 
 which keeps each run's out.dat and manifest in ``OUTDIR/g<index>-t<threads>/``
 (index into ``GOLDEN``, from 00), so the two checkouts' outputs can be
-compared number by number.  The script exits 1 if any run fails.  Its name
-does not match ``test_*.py``, so pytest does not collect it.
+compared number by number with
+
+    python tests/golden_runs.py --drift OUTDIR_BEFORE OUTDIR_AFTER
+
+It splits each kept file into numbers and the text between them, prints one
+line per run with the largest absolute and relative difference of its
+floats, and exits 1 if anything else differs: an integer (clicks, counts,
+k, l, ``n_distinct_sequences``), the text around the numbers, or a missing
+file.  The script exits 1 if any run fails.  Its name does not match
+``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,6 +67,7 @@ GOLDEN = [
     "--mode trajectory-dump --n 7 --m 4 --unitary haar --cut 2 --samples 300 --seed 9",
     "--mode dump-unitary --n 6 --unitary brickwall:3 --seed 3",
 ]
+KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 
 
 def _sha(data: bytes) -> str:
@@ -82,7 +92,7 @@ def run(args: str, threads: int, keep: Path | None = None) -> str:
         manifest = Path(work, "out.dat.manifest.json").read_bytes()
         if keep is not None:
             keep.mkdir(parents=True, exist_ok=True)
-            for name in ("out.dat", "out.dat.manifest.json"):
+            for name in KEPT:
                 shutil.copyfile(Path(work, name), keep / name)
     return f"{_sha(output)} {_sha(manifest)} {_sha(done.stdout)} t{threads} {args}"
 
@@ -99,12 +109,67 @@ def differences(saved: list[str], lines: list[str]) -> list[str]:
     return out
 
 
+# A number as repr() and json.dumps write one, standing apart from letters and
+# points (so not a version such as 0.1.0); a float has a point or an exponent.
+NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)(?![\w.])")
+RUN_NAME = re.compile(r"g(\d+)-t\d+")
+
+
+def _is_float(token: str) -> bool:
+    return any(c in token for c in ".eE")
+
+
+def drift(before: Path, after: Path) -> tuple[list[str], bool]:
+    """Compare two kept output directories: (one report line per run, whether only floats moved)."""
+    lines, floats_only = [], True
+    runs = sorted({p.name for p in before.iterdir()} | {p.name for p in after.iterdir()})
+    for name in runs:
+        largest_abs = largest_rel = 0.0
+        moved = total = 0
+        problems = []
+        for kept in KEPT:
+            try:
+                old, new = (NUMBER.split((d / name / kept).read_text()) for d in (before, after))
+            except FileNotFoundError as error:
+                problems.append(f"missing {error.filename}")
+                continue
+            if len(old) != len(new):
+                problems.append(f"{kept}: {len(old) // 2} numbers against {len(new) // 2}")
+                continue
+            # Odd positions hold the numbers, even ones the text between them.
+            for position, (a, b) in enumerate(zip(old, new)):
+                if not (position % 2 and _is_float(a) and _is_float(b)):
+                    if a != b:
+                        problems.append(f"{kept}: {a!r} against {b!r}")
+                    continue
+                total += 1
+                x, y = float(a), float(b)
+                if a != b:
+                    moved += 1
+                    largest_abs = max(largest_abs, abs(x - y))
+                    if x != y:  # not -0.0 against 0.0
+                        largest_rel = max(largest_rel, abs(x - y) / max(abs(x), abs(y)))
+        match = RUN_NAME.fullmatch(name)
+        flags = f" [{GOLDEN[int(match[1])]}]" if match and int(match[1]) < len(GOLDEN) else ""
+        summary = (f"{name}: {moved} of {total} floats moved, largest absolute "
+                   f"{largest_abs:.3g}, relative {largest_rel:.3g}{flags}")
+        lines.append("; ".join([summary, *problems[:3]]))
+        floats_only = floats_only and not problems
+    return lines, floats_only
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="golden_runs.py")
     parser.add_argument("outdir", nargs="?", type=Path, help="keep each run's outputs here")
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="a saved listing; exit 1 if any line differs from it")
+    parser.add_argument("--drift", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"),
+                        help="compare two kept output directories; exit 1 unless only floats moved")
     args = parser.parse_args(argv)
+    if args.drift is not None:
+        lines, floats_only = drift(*args.drift)
+        print("\n".join(lines))
+        return 0 if floats_only else 1
     saved = None if args.against is None else args.against.read_text().splitlines()
     lines = []
     try:

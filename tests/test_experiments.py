@@ -1,7 +1,8 @@
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import Future
-from functools import partial
+from functools import cache, partial
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from lontraj import experiments, oracle, trajectory
 from lontraj.experiments import (
     CHUNK_SIZE,
     MAX_SAMPLES,
+    ScalingPoint,
     UnitarySource,
     _generator,
     _run,
@@ -35,7 +37,8 @@ from lontraj.experiments import (
 )
 from lontraj.state import _entropies, _lowered_raw, initial_state, sector_masks
 from lontraj.trajectory import _click_walk, run_trajectory
-from lontraj.unitary import MAX_DEPTH, beamsplitter_unitary, haar_unitary
+from lontraj.unitary import MAX_DEPTH, beamsplitter_unitary, haar_brickwall, haar_unitary
+from sector_reference import forced_jump
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -241,19 +244,177 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
             assert states[rows[b]].tobytes() == amplitudes.tobytes()
 
 
-def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs():
-    # At N = 8 a fixed unitary walks each chunk as one group of shared click
-    # prefixes; every record must be the one its trajectory gives alone.
+def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs(monkeypatch):
+    # At N = 8 a fixed unitary's run walks its click-multiset tree, whose
+    # states are reached in ascending detector order.  Every record clicks as
+    # its trajectory does alone on the ordered route, with entropies within
+    # rounding, and is bit-identical to its trajectory walked through the tree
+    # in a group of its own.
     n, m, cut, seed, samples = 8, 8, 4, 97, 300
-    assert experiments._group_size(n, m) >= CHUNK_SIZE
     u = haar_unitary(n, np.random.default_rng(96))
-    records = trajectory_records(n, m, UnitarySource.fixed(u), cut, samples, seed)
+    source = UnitarySource.fixed(u)
+
+    def ordered(*args):
+        raise AssertionError("a fixed N = 8 run walked its ordered prefixes")
+
+    monkeypatch.setattr(experiments, "_walk", ordered)
+    records = trajectory_records(n, m, source, cut, samples, seed)
     assert len(records) == samples
     for i, record in enumerate(records):
         alone = run_trajectory(n, m, u, cut, derive_rng(seed, i, 1))
         assert record.clicks == alone.clicks, f"record {i}"
+        np.testing.assert_allclose(record.entropies, alone.entropies, rtol=0, atol=1e-14)
+    assert experiments._group_size(n, m) >= CHUNK_SIZE
+    monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", comb(n, m // 2))
+    assert experiments._group_size(n, m) == 1
+    singles = trajectory_records(n, m, source, cut, samples, seed)
+    for i, (record, single) in enumerate(zip(records, singles, strict=True)):
+        assert record.clicks == single.clicks, f"record {i}"
         entropies = np.array(record.entropies).tobytes()
-        assert entropies == np.array(alone.entropies).tobytes(), f"record {i}"
+        assert entropies == np.array(single.entropies).tobytes(), f"record {i}"
+
+
+class _Paths:
+    """Each trajectory's clicks, and the state of every click multiset the walk visits."""
+
+    def __init__(self, n_excited: int) -> None:
+        self.n_excited = self.clicks = n_excited
+        self.paths: list[tuple[int, ...]] = []
+        self.visited: dict[tuple[int, ...], np.ndarray] = {}
+
+    def add(self, first, walk) -> None:
+        _, _, rows, _ = next(walk)
+        paths = [()] * len(rows)
+        for _, detectors, rows, states in walk:
+            paths = [path + (d,) for path, d in zip(paths, detectors.tolist())]
+            for path, row in zip(paths, rows.tolist()):
+                self.visited.setdefault(tuple(sorted(path)), states[row])
+        self.paths += paths
+
+    def merge(self, other: "_Paths") -> None:
+        self.paths += other.paths
+        self.visited.update(other.visited)
+
+
+@pytest.mark.parametrize(
+    "n, m, network",
+    [
+        (6, 6, "haar"),
+        (8, 8, "haar"),
+        (8, 4, "haar"),
+        (7, 7, "brickwall:3"),
+        (8, 5, "brickwall:3"),
+        (6, 6, "identity"),
+    ],
+)
+def test_the_click_multiset_tree_walks_as_the_ordered_prefixes_do(monkeypatch, n, m, network):
+    # 1024 trajectories in four chunks click exactly as the chunked ordered
+    # walk makes them click, and each multiset the tree walk visits holds the
+    # state its detectors give when forced in ascending order.  Brick walls
+    # have canonical children of exactly zero weight, which no walk reaches.
+    rng = np.random.default_rng([n, m])
+    u = {
+        "haar": lambda: haar_unitary(n, rng),
+        "brickwall:3": lambda: haar_brickwall(n, 3, rng),
+        "identity": lambda: np.eye(n, dtype=complex),
+    }[network]()
+    source, seed, samples = UnitarySource.fixed(u), 61, 4 * CHUNK_SIZE
+    make = partial(_Paths, m)
+    ordered = make()
+    for lo in experiments._chunks(samples):
+        ordered.merge(experiments._accumulate(((make, source, n, seed), lo, lo + CHUNK_SIZE)))
+
+    def no_ordered_walk(*args):
+        raise AssertionError("the run walked its ordered prefixes")
+
+    monkeypatch.setattr(experiments, "_walk", no_ordered_walk)
+    tree = _run(make, source, n, samples, seed, threads=1)
+    assert len(tree.paths) == samples
+    assert tree.paths == ordered.paths
+
+    @cache
+    def ascending(multiset):
+        if not multiset:
+            return initial_state(n, m).amplitudes
+        *parent, detector = multiset
+        return forced_jump(n, m - len(parent), ascending(tuple(parent)), u, detector)
+
+    for multiset, state in tree.visited.items():
+        np.testing.assert_allclose(state, ascending(multiset), rtol=0, atol=1e-12)
+
+
+def test_the_tree_fit_rule_admits_n_8_and_sends_n_9_to_the_ordered_walk():
+    # Amplitudes over every level of the tree against 4 * the lockstep budget.
+    assert trajectory._TREE_BUDGET == 4 * trajectory._LOCKSTEP_BUDGET == 196_608
+    sizes = {(8, 8): 157_184, (7, 7): 28_814, (10, 5): 28_004, (40, 2): 3_200,
+             (9, 9): 864_146, (12, 6): 284_000}
+    for (n, m), size in sizes.items():
+        assert trajectory._tree_size(n, m, m) == size
+    u = haar_unitary(9, np.random.default_rng(3))
+    assert trajectory._click_tree(9, 9, u, 9) is None
+    assert trajectory._click_tree(9, 9, u, 4) is not None  # a mixture's first clicks
+
+
+@pytest.mark.parametrize("samples", [1, CHUNK_SIZE + 1, 3 * CHUNK_SIZE])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_fixed_n_8_run_lowers_each_multiset_once_in_the_caller(monkeypatch, samples, threads):
+    # C(15, 7) = 6435 multisets of at most 7 clicks, each lowered once per
+    # run, in the caller's process, whatever the samples and threads.  At
+    # two threads the pool starts, and its workers receive the tree from
+    # the pool's initializer and lower nothing.
+    n, caller = 8, os.getpid()
+    lowered, handed = Counter(), []
+
+    def counting(n_sites, n_excited, amplitudes, u):
+        if os.getpid() != caller:
+            raise AssertionError("a pool worker lowered a state")
+        lowered[n_excited] += len(amplitudes)
+        return _lowered_raw(n_sites, n_excited, amplitudes, u)
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            handed.append(kwargs["initargs"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_lowered_raw", counting)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
+    u = haar_unitary(n, np.random.default_rng(94))
+    report = distribution_comparison(n, n, u, samples, 5, threads)
+    assert report.empirical.sum() == pytest.approx(1.0)
+    assert lowered == {n - k: comb(n + k - 1, k) for k in range(n)}
+    assert sum(lowered.values()) == comb(2 * n - 1, n - 1) == 6435
+    assert [type(tree) for tree, in handed] == [trajectory._ClickTree] * (threads - 1)
+
+
+def test_fixed_tree_runs_keep_their_bytes_across_workers():
+    # The workers walk the caller's tree, so a pooled run is the serial run.
+    source = UnitarySource.fixed(haar_unitary(8, np.random.default_rng(96)))
+    grids = [
+        grid_csv(averaged_entropy_grid(8, 8, source, 2 * CHUNK_SIZE + 3, 6, threads))
+        for threads in (1, 2)
+    ]
+    assert grids[0] == grids[1]
+
+
+def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
+    # Its tree would not fit: the chunks walk ordered prefixes on two workers.
+    started = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            started.append((kwargs["max_workers"], kwargs["initargs"]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
+    source = UnitarySource.fixed(haar_unitary(9, np.random.default_rng(95)))
+    grids = [
+        grid_csv(averaged_entropy_grid(9, 9, source, CHUNK_SIZE + 1, 6, threads))
+        for threads in (1, 2)
+    ]
+    assert started == [(2, (None,))]
+    assert grids[0] == grids[1]
 
 
 def test_worker_count_is_bounded_by_chunks_and_cores():
@@ -581,8 +742,8 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
             return super().result(timeout)
 
     class InProcessPool:
-        def __init__(self, max_workers: int) -> None:
-            pass
+        def __init__(self, max_workers: int, initializer, initargs) -> None:
+            assert initargs == (None,)  # a fresh source hands its workers no tree
 
         def __enter__(self):
             return self
@@ -601,7 +762,9 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
     workers, n_samples = 3, 20 * CHUNK_SIZE + 5
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
-    total = _run(Firsts, UnitarySource.identity(3), 3, n_samples, 0, threads=workers)
+    # A fresh source: the stand-in does not run the pool's initializer, which
+    # would hand a fixed source's tree to this process.
+    total = _run(Firsts, UnitarySource.haar(), 3, n_samples, 0, threads=workers)
     assert total.firsts == list(range(0, n_samples, CHUNK_SIZE))
     assert most_unread == 2 * workers
     assert not queued and not unread
@@ -712,6 +875,19 @@ def test_a_fixed_source_holds_a_read_only_copy_however_it_is_made():
         assert source.matrix.dtype == complex and not source.matrix.flags.writeable
         assert source.matrix.tobytes() == u.tobytes()
     assert u.flags.writeable  # the caller's array is left as it was
+
+
+def test_sources_compare_and_hash_by_kind_depth_and_matrix_bytes():
+    a, b = UnitarySource.fixed(np.eye(2)), UnitarySource.fixed(np.eye(2))
+    swap = UnitarySource.fixed(np.eye(2)[::-1])
+    assert a == b and hash(a) == hash(b)
+    assert a != swap and a != UnitarySource.identity(3) and a != UnitarySource.haar()
+    assert UnitarySource.brickwall(2) == UnitarySource.brickwall(2) != UnitarySource.brickwall(3)
+    assert len({a, b, swap, UnitarySource.haar(), UnitarySource.haar()}) == 3
+    # A sweep row holding a fixed source compares and hashes through it.
+    point = partial(ScalingPoint, n_sites=2, s_max=0.5, k_max=1, l_max=1, stderr=0.1)
+    assert point(source=a) == point(source=b) != point(source=swap)
+    assert hash(point(source=a)) == hash(point(source=b))
 
 
 def test_sweep_source_of_unknown_kind_is_rejected_before_any_point_runs(monkeypatch):

@@ -78,8 +78,9 @@ def test_a_unitary_source_is_checked_only_where_it_is_made():
 
 
 def test_one_click_step_lowers_the_states():
-    # Shared and per-trajectory unitaries alike lower through trajectory._click.
-    assert _users("_lowered_raw") == {("trajectory", "_click")}
+    # Shared and per-trajectory unitaries alike lower through trajectory._click;
+    # a fixed unitary's click-multiset tree is built through the same lowering.
+    assert _users("_lowered_raw") == {("trajectory", "_click"), ("trajectory", "_click_tree")}
 
 
 def test_the_lockstep_budget_is_bound_only_beside_the_click_kernel():
