@@ -11,11 +11,12 @@ with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
 (see _run).  It computes once per distinct state of the walk and adds per
 trajectory, in trajectory order.  Trajectories walk in lockstep groups whose
 states fit the kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed
-or a fresh source alike.  A fixed source whose click-multiset tree is
-small walks that tree instead of its ordered click prefixes; the tree is
-built once per run, in the calling process, and handed to each pool worker
-once.  Reducers run in fixed-size chunks whose parts are merged in
-chunk order, so results are byte-identical for any worker count.
+or a fresh source alike.  Every group walks one click-multiset tree: the
+levels of a fixed source's tree that fit its budget, a fresh source's root
+alone, and then one state per trajectory.  The tree is built once per run,
+in the calling process, and handed to each pool worker once.  Reducers run
+in fixed-size chunks whose parts are merged in chunk order, so results are
+byte-identical for any worker count.
 Randomness is derived per trajectory index from the master seed, so they
 are also independent of chunking and of the group size.
 """
@@ -38,7 +39,7 @@ import numpy as np
 from . import trajectory
 from .oracle import enumerate_outcomes, outcome_law
 from .state import _check_cut, _cut_blocks, _entropies, _spectrum_entropy
-from .trajectory import TrajectoryRecord, _records, _walk, attach_waiting_times
+from .trajectory import TrajectoryRecord, _records, attach_waiting_times
 from .unitary import MAX_DEPTH, _brickwall_stack, _haar_stack, check_unitary
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
@@ -338,12 +339,8 @@ def _accumulate(args, tree=None):
         rows = slice(start - lo, min(start + step, hi) - lo)
         # random(e) gives the bits of e successive random() calls.
         uniforms = np.array([_generator(words).random(e) for words in click_words[rows]])
-        if tree is None:
-            u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
-            walk = _walk(n_sites, e, u, uniforms, part.clicks)
-        else:
-            walk = tree.walk(uniforms)
-        part.add(start, walk)
+        u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
+        part.add(start, tree.walk(u, uniforms, part.clicks))
     return part
 
 
@@ -357,16 +354,17 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     trajectories run, so every index is one 32-bit seed word.  Each chunk
     walks its trajectories in lockstep groups of consecutive indices, sized
     by _group_size, and hands each group's walk to its accumulator's
-    ``add(first_index, walk)``.  ``walk`` is trajectory._walk under the fixed
-    matrix or the group's stacked draws, over the accumulator's first
-    ``clicks`` clicks: trajectory first_index + b clicks by the n_excited
-    uniforms in [0, 1) drawn from its click stream in one call, and sits in
-    ``states[rows[b]]`` after each yield.  Parts combine by ``merge``.
+    ``add(first_index, walk)``.  ``walk`` is the run's trajectory._ClickTree
+    walked under the fixed matrix or the group's stacked draws, over the
+    accumulator's first ``clicks`` clicks: trajectory first_index + b clicks
+    by the n_excited uniforms in [0, 1) drawn from its click stream in one
+    call, and sits in ``states[rows[b]]`` after each yield.  Parts combine
+    by ``merge``.
 
-    A fixed source whose click-multiset tree fits (trajectory._click_tree)
-    walks that tree instead.  It is built once, here, and freed on return;
-    each pool worker receives it once, from the pool's initializer (under
-    fork it inherits the caller's copy), and builds none.
+    A fixed source's tree (trajectory._click_tree) holds as many levels as
+    fit its budget; a fresh source's is its root.  It is built once, here,
+    and freed on return; each pool worker receives it once, from the pool's
+    initializer (under fork it inherits the caller's copy), and builds none.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
@@ -378,9 +376,8 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     workers = _worker_count(threads, len(starts))
     total = make()
     with _one_blas_thread(), ExitStack() as stack:
-        tree = None
-        if u is not None:
-            tree = trajectory._click_tree(n_sites, total.n_excited, u, total.clicks)
+        depth = 0 if u is None else total.clicks
+        tree = trajectory._click_tree(n_sites, total.n_excited, u, depth)
         parts = map(partial(_accumulate, tree=tree), tasks)
         if workers > 1:
             # Two chunks per worker keep each worker busy while this process merges.

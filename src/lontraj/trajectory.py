@@ -78,31 +78,38 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
 # experiments._group_size); _click lowers the states in slices within it.
 _LOCKSTEP_BUDGET = 3 * 2**14
 # Amplitudes a click-multiset tree may hold (3 MiB).  Bound once, so the
-# group size never decides whether a run walks the tree.
+# group size never decides how deep a run's tree goes.
 _TREE_BUDGET = 4 * _LOCKSTEP_BUDGET
+
+
+def _slice_size(n_sites: int, e: int) -> int:
+    # States lowered at once at a click from e excitations: each lowers to an
+    # (n_sites, C(n_sites, e - 1)) array, and a slice's lowered arrays hold at
+    # most a quarter of _LOCKSTEP_BUDGET, so a single state is one slice.  The
+    # 4 is measured, not an array count: on a 2-core Xeon, with slices sized
+    # to fill the whole budget the N = M = 8 tree took 20.3 ms to build
+    # against 14.9 ms, and a 256-trajectory N = M = 9 distribution chunk,
+    # which goes on past its four-level tree, 11.8 against 9.3 ms (medians
+    # of 200 alternated pairs, the quarter faster in 199 and 190 of them).
+    return max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
 
 
 def _click(
     n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     # One click of a lockstep group: trajectory b sits in states[rows[b]] and
     # clicks by r[b].  An (n_sites, n_sites) u is shared; under a (B, n_sites,
     # n_sites) stack trajectory b is lowered through u[b], so every row is its
-    # own state.  Each distinct state is lowered, weighed and normalized once,
-    # in slices of _LOCKSTEP_BUDGET // (4 * n_sites * C(n_sites, e - 1))
-    # states, so a single state is one slice.  The 4 is measured, not an array
-    # count: on a 2-core Xeon, slices sized for one lowered array within the
-    # budget (87 states at N = 8) made a shared 256-trajectory N = M = 8 walk
-    # take 8.0-10.3 ms against 5.3-7.2 ms, and its distribution chunk 9.1-12.0
-    # against 6.5-8.9 ms (medians of 200, three runs).  The new states are the
-    # distinct (state, detector) pairs, in ascending order.
+    # own state.  Each distinct state is lowered and weighed once, in slices
+    # of _slice_size states.  Returns the detectors and the normalized
+    # post-click states, row b trajectory b's.
+    if u.shape not in ((n_sites, n_sites), (len(rows), n_sites, n_sites)):
+        raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
     if u.ndim == 3:
         states, rows = states[rows], np.arange(len(rows))
-    step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
+    step = _slice_size(n_sites, e)
     detectors = np.empty(len(rows), dtype=np.intp)
-    new_rows = np.empty(len(rows), dtype=np.intp)
-    parts = []
-    made = 0
+    clicked = np.empty((len(rows), comb(n_sites, e - 1)), dtype=complex)
     for lo in range(0, len(states), step):
         through = u[lo : lo + step] if u.ndim == 3 else u
         lowered = _lowered_raw(n_sites, e, states[lo : lo + step], through)
@@ -114,101 +121,64 @@ def _click(
         local = rows[mine] - lo
         picked = _pick_detectors(weights[local], e, r[mine])
         detectors[mine] = picked
-        keys, inverse = np.unique(local * n_sites + picked, return_inverse=True)
-        src, det = np.divmod(keys, n_sites)
-        parts.append(lowered[src, det] / np.sqrt(weights[src, det])[:, None])
-        new_rows[mine] = made + inverse
-        made += len(keys)
-    return detectors, new_rows, parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _click_walk(
-    n_sites: int, n_excited: int, amplitudes: np.ndarray, u: np.ndarray, uniforms
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    # The ordered click loop.  It advances a group of B trajectories in lockstep:
-    # every row starts from the one (dim,) or (1, dim) state ``amplitudes``;
-    # row b is lowered through u[b] and makes its k-th click from row b of the
-    # k-th (B,) array of uniforms in [0, 1) that ``uniforms`` yields, taken
-    # only as that click starts.  An (n_sites, n_sites) u is shared.  Yields
-    # (detectors[B], rows[B], states[R, dim_lo]) until the chain reaches the
-    # ground state: trajectory b's normalized post-click state is
-    # states[rows[b]].  The shape of u is tested once, at the first click.
-    #
-    # Every click is one _click.  Under a shared unitary, trajectories that
-    # clicked the same detectors in the same order are in the same state, so
-    # states holds each distinct ordered prefix once; under one unitary per
-    # row, row b is states[b].  Each state's arithmetic is what it would be
-    # walked alone, so no click or amplitude depends on the group or on which
-    # prefixes it shares.  A fixed unitary whose click-multiset tree is small
-    # walks _ClickTree instead (see experiments._run).
-    states = amplitudes.reshape(1, amplitudes.shape[-1])
-    rows = None
-    for e, r in zip(range(n_excited, 0, -1), uniforms):
-        if rows is None:
-            if u.shape not in ((n_sites, n_sites), (len(r), n_sites, n_sites)):
-                raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
-            rows = np.zeros(len(r), dtype=np.intp)
-        detectors, rows, states = _click(n_sites, e, states, rows, u, r)
-        yield detectors, rows, states
-
-
-def _walk(
-    n_sites: int, n_excited: int, u: np.ndarray, uniforms: np.ndarray, clicks: int
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, np.ndarray]]:
-    # A lockstep group's walk from the standard initial state; row b of the
-    # (B, n_excited) ``uniforms`` holds trajectory b's click draws.  Yields
-    # (k, detectors, rows, states) for k = 0..clicks: click 0 is the start
-    # state, detectors None and every row at state 0, then _click_walk's.
-    states = _initial_amplitudes(n_sites, n_excited)[None]
-    yield 0, None, np.zeros(len(uniforms), dtype=np.intp), states
-    walk = _click_walk(n_sites, n_excited, states, u, uniforms.T[:clicks])
-    for k, (detectors, rows, states) in enumerate(walk, start=1):
-        yield k, detectors, rows, states
-
-
-def _tree_size(n_sites: int, n_excited: int, clicks: int) -> int:
-    # Amplitudes in a click-multiset tree over ``clicks`` clicks: level k holds
-    # the C(n_sites + k - 1, k) multisets of k detectors, each a C(n_sites,
-    # n_excited - k) state.
-    return sum(comb(n_sites + k - 1, k) * comb(n_sites, n_excited - k) for k in range(clicks + 1))
+        clicked[mine] = lowered[local, picked] / np.sqrt(weights[local, picked])[:, None]
+    return detectors, clicked
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class _ClickTree:
-    """The state of every multiset of at most ``clicks`` clicks under one fixed unitary.
+    """The state of every multiset of at most ``len(weights)`` clicks under one fixed unitary.
 
     The collective jumps commute, so the state after k clicks depends only on
     the multiset of detectors clicked.  Level k lists the multisets of k
     detectors in lexicographic order of their sorted detectors; node p of
-    level k has the normalized state ``states[k][p]``, and for k < clicks
-    its jump weights ``weights[k][p]`` and the level-(k + 1) node of each
-    detector's click, ``children[k][p]``.
+    level k has the normalized state ``states[k][p]``, and for every level
+    but the last its jump weights ``weights[k][p]`` and the level-(k + 1)
+    node of each detector's click, ``children[k][p]``.  A tree may be its
+    root alone.
     """
 
+    n_sites: int
     n_excited: int
     states: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
 
-    def walk(self, uniforms: np.ndarray) -> Iterator[tuple]:
-        # _walk's (k, detectors, rows, states) for a group whose row b of the
-        # (B, >= clicks) ``uniforms`` holds trajectory b's click draws.  Each
-        # trajectory picks by its node's weights through _pick_detectors;
-        # ``states`` after each click holds the group's distinct nodes, ascending.
-        nodes = np.zeros(len(uniforms), dtype=np.intp)
-        yield 0, None, nodes, self.states[0]
-        for k, (weights, children) in enumerate(zip(self.weights, self.children), start=1):
-            detectors = _pick_detectors(weights[nodes], self.n_excited - k + 1, uniforms[:, k - 1])
-            visited, rows = np.unique(children[nodes, detectors], return_inverse=True)
-            nodes = visited[rows]
-            yield k, detectors, rows, self.states[k][visited]
+    def walk(self, u: np.ndarray, uniforms: np.ndarray, clicks: int) -> Iterator[tuple]:
+        """Walk a lockstep group from the root over its first ``clicks`` clicks.
+
+        Row b of the (B, >= clicks) ``uniforms`` holds trajectory b's click
+        draws.  Yields (k, detectors, rows, states) for k = 0..clicks, where
+        trajectory b clicked detectors[b] (None at k = 0) and now sits in
+        states[rows[b]].  Through the tree's levels ``states`` holds the
+        group's distinct nodes, ascending.  Past them each click is one
+        _click through ``u``, the tree's unitary or a group's (B, n_sites,
+        n_sites) stack, and ``states`` holds one state per trajectory.
+        """
+        depth = min(len(self.weights), clicks)
+        nodes = rows = np.zeros(len(uniforms), dtype=np.intp)
+        states = self.states[0]
+        yield 0, None, rows, states
+        for k in range(1, depth + 1):
+            e = self.n_excited - k + 1
+            detectors = _pick_detectors(self.weights[k - 1][nodes], e, uniforms[:, k - 1])
+            visited, rows = np.unique(self.children[k - 1][nodes, detectors], return_inverse=True)
+            nodes, states = visited[rows], self.states[k][visited]
+            yield k, detectors, rows, states
+        for k in range(depth + 1, clicks + 1):
+            e = self.n_excited - k + 1
+            detectors, states = _click(self.n_sites, e, states, rows, u, uniforms[:, k - 1])
+            rows = np.arange(len(uniforms))
+            yield k, detectors, rows, states
 
 
-def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _ClickTree | None:
-    """The click-multiset tree of the (n_sites, n_sites) ``u`` over ``clicks`` clicks, or None.
+def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _ClickTree:
+    """The click-multiset tree of the (n_sites, n_sites) ``u``, over at most ``clicks`` clicks.
 
-    None when its states would hold more than _TREE_BUDGET amplitudes:
-    N = M = 8 (157,184) fits, N = M = 9 (864,146) does not.
+    Levels are added while the tree's states, the root's included, hold at
+    most _TREE_BUDGET amplitudes: every level at N = M = 8 (157,184), four
+    at N = M = 9, three at (12, 6), one at (16, 8) and none at (17, 8).
+    With ``clicks`` 0 the tree is its root, and ``u`` is not read.
     Multiset S's state is the lowering of its canonical parent, S without its
     largest detector d, at detector d, normalized by its weight as _click
     does; so a node's bits do not depend on which trajectories reach it.
@@ -216,9 +186,8 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
     exactly zero weight (behind exact zeros of ``u``) is kept unnormalized:
     no walk picks it.
     """
-    if _tree_size(n_sites, n_excited, clicks) > _TREE_BUDGET:
-        return None
     states = [_initial_amplitudes(n_sites, n_excited)[None]]
+    held = states[0].size
     weights, children = [], []
     # Largest detector of each node of the current level (the root's counts
     # as 0), and the canonical parent of each (unused at the root).
@@ -230,6 +199,9 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
         # Node p's canonical children, by detectors last[p]..n_sites - 1, are
         # consecutive in the next level from first[p] on.
         widths = n_sites - last
+        held += int(widths.sum()) * comb(n_sites, e - 1)
+        if held > _TREE_BUDGET:
+            break
         first = np.cumsum(widths) - widths
         child_parent = np.repeat(np.arange(len(level)), widths)
         child_last = np.arange(widths.sum()) - first[child_parent] + last[child_parent]
@@ -242,7 +214,7 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
             table[below] = first[via] + last[below[0]] - last[via]
         level_weights = np.empty((len(level), n_sites))
         next_states = np.empty((len(child_parent), comb(n_sites, e - 1)), dtype=complex)
-        step = max(1, _LOCKSTEP_BUDGET // (4 * n_sites * comb(n_sites, e - 1)))
+        step = _slice_size(n_sites, e)
         for lo in range(0, len(level), step):
             lowered = _lowered_raw(n_sites, e, level[lo : lo + step], u)
             level_weights[lo : lo + step] = np.vecdot(lowered, lowered).real
@@ -254,7 +226,7 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
         weights.append(level_weights)
         children.append(table.astype(np.int32))
         last, parent = child_last, child_parent
-    return _ClickTree(n_excited, tuple(states), tuple(weights), tuple(children))
+    return _ClickTree(n_sites, n_excited, tuple(states), tuple(weights), tuple(children))
 
 
 def evolve_clicks(
@@ -265,10 +237,10 @@ def evolve_clicks(
     Each click takes one ``rng.random()`` draw as it starts, so a walk
     stopped after k clicks has advanced ``rng`` by exactly k draws.
     """
-    uniforms = (rng.random(1) for _ in range(state.n_excited))
-    walk = _click_walk(state.n_sites, state.n_excited, state.amplitudes, u, uniforms)
-    for e, (detectors, rows, states) in zip(range(state.n_excited - 1, -1, -1), walk):
-        yield int(detectors[0]), SectorState(state.n_sites, e, states[rows[0]])
+    states, rows = state.amplitudes[None], np.zeros(1, dtype=np.intp)
+    for e in range(state.n_excited, 0, -1):
+        detectors, states = _click(state.n_sites, e, states, rows, u, rng.random(1))
+        yield int(detectors[0]), SectorState(state.n_sites, e - 1, states[0])
 
 
 def sample_click_sequence(
@@ -278,12 +250,12 @@ def sample_click_sequence(
 
     Draws the same clicks as :func:`evolve_clicks` for the same generator state.
     """
-    walk = _walk(n_sites, n_excited, u, rng.random((1, n_excited)), n_excited)
+    walk = _click_tree(n_sites, n_excited, u, 0).walk(u, rng.random((1, n_excited)), n_excited)
     return tuple(int(detectors[0]) for k, detectors, _, _ in walk if k)
 
 
 def _records(n_sites: int, n_excited: int, cut: int, walk) -> list[TrajectoryRecord]:
-    # One record per trajectory of a _walk over all n_excited clicks, with
+    # One record per trajectory of a _ClickTree.walk over all n_excited clicks, with
     # the entropy at the (checked) ``cut`` of the start state and of every post-click state.
     detectors_by_click, entropies_by_click = [], []
     for k, detectors, rows, states in walk:
@@ -306,7 +278,7 @@ def run_trajectory(
     with entropy 0.
     """
     _check_cut(n_sites, cut)
-    walk = _walk(n_sites, n_excited, u, rng.random((1, n_excited)), n_excited)
+    walk = _click_tree(n_sites, n_excited, u, 0).walk(u, rng.random((1, n_excited)), n_excited)
     return _records(n_sites, n_excited, cut, walk)[0]
 
 

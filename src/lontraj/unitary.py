@@ -161,11 +161,13 @@ def unitary_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
     if not isinstance(obj, dict) or not {"dim", "entries"} <= obj.keys():
         raise ValueError('expected a JSON object with keys "dim" and "entries"')
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):  # not 2.7, "2" or true
+        raise ValueError(f'"dim" must be a JSON integer, got {json.dumps(dim)}')
     try:
-        dim = int(obj["dim"])
         flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
     except (TypeError, ValueError):
-        raise ValueError('expected an integer "dim" and "entries" of [re, im] pairs') from None
+        raise ValueError('expected "entries" of [re, im] pairs') from None
     if dim < 1:
         raise ValueError(f'"dim" must be >= 1, got {dim}')
     if len(flat) != dim * dim:

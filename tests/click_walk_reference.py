@@ -2,8 +2,8 @@
 
 This is the click walk as it ran before trajectories were grouped: one
 trajectory at a time, its detector found with ``searchsorted``.  The grouped
-``trajectory._click_walk`` must yield the same clicks and the same amplitude
-bytes for each of its rows.
+click step, ``trajectory._click``, must give the same clicks and the same
+amplitude bytes for each of its rows.
 """
 
 from __future__ import annotations

@@ -50,7 +50,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Three each for entropy-grid, distribution and mixture-entropy, two for
-# trajectory-dump, one each for scaling-sweep and dump-unitary.
+# trajectory-dump, one each for scaling-sweep and dump-unitary; then a
+# distribution and a mixture under a fixed unitary whose click-multiset tree
+# holds only its first levels, so the walk goes on past it.
 GOLDEN = [
     "--mode entropy-grid --n 6 --m 4 --unitary brickwall:2 --samples 600 --seed 5",
     "--mode entropy-grid --n 5 --m 5 --unitary haar --samples 520 --seed 8",
@@ -66,6 +68,8 @@ GOLDEN = [
     " --waiting-times",
     "--mode trajectory-dump --n 7 --m 4 --unitary haar --cut 2 --samples 300 --seed 9",
     "--mode dump-unitary --n 6 --unitary brickwall:3 --seed 3",
+    "--mode distribution --n 9 --m 9 --unitary haar --samples 2000 --seed 15",
+    "--mode mixture-entropy --n 10 --m 10 --unitary haar --k 5 --cut 5 --samples 600 --seed 14",
 ]
 KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 

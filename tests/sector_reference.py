@@ -1,15 +1,16 @@
 """Forced jumps on raw sector states, for tests that choose the detector.
 
-The package applies clicks only in the lockstep kernel
-``trajectory._click_walk``, which samples each detector.  The functions here
+The package applies clicks only in its click kernel, ``trajectory._click``
+and the click-multiset tree, which sample each detector.  The functions here
 apply a chosen detector's jump instead, on the raw ``(n_sites, n_excited,
 amplitudes)`` form and through the same lowering, ``state._lowered_raw``.
 They take no guards: a caller passes a state with an excitation left and a
 detector of nonzero weight.  ``clicks_to_counts`` reduces a click sequence
 to the per-detector counts the permanent oracle takes.  ``lowered_by_scatter``
 builds the lowering by zero fill and scatter, the reference that the
-package's gather must match byte for byte.  ``click_multiset_law`` gives the
-exact law of the full click record from the tree of click multisets.
+package's gather must match byte for byte.  ``click_multiset_levels`` gives
+the exact law and state of every multiset of clicks, level by level, and
+``click_multiset_law`` the exact law of the full click record.
 """
 
 import numpy as np
@@ -50,8 +51,8 @@ def forced_jump(
     return row / np.linalg.norm(row)
 
 
-def click_multiset_law(n_sites: int, n_excited: int, u: np.ndarray) -> dict:
-    """Exact probability of each multiset of all ``n_excited`` clicks, by sorted detectors.
+def click_multiset_levels(n_sites: int, n_excited: int, u: np.ndarray) -> list[dict]:
+    """Level k maps each multiset of k clicks, by sorted detectors, to (probability, amplitudes).
 
     The collective jumps commute, so the state after clicks S depends on the
     multiset S alone: it is the forced jump of S minus its largest detector,
@@ -60,20 +61,27 @@ def click_multiset_law(n_sites: int, n_excited: int, u: np.ndarray) -> dict:
     probability exactly 0 are dropped; a reachable multiset always has a
     reachable parent without its largest detector, because the jumps commute.
     """
-    level = {(): (1.0, _initial_amplitudes(n_sites, n_excited))}
+    levels = [{(): (1.0, _initial_amplitudes(n_sites, n_excited))}]
     for e in range(n_excited, 0, -1):
+        level = levels[-1]
         probabilities = {}
         for multiset, (p, amplitudes) in level.items():
             weights = jump_weights(n_sites, e, amplitudes, u)
             for d in np.nonzero(weights)[0].tolist():
                 child = tuple(sorted(multiset + (d,)))
                 probabilities[child] = probabilities.get(child, 0.0) + p * weights[d] / e
-        level = {
+        levels.append({
             child: (p, forced_jump(n_sites, e, level[child[:-1]][1], u, child[-1]))
             for child, p in probabilities.items()
             if p > 0.0
-        }
-    return {multiset: p for multiset, (p, _) in level.items()}
+        })
+    return levels
+
+
+def click_multiset_law(n_sites: int, n_excited: int, u: np.ndarray) -> dict:
+    """Exact probability of each multiset of all ``n_excited`` clicks, by sorted detectors."""
+    leaves = click_multiset_levels(n_sites, n_excited, u)[-1]
+    return {multiset: p for multiset, (p, _) in leaves.items()}
 
 
 def occupations(n_sites: int, n_excited: int, amplitudes: np.ndarray) -> np.ndarray:

@@ -36,9 +36,9 @@ from lontraj.experiments import (
     trajectory_records,
 )
 from lontraj.state import _entropies, _lowered_raw, initial_state, sector_masks
-from lontraj.trajectory import _click_walk, run_trajectory
+from lontraj.trajectory import run_trajectory
 from lontraj.unitary import MAX_DEPTH, beamsplitter_unitary, haar_brickwall, haar_unitary
-from sector_reference import forced_jump
+from sector_reference import click_multiset_levels, forced_jump
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LN2 = float(np.log(2.0))
@@ -141,8 +141,8 @@ def test_group_size_keeps_its_states_within_the_lockstep_budget(monkeypatch, n_s
 @pytest.mark.parametrize("filling", ["full", "half"])
 def test_every_source_walks_a_chunk_in_the_same_groups(monkeypatch, n_sites, filling):
     # A chunk walks consecutive groups of _group_size rows whether its
-    # trajectories share one unitary or each draw their own; a fresh group
-    # hands the walk one unitary per row.
+    # trajectories share one unitary or each draw their own, one tree walk
+    # per group; a fresh group hands the walk one unitary per row.
     n_excited = n_sites if filling == "full" else n_sites // 2
     size = experiments._group_size(n_sites, n_excited)
 
@@ -153,28 +153,32 @@ def test_every_source_walks_a_chunk_in_the_same_groups(monkeypatch, n_sites, fil
             self.n_excited, self.groups = n_excited, []
 
         def add(self, first, walk) -> None:
-            u, uniforms = walk
-            self.groups.append((first, np.shape(u), uniforms.shape))
+            u, uniforms, clicks = walk
+            self.groups.append((first, np.shape(u), uniforms.shape, clicks))
 
-    monkeypatch.setattr(experiments, "_walk", lambda n, e, u, uniforms, clicks: (u, uniforms))
+    class Tree:
+        def walk(self, u, uniforms, clicks):
+            return u, uniforms, clicks
+
     lo, hi = CHUNK_SIZE, 2 * CHUNK_SIZE
     starts = list(range(lo, hi, size))
     rows = [min(start + size, hi) - start for start in starts]
     fixed = UnitarySource.fixed(haar_unitary(n_sites, np.random.default_rng(90)))
-    shared = experiments._accumulate(((Groups, fixed, n_sites, 7), lo, hi)).groups
+    shared = experiments._accumulate(((Groups, fixed, n_sites, 7), lo, hi), Tree()).groups
     assert shared == [
-        (start, (n_sites, n_sites), (b, n_excited)) for start, b in zip(starts, rows)
+        (start, (n_sites, n_sites), (b, n_excited), n_excited) for start, b in zip(starts, rows)
     ]
-    fresh = experiments._accumulate(((Groups, UnitarySource.haar(), n_sites, 7), lo, hi)).groups
+    haar = UnitarySource.haar()
+    fresh = experiments._accumulate(((Groups, haar, n_sites, 7), lo, hi), Tree()).groups
     assert fresh == [
-        (start, (b, n_sites, n_sites), (b, n_excited)) for start, b in zip(starts, rows)
+        (start, (b, n_sites, n_sites), (b, n_excited), n_excited) for start, b in zip(starts, rows)
     ]
 
 
-def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
-    # Every trajectory starts in the same state, and after one click each is
-    # in one of n states; a chunk that walked its trajectories apart would
-    # lower 256 rows at both clicks.
+def test_the_first_click_past_the_tree_lowers_each_node_once(monkeypatch):
+    # With room for the root and its n children only, the tree lowers the
+    # root once; the first click past it lowers each of the at most n
+    # visited children once, and every later click one state per trajectory.
     n = 8
     lowered = []
 
@@ -183,14 +187,15 @@ def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
         return _lowered_raw(n_sites, n_excited, amplitudes, u)
 
     monkeypatch.setattr(trajectory, "_lowered_raw", counting)
+    monkeypatch.setattr(trajectory, "_TREE_BUDGET", 1 + n * n)
     source = UnitarySource.fixed(haar_unitary(n, np.random.default_rng(91)))
     make = partial(experiments._OutcomeCounts, n, n)
-    part = experiments._accumulate(((make, source, n, 5), 0, CHUNK_SIZE))
-    assert sum(part.counts.values()) == CHUNK_SIZE
+    counts = _run(make, source, n, CHUNK_SIZE, 5, threads=1).counts
+    assert sum(counts.values()) == CHUNK_SIZE
     rows = {e: sum(size for e_, size in lowered if e_ == e) for e in range(1, n + 1)}
     assert rows[n] == 1
-    assert rows[n - 1] <= n
-    assert all(rows[e] <= CHUNK_SIZE for e in rows)
+    assert 1 < rows[n - 1] <= n
+    assert all(rows[e] == CHUNK_SIZE for e in range(1, n - 1))
     # Each slice stays within a quarter of the budget.
     for e, size in lowered:
         assert size == 1 or 4 * size * n * comb(n, e - 1) <= trajectory._LOCKSTEP_BUDGET
@@ -202,12 +207,15 @@ def test_a_fixed_unitary_lowers_each_click_prefix_once(monkeypatch):
 def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
     monkeypatch, n_sites, slice_rows, kind
 ):
-    # With the budget cut down, the widest click lowers its distinct states
-    # slice_rows at a time and a chunk walks in several groups.  Every
+    # With the budget cut down, the widest click lowers its states
+    # slice_rows at a time and a chunk walks in several groups.  A fixed
+    # unitary's tree holds the root and its children only, so its walk goes
+    # on past the first click; a fresh source's is the root.  Every
     # trajectory must still click and land exactly as it does alone, under
     # the fixed unitary or under its own draw from stream (i, 0).
     widest = max(comb(n_sites, j) for j in range(n_sites))
     monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", slice_rows * 4 * n_sites * widest)
+    monkeypatch.setattr(trajectory, "_TREE_BUDGET", 1 + n_sites * n_sites)
     slices = []
 
     def recording(n, e, amplitudes, u):
@@ -215,19 +223,21 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
         return _lowered_raw(n, e, amplitudes, u)
 
     walked = []
+    walk = trajectory._ClickTree.walk
 
-    def walk(*args):
-        steps = list(_click_walk(*args))
+    def recording_walk(*args):
+        steps = list(walk(*args))[1:]  # after each click
         walked.append(steps)
         yield from steps
 
     monkeypatch.setattr(trajectory, "_lowered_raw", recording)
-    monkeypatch.setattr(trajectory, "_click_walk", walk)
+    monkeypatch.setattr(trajectory._ClickTree, "walk", recording_walk)
     u = haar_unitary(n_sites, np.random.default_rng(92 + n_sites))
     source = UnitarySource.fixed(u) if kind == "fixed" else UnitarySource.haar()
     seed, size = 93, 200
     make = partial(experiments._OutcomeCounts, n_sites, n_sites)
-    experiments._accumulate(((make, source, n_sites, seed), 0, size))
+    tree = trajectory._click_tree(n_sites, n_sites, u, n_sites if kind == "fixed" else 0)
+    experiments._accumulate(((make, source, n_sites, seed), 0, size), tree)
     group = experiments._group_size(n_sites, n_sites)
     assert len(walked) == -(-size // group) > 1
     at_widest = [rows for e, rows in slices if comb(n_sites, e - 1) == widest]
@@ -239,7 +249,7 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
         if source.fresh_per_sample:
             u = source.draw(n_sites, derive_rng(seed, index, 0))
         alone = click_walk(n_sites, n_sites, start, u, derive_rng(seed, index, 1))
-        for (detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
+        for (_, detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
             assert detectors[b] == detector
             assert states[rows[b]].tobytes() == amplitudes.tobytes()
 
@@ -247,17 +257,13 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
 def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs(monkeypatch):
     # At N = 8 a fixed unitary's run walks its click-multiset tree, whose
     # states are reached in ascending detector order.  Every record clicks as
-    # its trajectory does alone on the ordered route, with entropies within
+    # its trajectory does alone, from a root tree, with entropies within
     # rounding, and is bit-identical to its trajectory walked through the tree
     # in a group of its own.
     n, m, cut, seed, samples = 8, 8, 4, 97, 300
     u = haar_unitary(n, np.random.default_rng(96))
     source = UnitarySource.fixed(u)
-
-    def ordered(*args):
-        raise AssertionError("a fixed N = 8 run walked its ordered prefixes")
-
-    monkeypatch.setattr(experiments, "_walk", ordered)
+    assert len(trajectory._click_tree(n, m, u, m).weights) == m  # every click in the tree
     records = trajectory_records(n, m, source, cut, samples, seed)
     assert len(records) == samples
     for i, record in enumerate(records):
@@ -308,10 +314,11 @@ class _Paths:
     ],
 )
 def test_the_click_multiset_tree_walks_as_the_ordered_prefixes_do(monkeypatch, n, m, network):
-    # 1024 trajectories in four chunks click exactly as the chunked ordered
-    # walk makes them click, and each multiset the tree walk visits holds the
-    # state its detectors give when forced in ascending order.  Brick walls
-    # have canonical children of exactly zero weight, which no walk reaches.
+    # 1024 trajectories in four chunks click exactly as they do when every
+    # trajectory walks its own ordered clicks from a root tree, and each
+    # multiset the tree walk visits holds the state its detectors give when
+    # forced in ascending order.  Brick walls have canonical children of
+    # exactly zero weight, which no walk reaches.
     rng = np.random.default_rng([n, m])
     u = {
         "haar": lambda: haar_unitary(n, rng),
@@ -320,14 +327,11 @@ def test_the_click_multiset_tree_walks_as_the_ordered_prefixes_do(monkeypatch, n
     }[network]()
     source, seed, samples = UnitarySource.fixed(u), 61, 4 * CHUNK_SIZE
     make = partial(_Paths, m)
-    ordered = make()
+    ordered, root = make(), trajectory._click_tree(n, m, u, 0)
     for lo in experiments._chunks(samples):
-        ordered.merge(experiments._accumulate(((make, source, n, seed), lo, lo + CHUNK_SIZE)))
-
-    def no_ordered_walk(*args):
-        raise AssertionError("the run walked its ordered prefixes")
-
-    monkeypatch.setattr(experiments, "_walk", no_ordered_walk)
+        chunk = ((make, source, n, seed), lo, lo + CHUNK_SIZE)
+        ordered.merge(experiments._accumulate(chunk, root))
+    assert len(trajectory._click_tree(n, m, u, m).weights) == m  # every click in the tree
     tree = _run(make, source, n, samples, seed, threads=1)
     assert len(tree.paths) == samples
     assert tree.paths == ordered.paths
@@ -343,16 +347,23 @@ def test_the_click_multiset_tree_walks_as_the_ordered_prefixes_do(monkeypatch, n
         np.testing.assert_allclose(state, ascending(multiset), rtol=0, atol=1e-12)
 
 
-def test_the_tree_fit_rule_admits_n_8_and_sends_n_9_to_the_ordered_walk():
-    # Amplitudes over every level of the tree against 4 * the lockstep budget.
+def test_the_tree_fit_rule_keeps_the_levels_that_fit_the_budget():
+    # Levels are added while the states, the root's included, hold at most
+    # 4 * the lockstep budget; level k holds C(n + k - 1, k) multisets, each
+    # a C(n, m - k) state.  A run walks on past the last level.
     assert trajectory._TREE_BUDGET == 4 * trajectory._LOCKSTEP_BUDGET == 196_608
-    sizes = {(8, 8): 157_184, (7, 7): 28_814, (10, 5): 28_004, (40, 2): 3_200,
-             (9, 9): 864_146, (12, 6): 284_000}
-    for (n, m), size in sizes.items():
-        assert trajectory._tree_size(n, m, m) == size
+    depths = {(8, 8): 8, (7, 7): 7, (10, 5): 5, (40, 2): 2, (9, 9): 4, (12, 6): 3,
+              (14, 7): 1, (16, 8): 1, (17, 8): 0}
+    for (n, m), depth in depths.items():
+        tree = trajectory._click_tree(n, m, haar_unitary(n, np.random.default_rng(n)), m)
+        sizes = [comb(n + k - 1, k) * comb(n, m - k) for k in range(m + 1)]
+        assert [level.size for level in tree.states] == sizes[: depth + 1]
+        assert len(tree.weights) == len(tree.children) == depth
+        assert sum(sizes[: depth + 1]) <= trajectory._TREE_BUDGET
+        assert depth == m or sum(sizes[: depth + 2]) > trajectory._TREE_BUDGET
     u = haar_unitary(9, np.random.default_rng(3))
-    assert trajectory._click_tree(9, 9, u, 9) is None
-    assert trajectory._click_tree(9, 9, u, 4) is not None  # a mixture's first clicks
+    assert len(trajectory._click_tree(9, 9, u, 2).weights) == 2  # a mixture's first clicks
+    assert len(trajectory._click_tree(9, 9, u, 0).states) == 1  # the root alone
 
 
 @pytest.mark.parametrize("samples", [1, CHUNK_SIZE + 1, 3 * CHUNK_SIZE])
@@ -398,12 +409,13 @@ def test_fixed_tree_runs_keep_their_bytes_across_workers():
 
 
 def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
-    # Its tree would not fit: the chunks walk ordered prefixes on two workers.
+    # Its tree holds four of nine levels: two workers receive it and walk on past it.
     started = []
 
     class RecordingPool(experiments.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs) -> None:
-            started.append((kwargs["max_workers"], kwargs["initargs"]))
+            (tree,) = kwargs["initargs"]
+            started.append((kwargs["max_workers"], len(tree.weights)))
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
@@ -413,7 +425,7 @@ def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
         grid_csv(averaged_entropy_grid(9, 9, source, CHUNK_SIZE + 1, 6, threads))
         for threads in (1, 2)
     ]
-    assert started == [(2, (None,))]
+    assert started == [(2, 4)]
     assert grids[0] == grids[1]
 
 
@@ -509,6 +521,38 @@ def test_single_click_row_matches_direct_monte_carlo():
     direct_stderr = direct.std(axis=0, ddof=1) / np.sqrt(samples)
     combined = np.sqrt(grid.stderr[1] ** 2 + direct_stderr**2)
     assert np.all(np.abs(grid.values[1] - direct_mean) <= 3 * combined)
+
+
+# Standard errors within which each sampled grid cell must meet its exact value.
+GRID_Z = 4.0
+
+
+@pytest.mark.parametrize("route", ["tree", "past-the-tree"])
+@pytest.mark.parametrize("n, m, network", [(6, 6, "haar"), (7, 5, "brickwall:3"), (8, 8, "haar")])
+def test_the_fixed_unitary_grid_meets_the_exact_multiset_average(
+    monkeypatch, n, m, network, route
+):
+    # Exact: sum over the multisets S of k clicks of P_k(S) * S_l(psi_S), from
+    # the reference tree.  Each cell of the estimate lies within GRID_Z of its
+    # standard errors.  A cell of zero spread (the start, the end, and cuts a
+    # brick wall's light cone keeps in a product state) is the exact value.
+    # Past the tree, the run's tree holds the root and its children only.
+    rng = np.random.default_rng([n, m, 5])
+    u = haar_unitary(n, rng) if network == "haar" else haar_brickwall(n, 3, rng)
+    if route == "past-the-tree":
+        monkeypatch.setattr(trajectory, "_TREE_BUDGET", comb(n, m) + n * comb(n, m - 1))
+    assert len(trajectory._click_tree(n, m, u, m).weights) == (m if route == "tree" else 1)
+    grid = averaged_entropy_grid(n, m, UnitarySource.fixed(u), 3000, 23)
+    exact = np.zeros_like(grid.values)
+    for k, level in enumerate(click_multiset_levels(n, m, u)):
+        p = np.array([p for p, _ in level.values()])
+        states = np.array([amplitudes for _, amplitudes in level.values()])
+        exact[k] = p @ _entropies(n, m - k, states, tuple(range(1, n)))
+    spread = grid.stderr > 0
+    assert not spread[[0, m]].any()
+    np.testing.assert_allclose(grid.values[~spread], exact[~spread], rtol=0, atol=1e-12)
+    z = np.abs(grid.values - exact)[spread] / grid.stderr[spread]
+    assert z.max() <= GRID_Z
 
 
 def test_haar_maximizing_cut_is_the_half_chain():
@@ -743,7 +787,9 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
 
     class InProcessPool:
         def __init__(self, max_workers: int, initializer, initargs) -> None:
-            assert initargs == (None,)  # a fresh source hands its workers no tree
+            (tree,) = initargs
+            assert len(tree.states) == 1  # a fresh source hands its workers a root
+            initializer(*initargs)  # as a worker would, in this process
 
         def __enter__(self):
             return self
@@ -762,8 +808,7 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
     workers, n_samples = 3, 20 * CHUNK_SIZE + 5
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
-    # A fresh source: the stand-in does not run the pool's initializer, which
-    # would hand a fixed source's tree to this process.
+    monkeypatch.setattr(experiments, "_worker_tree", None)  # set by the stand-in; restored after
     total = _run(Firsts, UnitarySource.haar(), 3, n_samples, 0, threads=workers)
     assert total.firsts == list(range(0, n_samples, CHUNK_SIZE))
     assert most_unread == 2 * workers

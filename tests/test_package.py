@@ -45,14 +45,16 @@ def _users(name: str) -> set[tuple[str, str | None]]:
 
 
 def test_one_walk_driver_drives_the_click_kernel():
-    # The estimators and the dump are reducers over trajectory._walk, which
-    # _accumulate alone hands them; evolve_clicks starts from any state.
-    assert _users("_click_walk") == {("trajectory", "_walk"), ("trajectory", "evolve_clicks")}
-    assert _users("_walk") == {
-        ("experiments", "_accumulate"),
+    # The estimators and the dump are reducers over a click-multiset tree's
+    # walk, which _accumulate alone hands them; single trajectories walk a
+    # root tree, and evolve_clicks starts from any state.
+    assert _users("_click") == {("trajectory", "walk"), ("trajectory", "evolve_clicks")}
+    assert _users("_click_tree") == {
+        ("experiments", "_run"),
         ("trajectory", "run_trajectory"),
         ("trajectory", "sample_click_sequence"),
     }
+    assert _users("_walk") == _users("_click_walk") == _users("_tree_size") == set()
 
 
 def test_only_the_chunk_walk_reads_the_group_size():
@@ -99,5 +101,6 @@ def test_the_lockstep_budget_is_bound_only_beside_the_click_kernel():
             if any(getattr(t, "id", getattr(t, "attr", None)) == "_LOCKSTEP_BUDGET" for t in targets):
                 bound.add(module)
     assert bound == {"trajectory"}
-    for kernel in (trajectory._click_walk, trajectory._click, trajectory._records):
+    kernels = trajectory._ClickTree.walk, trajectory._click, trajectory._click_tree
+    for kernel in (*kernels, trajectory._records):
         assert "budget" not in inspect.signature(kernel).parameters

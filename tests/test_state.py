@@ -22,7 +22,7 @@ from lontraj.state import (
     initial_state,
     sector_masks,
 )
-from lontraj.trajectory import _click_walk, evolve_clicks
+from lontraj.trajectory import _click, evolve_clicks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from schmidt_reference import schmidt_entropy
 from sector_reference import jump_weights, lowered_by_scatter, occupations
@@ -133,9 +133,9 @@ def test_jump_weights_sum_to_excitation_count(n_sites, n_excited):
 
 def first_click(n_sites: int, u: np.ndarray, uniform: float) -> tuple[int, np.ndarray]:
     # The kernel's first click from full filling, drawn with the given uniform.
-    walk = _click_walk(n_sites, n_sites, _initial_amplitudes(n_sites, n_sites), u, [[uniform]])
-    detectors, rows, states = next(walk)
-    return int(detectors[0]), states[rows[0]]
+    start, rows = _initial_amplitudes(n_sites, n_sites)[None], np.zeros(1, dtype=np.intp)
+    detectors, states = _click(n_sites, n_sites, start, rows, u, np.array([uniform]))
+    return int(detectors[0]), states[0]
 
 
 def test_apply_jump_symmetric_click_gives_bell_state():
@@ -163,9 +163,10 @@ def test_apply_jump_matches_dense_reference():
     # The uniform at the middle of detector 1's share of the inverse CDF.
     weights = jump_weights(4, 2, state.amplitudes, u)
     uniform = (weights[0] + weights[1] / 2) / weights.sum()
-    (detectors, rows, states), *_ = _click_walk(4, 2, state.amplitudes, u, [[uniform]])
+    rows = np.zeros(1, dtype=np.intp)
+    detectors, states = _click(4, 2, state.amplitudes[None], rows, u, np.array([uniform]))
     assert detectors[0] == detector
-    result = embed(SectorState(4, 1, states[rows[0]]))
+    result = embed(SectorState(4, 1, states[0]))
     fidelity = abs(np.vdot(jumped, result))
     assert fidelity >= 1 - 1e-10
 

@@ -1,4 +1,5 @@
 import json
+import re
 from math import comb
 
 import numpy as np
@@ -14,7 +15,7 @@ from lontraj.trajectory import (
     attach_waiting_times,
     evolve_clicks,
     record_to_json,
-    _click_walk,
+    _click_tree,
     _pick_detectors,
     run_trajectory,
     sample_click_sequence,
@@ -159,10 +160,26 @@ def test_nan_network_breaks_the_weight_sum():
     # NaN weights must not pass the check and yield made-up clicks.
     u = haar_unitary(4, np.random.default_rng(12))
     u[2, 1] = np.nan
-    state = initial_state(4, 3)
-    walk = _click_walk(4, 3, state.amplitudes[None], u, np.random.default_rng(0).random((3, 1)))
+    walk = _click_tree(4, 3, u, 0).walk(u, np.random.default_rng(0).random((1, 3)), 3)
+    next(walk)  # the start state
     with pytest.raises(RuntimeError, match="jump weights sum"):
         next(walk)
+
+
+@pytest.mark.parametrize("call", ["run", "sequence", "evolve", "stack"])
+def test_a_unitary_of_the_wrong_shape_fails_at_the_first_click(call):
+    u = haar_unitary(3, np.random.default_rng(13))
+    stack = np.stack([haar_unitary(4, np.random.default_rng(14 + b)) for b in range(2)])
+    rng = np.random.default_rng(0)
+    runs = {
+        "run": lambda: run_trajectory(4, 2, u, 1, rng),
+        "sequence": lambda: sample_click_sequence(4, 2, u, rng),
+        "evolve": lambda: next(evolve_clicks(initial_state(4, 2), u, rng)),
+        "stack": lambda: run_trajectory(4, 2, stack, 1, rng),  # two unitaries for one trajectory
+    }
+    shape = re.escape(str((2, 4, 4) if call == "stack" else (3, 3)))
+    with pytest.raises(ValueError, match=rf"^unitary shape {shape} does not match 4 sites$"):
+        runs[call]()
 
 
 @pytest.mark.parametrize("n_sites,n_excited", [(6, 5), (8, 8), (7, 3)])
@@ -175,11 +192,12 @@ def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
     stacked = np.stack([haar_unitary(n_sites, np.random.default_rng(50 + b)) for b in range(size)])
     for u, row_u in ((shared, lambda b: shared), (stacked, lambda b: stacked[b])):
         uniforms = np.array([np.random.default_rng(b).random(n_excited) for b in range(size)])
-        group = list(_click_walk(n_sites, n_excited, start, u, uniforms.T))
+        root = _click_tree(n_sites, n_excited, shared, 0)
+        group = list(root.walk(u, uniforms, n_excited))[1:]
         assert len(group) == n_excited
         for b in range(size):
             alone = click_walk(n_sites, n_excited, start, row_u(b), np.random.default_rng(b))
-            for (detectors, rows, states), (detector, row) in zip(group, alone, strict=True):
+            for (_, detectors, rows, states), (detector, row) in zip(group, alone, strict=True):
                 assert detectors[b] == detector
                 assert states[rows[b]].tobytes() == row.tobytes()
 
@@ -197,7 +215,8 @@ def test_one_faulty_row_breaks_the_group_weight_sum(fault):
         u[1, 2, 1] = np.nan
         total = "nan"
     uniforms = np.random.default_rng(0).random((3, 3))
-    walk = _click_walk(n, 3, initial_state(n, 3).amplitudes, u, uniforms)
+    walk = _click_tree(n, 3, u[0], 0).walk(u, uniforms, 3)
+    next(walk)  # the start state
     with pytest.raises(RuntimeError, match=f"^jump weights sum to {total}, expected 3$"):
         next(walk)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,22 @@ def test_unitary_json_rejects_nonunitary():
     text = json.dumps({"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]})
     with pytest.raises(ValueError, match="not unitary"):
         unitary_from_json(text)
+
+
+@pytest.mark.parametrize("dim", ["2.7", "2.0", "true", '"2"', "null", "[2]"])
+def test_unitary_json_takes_only_an_integer_dim(dim):
+    # int() would truncate 2.7 and coerce true and "2"; the identity's four
+    # entries fit every one of those read as 2 or 1.
+    entries = json.dumps([[1, 0], [0, 0], [0, 0], [1, 0]])
+    text = f'{{"dim": {dim}, "entries": {entries}}}'
+    with pytest.raises(ValueError, match=f'^"dim" must be a JSON integer, got {re.escape(dim)}$'):
+        unitary_from_json(text)
+    assert unitary_from_json(text.replace(dim, "2", 1)).shape == (2, 2)
+
+
+def test_unitary_json_names_malformed_entries():
+    with pytest.raises(ValueError, match=r'^expected "entries" of \[re, im\] pairs$'):
+        unitary_from_json(json.dumps({"dim": 1, "entries": [[1, 0, 0]]}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
