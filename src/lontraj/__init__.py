@@ -12,7 +12,6 @@ from .experiments import (
     DistributionReport,
     EntropyGrid,
     MixtureEntropyReport,
-    UnitarySource,
     averaged_entropy_grid,
     distribution_comparison,
     entropy_bound,
@@ -36,6 +35,7 @@ from .trajectory import (
     run_trajectory,
 )
 from .unitary import (
+    UnitarySource,
     beamsplitter_unitary,
     haar_brickwall,
     haar_unitary,

@@ -23,7 +23,6 @@ from . import __version__
 from .experiments import (
     MAX_SAMPLES,
     MIXTURE_MAX_SUBSYSTEM,
-    UnitarySource,
     averaged_entropy_grid,
     derive_rng,
     distribution_comparison,
@@ -37,13 +36,14 @@ from .experiments import (
 from .oracle import ENUMERATION_LIMIT
 from .state import MAX_SITES
 from .trajectory import record_to_json
-from .unitary import load_unitary, unitary_to_json
+from .unitary import UnitarySource, load_unitary, unitary_to_json
 
 
 # Each mode's runner turns the settings the mode reads and its unitary source
-# (None for a sweep; a run's single unitary is ``source.matrix``) into the
-# output text and an optional stdout line.  Runners look the library functions
-# up when called, so a wrapper patched into this module's namespace sees every call.
+# (None for a sweep) into the output text and an optional stdout line.  Every
+# estimator takes the source itself; only a unitary dump reads its matrix.
+# Runners look the library functions up when called, so a wrapper patched
+# into this module's namespace sees every call.
 
 
 def _dump_unitary(s, source, seed, threads):
@@ -64,13 +64,13 @@ def _entropy_grid(s, source, seed, threads):
 
 
 def _distribution(s, source, seed, threads):
-    report = distribution_comparison(s["n"], s["m"], source.matrix, s["samples"], seed, threads)
+    report = distribution_comparison(s["n"], s["m"], source, s["samples"], seed, threads)
     return distribution_csv(report), f"tvd={report.tvd!r} over {len(report.outcomes)} outcomes"
 
 
 def _mixture_entropy(s, source, seed, threads):
     report = mixture_entropy_report(
-        s["n"], s["m"], source.matrix, s["k"], s["cut"], s["samples"], seed, threads=threads
+        s["n"], s["m"], source, s["k"], s["cut"], s["samples"], seed, threads=threads
     )
     return json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n", None
 

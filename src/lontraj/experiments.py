@@ -40,7 +40,7 @@ from . import trajectory
 from .oracle import enumerate_outcomes, outcome_law
 from .state import _check_cut, _cut_blocks, _entropies, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _records, attach_waiting_times
-from .unitary import MAX_DEPTH, _brickwall_stack, _haar_stack, check_unitary
+from .unitary import UnitarySource
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
 MIXTURE_MAX_SUBSYSTEM = 12
@@ -150,85 +150,6 @@ def _seed_words_type() -> type:
 def _generator(words: np.ndarray) -> np.random.Generator:
     """The generator derive_rng would give, from its row of _stream_words."""
     return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
-
-
-@dataclass(frozen=True, eq=False)
-class UnitarySource:
-    """Where each trajectory's network unitary comes from.
-
-    ``haar`` and ``brickwall`` draw a fresh unitary per trajectory; ``fixed``
-    reuses a read-only copy of the given matrix for every trajectory.  A
-    source is checked when it is made, so every one that exists is valid.
-    Sources compare and hash by kind, depth and the bytes of the matrix.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-    depth: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "fixed":
-            check_unitary(self.matrix)
-            matrix = np.array(self.matrix, dtype=complex)
-            matrix.setflags(write=False)  # shared by every trajectory and worker
-            object.__setattr__(self, "matrix", matrix)
-        elif self.kind == "brickwall":
-            # Every trajectory draws and multiplies this many layers.
-            if not (isinstance(self.depth, (int, np.integer)) and 0 <= self.depth <= MAX_DEPTH):
-                raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {self.depth}")
-        elif self.kind != "haar":
-            raise ValueError(f"unknown unitary source {self.kind!r}")
-
-    def _key(self) -> tuple:
-        matrix = None if self.matrix is None else (self.matrix.shape, self.matrix.tobytes())
-        return self.kind, self.depth, matrix
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitarySource):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @classmethod
-    def fixed(cls, u: np.ndarray) -> "UnitarySource":
-        return cls(kind="fixed", matrix=u)
-
-    @classmethod
-    def identity(cls, n_modes: int) -> "UnitarySource":
-        return cls.fixed(np.eye(n_modes, dtype=complex))
-
-    @classmethod
-    def haar(cls) -> "UnitarySource":
-        return cls(kind="haar")
-
-    @classmethod
-    def brickwall(cls, depth: int) -> "UnitarySource":
-        return cls(kind="brickwall", depth=depth)
-
-    @property
-    def fresh_per_sample(self) -> bool:
-        return self.kind in ("haar", "brickwall")
-
-    def draw(self, n_modes: int, rngs) -> np.ndarray:
-        """The unitary or the stack that trajectory._click takes, for ``rngs``.
-
-        A fixed source gives its (n_modes, n_modes) matrix, shared, and reads
-        no generator.  A fresh one gives a matrix from one generator, and from
-        a list of B the (B, n_modes, n_modes) stack whose row b is the matrix
-        rngs[b] alone would give, from one batched draw.
-        """
-        if self.kind == "fixed":
-            if self.matrix.shape[0] != n_modes:
-                raise ValueError(f"fixed unitary is {self.matrix.shape[0]}-mode, need {n_modes}")
-            return self.matrix
-        group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
-        if self.kind == "haar":
-            stack = _haar_stack(n_modes, group)
-        else:
-            stack = _brickwall_stack(n_modes, self.depth, group)
-        return stack if group is rngs else stack[0]
 
 
 def _chunks(n_samples: int) -> range:
@@ -536,6 +457,12 @@ def entropy_bound(subsystem_size: int, n_sites: int) -> float:
     return float(-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
 
 
+def _check_fixed(source: UnitarySource, estimator: str) -> None:
+    # One network's exact law or averaged state: a fresh source has no single network.
+    if source.fresh_per_sample:
+        raise ValueError(f"{estimator} needs a fixed unitary, got a {source.kind} source")
+
+
 @dataclass(frozen=True)
 class DistributionReport:
     """Exact vs. empirical click-outcome distribution for one fixed unitary."""
@@ -571,13 +498,13 @@ class _OutcomeCounts:
 def distribution_comparison(
     n_sites: int,
     n_excited: int,
-    u: np.ndarray,
+    source: UnitarySource,
     n_samples: int,
     master_seed: int,
     threads: int = 1,
 ) -> DistributionReport:
-    """Sample trajectories under a fixed unitary and compare to the exact outcome law."""
-    source = UnitarySource.fixed(u)
+    """Sample trajectories under a fixed source's unitary and compare to its exact outcome law."""
+    _check_fixed(source, "distribution_comparison")
     outcomes = enumerate_outcomes(n_sites, n_excited)
     exact = outcome_law(source.draw(n_sites, []), outcomes, n_excited)  # checked against N first
     make = partial(_OutcomeCounts, n_sites, n_excited)
@@ -674,26 +601,27 @@ class _MixtureSums:
 def mixture_entropy_report(
     n_sites: int,
     n_excited: int,
-    u: np.ndarray,
+    source: UnitarySource,
     k: int,
     cut: int,
     n_samples: int,
     master_seed: int,
     threads: int = 1,
 ) -> MixtureEntropyReport:
-    """Estimate both sides of the mixture-entropy sandwich after ``k`` clicks.
+    """Estimate both sides of the mixture-entropy sandwich of a fixed source after ``k`` clicks.
 
     ``tolerance`` combines three standard errors of the mean trajectory
     entropy with the plug-in bias allowance of the Shannon term; the sandwich
     is expected to hold within it.
     """
+    _check_fixed(source, "mixture_entropy_report")
     if not 0 <= k <= n_excited:
         raise ValueError(f"click count {k} outside [0, {n_excited}]")
     _check_cut(n_sites, cut)
     if cut > MIXTURE_MAX_SUBSYSTEM:
         raise ValueError(f"subsystem of {cut} sites too large (at most {MIXTURE_MAX_SUBSYSTEM})")
     make = partial(_MixtureSums, n_sites, n_excited, k, cut)
-    total = _run(make, UnitarySource.fixed(u), n_sites, n_samples, master_seed, threads)
+    total = _run(make, source, n_sites, n_samples, master_seed, threads)
     histogram = total.histogram
     mean, stderr = _mean_stderr(total.entropy_sum, total.entropy_square_sum, n_samples)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(rho / n_samples) for rho in total.rho_sum])

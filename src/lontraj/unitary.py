@@ -1,5 +1,8 @@
 """Linear-optical-network unitaries: 2x2 beam-splitter gates, brick-wall circuits, Haar sampling.
 
+A run takes its unitaries from one ``UnitarySource``: a fixed matrix, or a
+fresh Haar or brick-wall draw per trajectory.
+
 All mode indices are 0-based.  Matrices are dense ``numpy`` arrays of
 ``complex128``; every constructor in this module returns a matrix that is
 unitary to better than 1e-12 entrywise.
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import json
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -144,6 +148,90 @@ def haar_brickwall(n_modes: int, depth: int, rng: np.random.Generator) -> np.nda
     per-gate reference in the tests), however the gates are batched.
     """
     return _brickwall_stack(n_modes, depth, [rng])[0]
+
+
+@dataclass(frozen=True, eq=False)
+class UnitarySource:
+    """Where each trajectory's network unitary comes from.
+
+    ``haar`` and ``brickwall`` draw a fresh unitary per trajectory; ``fixed``
+    reuses a read-only copy of the given matrix for every trajectory.  A
+    source is checked when it is made, so every one that exists is valid.
+    Sources compare and hash by kind, depth and the bytes of the matrix.
+    """
+
+    kind: str
+    matrix: np.ndarray | None = None
+    depth: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("fixed", "haar", "brickwall"):
+            raise ValueError(f"unknown unitary source {self.kind!r}")
+        # A field of another kind would set the source apart from its equals.
+        if self.depth is not None and self.kind != "brickwall":
+            raise ValueError(f"a {self.kind} source takes no depth, got {self.depth!r}")
+        if self.matrix is not None and self.kind != "fixed":
+            raise ValueError(f"a {self.kind} source takes no matrix")
+        if self.kind == "fixed":
+            check_unitary(self.matrix)
+            matrix = np.array(self.matrix, dtype=complex)
+            matrix.setflags(write=False)  # shared by every trajectory and worker
+            object.__setattr__(self, "matrix", matrix)
+        elif self.kind == "brickwall":
+            # Every trajectory draws and multiplies this many layers.
+            if not (isinstance(self.depth, (int, np.integer)) and 0 <= self.depth <= MAX_DEPTH):
+                raise ValueError(f"depth must lie in [0, {MAX_DEPTH}], got {self.depth}")
+
+    def _key(self) -> tuple:
+        matrix = None if self.matrix is None else (self.matrix.shape, self.matrix.tobytes())
+        return self.kind, self.depth, matrix
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnitarySource):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @classmethod
+    def fixed(cls, u: np.ndarray) -> "UnitarySource":
+        return cls(kind="fixed", matrix=u)
+
+    @classmethod
+    def identity(cls, n_modes: int) -> "UnitarySource":
+        return cls.fixed(np.eye(n_modes, dtype=complex))
+
+    @classmethod
+    def haar(cls) -> "UnitarySource":
+        return cls(kind="haar")
+
+    @classmethod
+    def brickwall(cls, depth: int) -> "UnitarySource":
+        return cls(kind="brickwall", depth=depth)
+
+    @property
+    def fresh_per_sample(self) -> bool:
+        return self.kind in ("haar", "brickwall")
+
+    def draw(self, n_modes: int, rngs) -> np.ndarray:
+        """The unitary or the stack that trajectory._click takes, for ``rngs``.
+
+        A fixed source gives its (n_modes, n_modes) matrix, shared, and reads
+        no generator.  A fresh one gives a matrix from one generator, and from
+        a list of B the (B, n_modes, n_modes) stack whose row b is the matrix
+        rngs[b] alone would give, from one batched draw.
+        """
+        if self.kind == "fixed":
+            if self.matrix.shape[0] != n_modes:
+                raise ValueError(f"fixed unitary is {self.matrix.shape[0]}-mode, need {n_modes}")
+            return self.matrix
+        group = [rngs] if isinstance(rngs, np.random.Generator) else rngs
+        if self.kind == "haar":
+            stack = _haar_stack(n_modes, group)
+        else:
+            stack = _brickwall_stack(n_modes, self.depth, group)
+        return stack if group is rngs else stack[0]
 
 
 def unitary_to_json(u: np.ndarray) -> str:

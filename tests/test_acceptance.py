@@ -6,10 +6,12 @@ tolerances stated below; runtime budgets are asserted where given.
 """
 
 import time
+from collections import Counter
 from contextlib import contextmanager
-from math import factorial
+from math import factorial, log, prod
 
 import numpy as np
+import pytest
 
 from lontraj.cli import execute, parse_config
 from lontraj.experiments import (
@@ -29,11 +31,11 @@ from lontraj.oracle import (
     permanent_ryser,
     sequence_probability,
 )
-from lontraj.state import entanglement_entropy, initial_state
+from lontraj.state import _cut_blocks, entanglement_entropy, initial_state
 from lontraj.trajectory import evolve_clicks
 from lontraj.unitary import beamsplitter_unitary, haar_unitary
 from permanent_reference import permanent_naive
-from sector_reference import conditional_click_probability, occupations
+from sector_reference import click_multiset_levels, conditional_click_probability, occupations
 
 SEED = 20260811
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -64,12 +66,13 @@ def balanced_splitter() -> np.ndarray:
 
 def test_criterion_1_hong_ou_mandel():
     u = balanced_splitter()
-    distribution_comparison(2, 2, u, 10, 1)  # warm caches outside the timed region
+    source = UnitarySource.fixed(u)
+    distribution_comparison(2, 2, source, 10, 1)  # warm caches outside the timed region
     with criterion("1", "Hong-Ou-Mandel bunching", budget=1.0):
         assert abs(outcome_probability(u, (2, 0), 2) - 0.5) < 1e-12
         assert abs(outcome_probability(u, (0, 2), 2) - 0.5) < 1e-12
         assert outcome_probability(u, (1, 1), 2) <= 1e-12
-        report = distribution_comparison(2, 2, u, 10_000, SEED, threads=1)
+        report = distribution_comparison(2, 2, source, 10_000, SEED, threads=1)
         frequency = dict(zip(report.outcomes, report.empirical))
         assert abs(frequency[(2, 0)] - 0.5) <= 0.015
         assert abs(frequency[(0, 2)] - 0.5) <= 0.015
@@ -83,7 +86,7 @@ def test_criterion_2_boson_sampling_equivalence():
         assert len(exact) == 210
         assert abs(exact.sum() - 1.0) < 1e-9
         threshold = 2.0 * expected_tvd(exact, 10_000)  # fixed before sampling
-        report = distribution_comparison(7, 4, u, 10_000, SEED, threads=2)
+        report = distribution_comparison(7, 4, UnitarySource.fixed(u), 10_000, SEED, threads=2)
         assert report.tvd < threshold, f"tvd {report.tvd:.4f} >= threshold {threshold:.4f}"
 
 
@@ -203,17 +206,70 @@ def test_criterion_8_mixture_entropy_sandwich():
     with criterion("8", "mean entropy <= averaged-state entropy <= mean + Shannon", budget=60.0):
         n, k, cut, samples = 6, 3, 3, 10_000
         sources = {
-            "haar": haar_unitary(n, derive_rng(SEED + 7, 0, 2)),
-            "identity": np.eye(n, dtype=complex),
+            "haar": UnitarySource.fixed(haar_unitary(n, derive_rng(SEED + 7, 0, 2))),
+            "identity": UnitarySource.identity(n),
         }
-        for label, u in sources.items():
-            report = mixture_entropy_report(n, n, u, k, cut, samples, SEED + 7, threads=2)
+        for label, source in sources.items():
+            report = mixture_entropy_report(n, n, source, k, cut, samples, SEED + 7, threads=2)
             s_bar = report.mean_trajectory_entropy
             assert s_bar <= report.averaged_state_entropy + report.tolerance, label
             assert (
                 report.averaged_state_entropy
                 <= s_bar + report.shannon_mixture_entropy + report.tolerance
             ), label
+
+
+def _von_neumann(blocks) -> float:
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    eigenvalues = eigenvalues[eigenvalues > 0.0]
+    return float(-(eigenvalues * np.log(eigenvalues)).sum())
+
+
+def exact_sandwich(n_sites: int, n_excited: int, u: np.ndarray, cut: int):
+    """(k, S-bar, S(rho-bar), H) after every click count k, from the exact multiset law.
+
+    Every ordering of a multiset S of k clicks has probability P(S) / multinomial(S)
+    and leaves the same state, so the ordered-sequence entropy is
+    H = -sum P(S) log(P(S) / multinomial(S)).
+    """
+    for k, level in enumerate(click_multiset_levels(n_sites, n_excited, u)):
+        blocks = _cut_blocks(n_sites, n_excited - k, cut)
+        rho_bar = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
+        s_bar = shannon = total = 0.0
+        for multiset, (p, amplitudes) in level.items():
+            rho = [x @ x.conj().T for x in (amplitudes[idx] for idx in blocks)]
+            s_bar += p * _von_neumann(rho)
+            for mixed, block in zip(rho_bar, rho):
+                mixed += p * block
+            orderings = factorial(k) // prod(map(factorial, Counter(multiset).values()))
+            shannon -= p * log(p / orderings)
+            total += p
+        assert abs(total - 1.0) < 1e-12
+        yield k, s_bar, _von_neumann(rho_bar), shannon
+
+
+SANDWICH_TOL = 1e-12  # rounding of the eigenvalues and of the sums over multisets
+
+
+@pytest.mark.parametrize(
+    "n_sites, n_excited, cut, u",
+    [
+        # Criterion 8's two unitaries.
+        (6, 6, 3, haar_unitary(6, derive_rng(SEED + 7, 0, 2))),
+        (6, 6, 3, np.eye(6, dtype=complex)),
+        # The golden mixture-entropy runs' unitaries, each drawn from stream (0, 2).
+        (6, 6, 3, UnitarySource.haar().draw(6, derive_rng(11, 0, 2))),
+        (4, 3, 2, np.eye(4, dtype=complex)),
+        (6, 5, 3, UnitarySource.brickwall(4).draw(6, derive_rng(2, 0, 2))),
+    ],
+    ids=["criterion-8-haar", "criterion-8-identity", "golden-haar", "golden-identity",
+         "golden-brickwall-4"],
+)
+def test_the_mixture_sandwich_holds_exactly_at_every_click_count(n_sites, n_excited, cut, u):
+    # S-bar <= S(rho-bar) <= S-bar + H with no sampling error at all.
+    for k, s_bar, s_mixed, shannon in exact_sandwich(n_sites, n_excited, u, cut):
+        assert s_bar <= s_mixed + SANDWICH_TOL, k
+        assert s_mixed <= s_bar + shannon + SANDWICH_TOL, k
 
 
 def test_criterion_9_conditional_chain_rule():

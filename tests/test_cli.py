@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from lontraj import experiments, trajectory
+from lontraj import experiments, trajectory, unitary
 from lontraj.cli import MODES, RunConfig, _build_parser, execute, main, parse_config
 from lontraj.experiments import UnitarySource, derive_rng
 from lontraj.trajectory import sample_click_sequence
@@ -312,6 +312,36 @@ def test_outputs_identical_across_thread_counts(tmp_path, mode_args):
             (directory / "out.dat.manifest.json").read_bytes(),
         )
     assert contents[1] == contents[2]
+
+
+@pytest.mark.parametrize(
+    "args, checks",
+    [
+        # On reading the file, on making the source, on writing the dump.
+        (["--mode", "distribution", "--unitary", "file:{u}", "--dump-unitary", "{dump}"], 3),
+        # On making the fixed source of the run's single draw.
+        (["--mode", "distribution", "--unitary", "haar"], 1),
+        (["--mode", "mixture-entropy", "--unitary", "haar"], 1),
+    ],
+    ids=["distribution-file-dump", "distribution-haar", "mixture-haar"],
+)
+def test_a_run_checks_its_one_unitary_once_per_step(tmp_path, monkeypatch, args, checks):
+    # The estimators take the source the CLI made, so none checks the matrix again.
+    paths = {"u": balanced_splitter_file(tmp_path), "dump": tmp_path / "used.json"}
+    calls = []
+    check = unitary.check_unitary
+
+    def counting(u):
+        calls.append(u.shape)
+        return check(u)
+
+    monkeypatch.setattr(unitary, "check_unitary", counting)
+    argv = [arg.format(**paths) for arg in args] + [
+        "--n", "2", "--m", "2", "--samples", "20", "--seed", "4",
+        "--output", str(tmp_path / "out.dat"), "--threads", "1",
+    ]
+    assert execute(parse_config(argv)) == 0
+    assert calls == [(2, 2)] * checks
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -391,7 +391,7 @@ def test_a_fixed_n_8_run_lowers_each_multiset_once_in_the_caller(monkeypatch, sa
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
     u = haar_unitary(n, np.random.default_rng(94))
-    report = distribution_comparison(n, n, u, samples, 5, threads)
+    report = distribution_comparison(n, n, UnitarySource.fixed(u), samples, 5, threads)
     assert report.empirical.sum() == pytest.approx(1.0)
     assert lowered == {n - k: comb(n + k - 1, k) for k in range(n)}
     assert sum(lowered.values()) == comb(2 * n - 1, n - 1) == 6435
@@ -608,7 +608,7 @@ def test_grid_entropies_of_a_whole_group_match_each_state_alone(n_sites, widest)
 
 
 def test_identity_distribution_is_a_point_mass():
-    report = distribution_comparison(3, 3, np.eye(3, dtype=complex), 500, 8)
+    report = distribution_comparison(3, 3, UnitarySource.identity(3), 500, 8)
     index = report.outcomes.index((1, 1, 1))
     assert report.exact[index] == pytest.approx(1.0, abs=1e-12)
     assert report.empirical[index] == 1.0
@@ -617,7 +617,7 @@ def test_identity_distribution_is_a_point_mass():
 
 def test_distribution_report_is_consistent():
     u = haar_unitary(4, np.random.default_rng(19))
-    report = distribution_comparison(4, 2, u, 800, 3)
+    report = distribution_comparison(4, 2, UnitarySource.fixed(u), 800, 3)
     assert abs(report.exact.sum() - 1.0) < 1e-9
     assert abs(report.empirical.sum() - 1.0) < 1e-12
     assert 0.0 <= report.tvd <= 1.0
@@ -625,11 +625,11 @@ def test_distribution_report_is_consistent():
 
 
 def test_tvd_shrinks_when_samples_grow_tenfold():
-    u = haar_unitary(3, np.random.default_rng(1001))
+    source = UnitarySource.fixed(haar_unitary(3, np.random.default_rng(1001)))
     small, large = [], []
     for rep in range(5):
-        small.append(distribution_comparison(3, 2, u, 200, 9000 + rep).tvd)
-        large.append(distribution_comparison(3, 2, u, 2000, 9500 + rep).tvd)
+        small.append(distribution_comparison(3, 2, source, 200, 9000 + rep).tvd)
+        large.append(distribution_comparison(3, 2, source, 2000, 9500 + rep).tvd)
     assert np.mean(large) < np.mean(small) / 1.5
 
 
@@ -648,7 +648,7 @@ def test_expected_tvd_matches_simulation():
 
 
 def test_mixture_identity_case_structure():
-    report = mixture_entropy_report(4, 4, np.eye(4, dtype=complex), 2, 2, 2000, 78)
+    report = mixture_entropy_report(4, 4, UnitarySource.identity(4), 2, 2, 2000, 78)
     assert report.mean_trajectory_entropy == 0.0
     assert report.averaged_state_entropy > 0.0
     assert report.shannon_mixture_entropy + report.tolerance >= report.averaged_state_entropy
@@ -656,7 +656,7 @@ def test_mixture_identity_case_structure():
 
 def test_mixture_zero_clicks_is_pure():
     u = haar_unitary(4, np.random.default_rng(3))
-    report = mixture_entropy_report(4, 4, u, 0, 2, 200, 5)
+    report = mixture_entropy_report(4, 4, UnitarySource.fixed(u), 0, 2, 200, 5)
     assert report.mean_trajectory_entropy == 0.0
     assert report.averaged_state_entropy == pytest.approx(0.0, abs=1e-9)
     assert report.shannon_mixture_entropy == 0.0
@@ -664,7 +664,7 @@ def test_mixture_zero_clicks_is_pure():
 
 def test_mixture_sandwich_holds_for_haar_unitary():
     u = haar_unitary(6, np.random.default_rng(606))
-    report = mixture_entropy_report(6, 6, u, 3, 3, 2000, 77)
+    report = mixture_entropy_report(6, 6, UnitarySource.fixed(u), 3, 3, 2000, 77)
     s_bar = report.mean_trajectory_entropy
     assert s_bar <= report.averaged_state_entropy + report.tolerance
     assert report.averaged_state_entropy <= s_bar + report.shannon_mixture_entropy + report.tolerance
@@ -682,14 +682,14 @@ def test_mixture_walks_exactly_k_clicks(monkeypatch, k, sectors):
 
     monkeypatch.setattr(trajectory, "_lowered_raw", recording)
     u = haar_unitary(6, np.random.default_rng(98))
-    report = mixture_entropy_report(6, 6, u, k, 3, 300, 99)
+    report = mixture_entropy_report(6, 6, UnitarySource.fixed(u), k, 3, 300, 99)
     assert report.click_count == k
     assert set(lowered) == sectors
 
 
 def test_mixture_rejects_oversized_subsystem():
     with pytest.raises(ValueError, match="too large"):
-        mixture_entropy_report(16, 16, np.eye(16, dtype=complex), 1, 13, 10, 0)
+        mixture_entropy_report(16, 16, UnitarySource.identity(16), 1, 13, 10, 0)
 
 
 @pytest.mark.parametrize(
@@ -724,7 +724,7 @@ def test_mixture_far_beyond_dense_sizes_runs_in_the_sector():
     # The averaged state of one site of 40 is two 1 x 1 blocks; a dense
     # cut matrix would be 2 x 2^39.
     u = haar_unitary(40, np.random.default_rng(41))
-    report = mixture_entropy_report(40, 2, u, 1, 1, 300, 3)
+    report = mixture_entropy_report(40, 2, UnitarySource.fixed(u), 1, 1, 300, 3)
     assert 0.0 <= report.averaged_state_entropy <= LN2 + report.tolerance
     assert report.mean_trajectory_entropy <= report.averaged_state_entropy + report.tolerance
 
@@ -850,10 +850,10 @@ SIX_MODES_AT_EIGHT_SITES = {  # run with two chunks, so that two threads start a
         8, 8, UnitarySource.fixed(np.eye(6)), 4, samples, 1, threads=threads
     ),
     "mixture": lambda samples, threads: mixture_entropy_report(
-        8, 8, np.eye(6), 4, 4, samples, 1, threads
+        8, 8, UnitarySource.fixed(np.eye(6)), 4, 4, samples, 1, threads
     ),
     "distribution": lambda samples, threads: distribution_comparison(
-        8, 4, np.eye(6), samples, 1, threads
+        8, 4, UnitarySource.fixed(np.eye(6)), samples, 1, threads
     ),
 }
 
@@ -866,6 +866,29 @@ def test_a_fixed_unitary_of_the_wrong_size_fails_before_any_chunk(monkeypatch, r
     with pytest.raises(ValueError, match="^fixed unitary is 6-mode, need 8$"):
         SIX_MODES_AT_EIGHT_SITES[run](CHUNK_SIZE + 1, threads)
     assert chunks == [] and laws == []
+
+
+ONE_NETWORK_ESTIMATORS = {  # run with two chunks, so that two threads would start a pool
+    "mixture_entropy_report": lambda source: mixture_entropy_report(
+        4, 4, source, 2, 2, CHUNK_SIZE + 1, 1, threads=2
+    ),
+    "distribution_comparison": lambda source: distribution_comparison(
+        4, 4, source, CHUNK_SIZE + 1, 1, threads=2
+    ),
+}
+
+
+@pytest.mark.parametrize("source", [UnitarySource.haar(), UnitarySource.brickwall(2)],
+                         ids=["haar", "brickwall"])
+@pytest.mark.parametrize("estimator", ONE_NETWORK_ESTIMATORS)
+def test_a_fresh_source_fails_where_one_network_is_needed(monkeypatch, estimator, source):
+    # The exact law and the averaged state belong to one fixed network.
+    names = ("enumerate_outcomes", "outcome_law", "_run", "_accumulate")
+    ran = [_recorded(monkeypatch, name) for name in names]
+    message = f"^{estimator} needs a fixed unitary, got a {source.kind} source$"
+    with pytest.raises(ValueError, match=message):
+        ONE_NETWORK_ESTIMATORS[estimator](source)
+    assert ran == [[]] * len(names)
 
 
 def test_an_unknown_source_kind_fails_before_any_chunk(monkeypatch):
@@ -886,7 +909,7 @@ def test_a_mixture_cut_outside_the_chain_fails_before_any_chunk(monkeypatch):
     # The same rule, and the same words, as the dump's cut.
     chunks = _recorded(monkeypatch, "_accumulate")
     with pytest.raises(ValueError, match=r"^cut must be in \[1, 3\], got 0$"):
-        mixture_entropy_report(4, 2, np.eye(4), 1, 0, CHUNK_SIZE + 1, 1, threads=2)
+        mixture_entropy_report(4, 2, UnitarySource.identity(4), 1, 0, CHUNK_SIZE + 1, 1, threads=2)
     assert chunks == []
 
 
@@ -903,9 +926,16 @@ def test_a_mixture_cut_outside_the_chain_fails_before_any_chunk(monkeypatch):
         ({"kind": "fixed", "matrix": np.ones((2, 3))},
          r"expected a square matrix, got shape \(2, 3\)"),
         ({"kind": "fixed", "matrix": 2 * np.eye(3)}, r"matrix is not unitary: .*"),
+        # A field of another kind: each would make a source unequal to its plain form.
+        ({"kind": "haar", "depth": 5}, r"a haar source takes no depth, got 5"),
+        ({"kind": "fixed", "matrix": np.eye(2), "depth": 0},
+         r"a fixed source takes no depth, got 0"),
+        ({"kind": "haar", "matrix": np.eye(2)}, r"a haar source takes no matrix"),
+        ({"kind": "brickwall", "matrix": np.eye(2), "depth": 2},
+         r"a brickwall source takes no matrix"),
     ],
     ids=["kind", "no-depth", "negative-depth", "float-depth", "deep", "no-matrix", "non-square",
-         "non-unitary"],
+         "non-unitary", "haar-depth", "fixed-depth", "haar-matrix", "brickwall-matrix"],
 )
 def test_a_bad_source_is_rejected_when_it_is_made(fields, message):
     # Built directly, not only through the constructors: no invalid source exists.
@@ -965,7 +995,7 @@ def test_grid_csv_shape():
 
 
 def test_distribution_csv_shape():
-    report = distribution_comparison(2, 2, balanced_splitter(), 300, 2)
+    report = distribution_comparison(2, 2, UnitarySource.fixed(balanced_splitter()), 300, 2)
     lines = distribution_csv(report).strip().splitlines()
     assert lines[0] == "outcome,exact,empirical,stderr"
     assert len(lines) == 4

@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import lontraj
-from lontraj import cli, oracle, trajectory
+from lontraj import cli, experiments, oracle, trajectory
 
 
 def test_every_exported_name_resolves():
@@ -65,7 +65,7 @@ def test_only_the_chunk_walk_reads_the_group_size():
 def test_a_unitary_source_is_checked_only_where_it_is_made():
     # UnitarySource's validation owns the depth bound and the kinds; the CLI
     # relays what it raises.
-    assert _users("MAX_DEPTH") == {("unitary", None), ("experiments", "__post_init__")}
+    assert _users("MAX_DEPTH") == {("unitary", None), ("unitary", "__post_init__")}
     assert _users("_check_depth") == set() and not hasattr(cli, "_check_depth")
     raisers = [
         (module, function.name)
@@ -76,7 +76,21 @@ def test_a_unitary_source_is_checked_only_where_it_is_made():
         if isinstance(node, ast.Raise)
         and any("unknown unitary source" in str(getattr(c, "value", "")) for c in ast.walk(node))
     ]
-    assert raisers == [("experiments", "__post_init__")]
+    assert raisers == [("unitary", "__post_init__")]
+
+
+def test_the_unitary_module_owns_the_source_and_its_draws():
+    # UnitarySource sits beside the checks and draws it uses, and every
+    # estimator takes a source rather than a matrix.
+    for name in ("check_unitary", "_haar_stack", "_brickwall_stack", "MAX_DEPTH"):
+        assert {module for module, _ in _users(name)} == {"unitary"}, name
+    public = [
+        function
+        for name, function in inspect.getmembers(experiments, inspect.isfunction)
+        if function.__module__ == experiments.__name__ and not name.startswith("_")
+    ]
+    assert lontraj.distribution_comparison in public and lontraj.mixture_entropy_report in public
+    assert [f.__name__ for f in public if "u" in inspect.signature(f).parameters] == []
 
 
 def test_one_click_step_lowers_the_states():
