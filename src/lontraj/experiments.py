@@ -19,6 +19,9 @@ in fixed-size chunks whose parts are merged in chunk order, so results are
 byte-identical for any worker count.
 Randomness is derived per trajectory index from the master seed, so they
 are also independent of chunking and of the group size.
+Click outcomes are counted by their index in the oracle's one order of
+click multisets, the order of oracle.enumerate_outcomes and of the tree's
+levels; oracle._outcome_ranks maps per-detector counts to that index.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trajectory
-from .oracle import enumerate_outcomes, outcome_law
+from .oracle import _outcome_ranks, enumerate_outcomes, outcome_law
 from .state import _check_cut, _cut_blocks, _entropies, _spectrum_entropy
 from .trajectory import TrajectoryRecord, _records, attach_waiting_times
 from .unitary import UnitarySource
@@ -475,7 +478,7 @@ class DistributionReport:
 
 
 class _OutcomeCounts:
-    """How often each click outcome (per-detector counts) occurred."""
+    """How often each click outcome occurred, by its index in enumerate_outcomes."""
 
     def __init__(self, n_sites: int, n_excited: int) -> None:
         self.n_sites = n_sites
@@ -489,7 +492,7 @@ class _OutcomeCounts:
         trajectories = np.arange(len(rows))
         for _, detectors, _, _ in walk:
             counts[trajectories, detectors] += 1
-        self.counts.update(map(tuple, counts.tolist()))
+        self.counts.update(_outcome_ranks(counts).tolist())
 
     def merge(self, other: "_OutcomeCounts") -> None:
         self.counts.update(other.counts)
@@ -509,7 +512,8 @@ def distribution_comparison(
     exact = outcome_law(source.draw(n_sites, []), outcomes, n_excited)  # checked against N first
     make = partial(_OutcomeCounts, n_sites, n_excited)
     seen = _run(make, source, n_sites, n_samples, master_seed, threads).counts
-    counts = np.array([seen[outcome] for outcome in outcomes], dtype=np.int64)
+    counts = np.zeros(len(outcomes), dtype=np.int64)
+    counts[list(seen)] = list(seen.values())
     empirical = counts / n_samples
     tvd = 0.5 * float(np.abs(exact - empirical).sum())
     return DistributionReport(

@@ -5,7 +5,9 @@ After all excitations decay, the probability of an ordered click sequence is
 repeats row i once per click on detector i; unordered outcome probabilities divide by
 the multiplicities' factorials instead.  This module provides Ryser's permanent as
 one vectorised sum over column subsets, the whole outcome law from one shared subset
-table, the single-outcome formulas and enumeration.
+table, the single-outcome formulas, and the one order of click outcomes: the
+enumeration, the level step that the click-multiset tree shares, and its
+inverse, the rank.
 """
 
 from __future__ import annotations
@@ -126,21 +128,68 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
     return np.clip(np.abs(perms) ** 2 / denominators, 0.0, 1.0)
 
 
+def _next_level(n_detectors: int, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level k + 1 of the multiset order from the largest detector ``last[p]`` of each p of level k.
+
+    Levels list multisets lexicographically in their sorted detectors, so
+    level k + 1 lists, for each p in order, p plus d for d = last[p]..n - 1:
+    p is the child's canonical parent, and d its largest detector.  Returns
+    both, per child.  The root, the empty multiset, has ``last`` 0.
+    """
+    widths = n_detectors - last
+    parent = np.repeat(np.arange(len(last)), widths)
+    first = np.cumsum(widths) - widths
+    return parent, np.arange(len(parent)) - first[parent] + last[parent]
+
+
 def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:
-    """All multisets of m clicks over n_detectors, first detector count descending."""
+    """All multisets of m clicks over n_detectors, first detector count descending.
+
+    That is the order of level m of :func:`_next_level`, which the
+    click-multiset tree's levels share.  Built in at most min(m, n_detectors)
+    steps, whose levels hold at most twice the outcomes in all.
+    """
     if n_detectors < 1:
         raise ValueError(f"need at least one detector, got {n_detectors}")
+    if m < 0:
+        raise ValueError(f"need m >= 0 clicks, got m = {m}")
     n_outcomes = comb(n_detectors + m - 1, m)
     if n_outcomes > ENUMERATION_LIMIT:
         raise ValueError(f"{n_outcomes} outcomes exceed the enumeration limit {ENUMERATION_LIMIT}")
-    outcomes: list[tuple[int, ...]] = []
+    last = np.zeros(1, dtype=np.intp)
+    small = np.min_scalar_type(m)  # no count exceeds m
+    if m <= n_detectors:
+        # A multiset's counts are its canonical parent's plus one at its largest detector.
+        counts = np.zeros((1, n_detectors), dtype=small)
+        for _ in range(m):
+            parent, last = _next_level(n_detectors, last)
+            counts = counts[parent]
+            counts[np.arange(len(counts)), last] += 1
+    else:
+        # Stars and bars: the counts c are the gaps between n_detectors - 1
+        # bars at c_0, c_0 + c_1, ..., sorted positions in 0..m, and first
+        # count descending is the reverse of the bars' order.
+        bars = np.zeros((1, 0), dtype=small)
+        for _ in range(n_detectors - 1):
+            parent, last = _next_level(m + 1, last)
+            bars = np.column_stack([bars[parent], last.astype(small)])
+        counts = np.diff(bars[::-1], prepend=0, append=m)
+    # A slice of rows at a time, so that few Python lists are alive beside the tuples.
+    slices = (counts[lo : lo + 4096].T.tolist() for lo in range(0, len(counts), 4096))
+    return [row for columns in slices for row in zip(*columns)]
 
-    def extend(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            outcomes.append(prefix + (remaining,))
-            return
-        for c in range(remaining, -1, -1):
-            extend(prefix + (c,), remaining - c, slots - 1)
 
-    extend((), m, n_detectors)
-    return outcomes
+def _outcome_ranks(counts: np.ndarray) -> np.ndarray:
+    """The index in enumerate_outcomes(n, m) of each row of n counts summing to m.
+
+    The combinatorial number system of the order: the outcomes before row c
+    agree with it up to some detector i < n - 1 and have more clicks on i.
+    With s clicks of c past i, they put at most s - 1 clicks on the
+    b = n - 1 - i detectors past i, in C(s + b - 1, b) ways.
+    """
+    n = counts.shape[1]
+    past = counts[:, :0:-1].cumsum(axis=1)[:, ::-1]  # past[:, i]: clicks past detector i < n - 1
+    # before[s, i] = C(s + b - 1, b), for s up to the most clicks past any detector.
+    before = np.array([[comb(s + b - 1, b) for b in range(n - 1, 0, -1)]
+                       for s in range(int(past.max(initial=0)) + 1)], dtype=np.int64)
+    return before[past, np.arange(n - 1)].sum(axis=1)

@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .oracle import _next_level
 from .state import (
     NORM_TOL,
     SectorState,
@@ -131,11 +132,12 @@ class _ClickTree:
 
     The collective jumps commute, so the state after k clicks depends only on
     the multiset of detectors clicked.  Level k lists the multisets of k
-    detectors in lexicographic order of their sorted detectors; node p of
-    level k has the normalized state ``states[k][p]``, and for every level
-    but the last its jump weights ``weights[k][p]`` and the level-(k + 1)
-    node of each detector's click, ``children[k][p]``.  A tree may be its
-    root alone.
+    detectors in the oracle's one order, lexicographic in their sorted
+    detectors: node p of level k is outcome p of
+    ``oracle.enumerate_outcomes(n_sites, k)``.  It has the normalized state
+    ``states[k][p]``, and on every level but the last its jump weights
+    ``weights[k][p]`` and the level-(k + 1) node of each detector's click,
+    ``children[k][p]``.  A tree may be its root alone.
     """
 
     n_sites: int
@@ -179,9 +181,11 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
     most _TREE_BUDGET amplitudes: every level at N = M = 8 (157,184), four
     at N = M = 9, three at (12, 6), one at (16, 8) and none at (17, 8).
     With ``clicks`` 0 the tree is its root, and ``u`` is not read.
-    Multiset S's state is the lowering of its canonical parent, S without its
-    largest detector d, at detector d, normalized by its weight as _click
-    does; so a node's bits do not depend on which trajectories reach it.
+    Each level's nodes come from oracle._next_level, as (canonical parent,
+    largest detector).  Multiset S's state is the lowering of its canonical
+    parent, S without its largest detector d, at detector d, normalized by
+    its weight as _click does; so a node's bits do not depend on which
+    trajectories reach it.
     Each level is lowered once, in _click's slices.  A canonical child of
     exactly zero weight (behind exact zeros of ``u``) is kept unnormalized:
     no walk picks it.
@@ -196,15 +200,14 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
     detectors = np.arange(n_sites)
     for e in range(n_excited, n_excited - clicks, -1):
         level = states[-1]
-        # Node p's canonical children, by detectors last[p]..n_sites - 1, are
-        # consecutive in the next level from first[p] on.
-        widths = n_sites - last
-        held += int(widths.sum()) * comb(n_sites, e - 1)
+        child_parent, child_last = _next_level(n_sites, last)
+        held += len(child_parent) * comb(n_sites, e - 1)
         if held > _TREE_BUDGET:
             break
-        first = np.cumsum(widths) - widths
-        child_parent = np.repeat(np.arange(len(level)), widths)
-        child_last = np.arange(widths.sum()) - first[child_parent] + last[child_parent]
+        # Node p's canonical children, by detectors last[p]..n_sites - 1, are
+        # consecutive in the next level from bounds[p] to bounds[p + 1].
+        bounds = np.searchsorted(child_parent, np.arange(len(level) + 1))
+        first = bounds[:-1]
         # The child of detector d < last[p]: p is its parent's canonical child
         # by last[p], so p + d is the canonical child by last[p] of parent + d.
         table = first[:, None] + detectors - last[:, None]
@@ -218,7 +221,7 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
         for lo in range(0, len(level), step):
             lowered = _lowered_raw(n_sites, e, level[lo : lo + step], u)
             level_weights[lo : lo + step] = np.vecdot(lowered, lowered).real
-            made = slice(first[lo], first[lo] + widths[lo : lo + step].sum())
+            made = slice(bounds[lo], bounds[min(lo + step, len(level))])
             src, det = child_parent[made], child_last[made]
             w = level_weights[src, det]
             next_states[made] = lowered[src - lo, det] / np.sqrt(np.where(w > 0, w, 1.0))[:, None]

@@ -624,6 +624,25 @@ def test_distribution_report_is_consistent():
     assert report.tvd == pytest.approx(0.5 * np.abs(report.exact - report.empirical).sum())
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, m, depth", [(5, 4, 4), (9, 9, 4)], ids=["full-tree", "past-the-tree"])
+def test_distribution_counts_match_a_tally_of_the_records(n, m, depth, threads):
+    # The same trajectories, tallied here by their per-detector counts: at
+    # (5, 4) the tree holds every click, at (9, 9) the walk goes on past its
+    # four levels.  The counts are exact, so their frequencies are the very
+    # floats the report divides out.
+    u = haar_unitary(n, np.random.default_rng([n, m, 5]))
+    source, samples, seed = UnitarySource.fixed(u), 2 * CHUNK_SIZE + 88, 21
+    assert len(trajectory._click_tree(n, m, u, m).weights) == depth
+    report = distribution_comparison(n, m, source, samples, seed, threads)
+    records = trajectory_records(n, m, source, 1, samples, seed, threads=threads)
+    tally = Counter(tuple(np.bincount(r.clicks, minlength=n).tolist()) for r in records)
+    assert set(tally) <= set(report.outcomes) and sum(tally.values()) == samples
+    counts = np.array([tally[outcome] for outcome in report.outcomes])
+    np.testing.assert_array_equal(counts / samples, report.empirical)
+    np.testing.assert_array_equal(np.rint(report.empirical * samples), counts)
+
+
 def test_tvd_shrinks_when_samples_grow_tenfold():
     source = UnitarySource.fixed(haar_unitary(3, np.random.default_rng(1001)))
     small, large = [], []

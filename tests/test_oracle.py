@@ -224,6 +224,10 @@ def test_conditional_chain_rule_reproduces_sequence_probability():
 
 def test_enumerate_outcomes_pair():
     assert enumerate_outcomes(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    # At the enumeration limit: one level step per click would hold
+    # 5 * 10^11 multisets; the bars between the detectors take one step.
+    outcomes = enumerate_outcomes(2, 999_999)
+    assert len(outcomes) == 10**6 and outcomes[1] == (999_998, 1)
 
 
 def test_enumerate_outcomes_counts_collision_space():
@@ -235,8 +239,36 @@ def test_enumerate_outcomes_counts_collision_space():
 
 def test_enumerate_outcomes_single_detector():
     assert enumerate_outcomes(1, 3) == [(3,)]
+    assert enumerate_outcomes(1, 10**9) == [(10**9,)]  # in no step at all
 
 
 def test_enumerate_outcomes_size_guard():
-    with pytest.raises(ValueError, match="enumeration limit"):
-        enumerate_outcomes(40, 10)
+    for n, m, message in [
+        (40, 10, "^8217822536 outcomes exceed the enumeration limit 1000000$"),
+        (3, -1, "^need m >= 0 clicks, got m = -1$"),
+        (0, 2, "^need at least one detector, got 0$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            enumerate_outcomes(n, m)
+
+
+ORDER_CASES = [(1, 3), (2, 2), (3, 0), (3, 5), (4, 3), (7, 4), (8, 8), (10, 10)]
+
+
+@pytest.mark.parametrize("n, m", ORDER_CASES + [(5, 9), (2, 40)])
+def test_enumerate_outcomes_is_lexicographic_in_sorted_detectors(n, m):
+    # First count descending is the lexicographic order of the sorted
+    # detectors, which combinations_with_replacement yields.  More clicks
+    # than detectors go through the bars between detectors instead.
+    multisets = itertools.combinations_with_replacement(range(n), m)
+    expected = [tuple(np.bincount(s, minlength=n).tolist()) for s in multisets]
+    assert enumerate_outcomes(n, m) == expected
+
+
+@pytest.mark.parametrize("n, m", ORDER_CASES)
+def test_outcome_ranks_invert_the_enumeration(n, m):
+    # Covers no clicks, more clicks than detectors and a single detector.
+    outcomes = enumerate_outcomes(n, m)
+    ranks = oracle._outcome_ranks(np.array(outcomes))
+    assert ranks.dtype == np.int64
+    np.testing.assert_array_equal(ranks, np.arange(len(outcomes)))

@@ -57,6 +57,15 @@ def test_one_walk_driver_drives_the_click_kernel():
     assert _users("_walk") == _users("_click_walk") == _users("_tree_size") == set()
 
 
+def test_the_oracle_owns_the_one_multiset_order():
+    # The enumeration and the click-multiset tree's levels come from one
+    # level step, and outcome counts are keyed by its inverse, the rank.
+    steps = {("oracle", "enumerate_outcomes"), ("trajectory", "_click_tree")}
+    assert _users("_next_level") == steps
+    assert _users("widths") == {("oracle", "_next_level")}
+    assert _users("_outcome_ranks") == {("experiments", "add")}
+
+
 def test_only_the_chunk_walk_reads_the_group_size():
     # Reducers bound what they hold by the lockstep budget, not by the group.
     assert _users("_group_size") == {("experiments", "_accumulate")}

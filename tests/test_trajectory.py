@@ -59,6 +59,38 @@ def test_the_kernels_click_law_is_the_oracles(n, m, network):
     np.testing.assert_allclose(tree, outcome_law(u, outcomes, m), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, m, network",
+    [(4, 3, "haar"), (6, 6, "haar"), (8, 8, "haar"), (7, 5, "brickwall:3"), (6, 6, "identity")],
+)
+def test_the_trees_levels_are_the_oracles_outcomes(n, m, network):
+    # Rebuild each node's counts by following ``children`` from the root:
+    # node p of level k must be outcome p of enumerate_outcomes(n, k).  Brick
+    # walls and the identity have canonical children of zero weight, which
+    # the tables list all the same.
+    rng = np.random.default_rng([n, m, 3])
+    u = {
+        "haar": lambda: haar_unitary(n, rng),
+        "brickwall:3": lambda: haar_brickwall(n, 3, rng),
+        "identity": lambda: np.eye(n, dtype=complex),
+    }[network]()
+    tree = _click_tree(n, m, u, m)
+    assert len(tree.children) == m  # every level in the tree
+    counts = np.zeros((1, n), dtype=np.int64)  # level 0: the root
+    for k, table in enumerate(tree.children):
+        assert table.shape == (len(counts), n)
+        children = np.full((table.max() + 1, n), -1, dtype=np.int64)
+        for detector in range(n):
+            stepped = counts.copy()
+            stepped[:, detector] += 1
+            reached = table[:, detector]
+            known = children[reached, 0] >= 0  # every route into a node agrees on its counts
+            np.testing.assert_array_equal(children[reached[known]], stepped[known])
+            children[reached] = stepped
+        counts = children
+        assert counts.tolist() == [list(outcome) for outcome in enumerate_outcomes(n, k + 1)]
+
+
 def test_first_click_uniform_chi_squared():
     n, samples = 6, 10_000
     u = haar_unitary(n, np.random.default_rng(5))
