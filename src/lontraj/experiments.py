@@ -8,7 +8,7 @@ and the Shannon entropy of the trajectory mixture.
 
 Every estimator, and the trajectory dump, is a reducer over the click kernel
 with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
-(see _run).  It computes once per distinct state of the walk and adds per
+(see _run), and ``part_bytes`` if every part holds large arrays.  It computes once per distinct state of the walk and adds per
 trajectory, in trajectory order.  Trajectories walk in lockstep groups whose
 states fit the kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed
 or a fresh source alike.  Every group walks one click-multiset tree: the
@@ -16,9 +16,12 @@ levels of a fixed source's tree that fit its budget, a fresh source's root
 alone, and then one state per trajectory.  The tree is built once per run,
 in the calling process, and handed to each pool worker once.  Reducers run
 in fixed-size chunks whose parts are merged in chunk order, so results are
-byte-identical for any worker count.
+byte-identical for any worker count; a pool task runs a span of consecutive
+chunks and returns each chunk's part.
 Randomness is derived per trajectory index from the master seed, so they
-are also independent of chunking and of the group size.
+are also independent of chunking and of the group size.  A chunk's click
+uniforms come from a vectorised port of numpy's PCG64, bit for bit the
+generators derive_rng gives, and each run checks the port against numpy once.
 Click outcomes are counted by their index in the oracle's one order of
 click multisets, the order of oracle.enumerate_outcomes and of the tree's
 levels; oracle._outcome_ranks maps per-detector counts to that index.
@@ -46,6 +49,8 @@ from .trajectory import TrajectoryRecord, _records, attach_waiting_times
 from .unitary import UnitarySource
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
+_SPAN_CAP = 16  # chunks per pool task at most: 2 * workers * _SPAN_CAP parts in flight
+_SPAN_BYTES = 2**22  # a span's parts' part_bytes at most, unless one part alone holds more
 MIXTURE_MAX_SUBSYSTEM = 12
 MAX_SAMPLES = 2**32  # so every trajectory index is one 32-bit seed word
 
@@ -155,6 +160,75 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
+# numpy's PCG64 (O'Neill's pcg_setseq_128 with the XSL-RR output): a 128-bit
+# LCG whose state and increment are held as (high, low) uint64 words.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_U32, _U11, _U58, _U63, _U1 = (np.uint64(k) for k in (32, 11, 58, 63, 1))
+_LOW32 = np.uint64(_MASK32)
+
+
+@cache
+def _pcg_jumps(e: int) -> tuple[np.ndarray, ...]:
+    # The (high, low) words of M^(j + 2) and of 1 + M + ... + M^(j + 1), j < e.
+    powers, sums = [], []
+    power, total = _PCG_MULT * _PCG_MULT & _MASK128, 1 + _PCG_MULT
+    for _ in range(e):
+        powers.append(power)
+        sums.append(total)
+        total = (total + power) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+    jumps = tuple(
+        np.array([w >> shift & _MASK64 for w in words], dtype=np.uint64)
+        for words in (powers, sums) for shift in (64, 0)
+    )
+    for words in jumps:  # shared by every call at this e
+        words.flags.writeable = False
+    return jumps
+
+
+def _mul128(hi, lo, b_hi, b_lo):
+    # (hi, lo) * (b_hi, b_lo) mod 2^128: the low words' full product from
+    # 32-bit halves, the cross terms wrapping in uint64.
+    a0, a1, b0, b1 = lo & _LOW32, lo >> _U32, b_lo & _LOW32, b_lo >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + lo * b_hi + hi * b_lo
+    return high, (mid << _U32) | (p00 & _LOW32)
+
+
+def _click_uniforms(words: np.ndarray, e: int) -> np.ndarray:
+    """Row r is _generator(words[r]).random(e), bit for bit, for every row at once.
+
+    PCG64 seeds from a row w with increment c = (w[2], w[3]) << 1 | 1: from
+    state 0 it steps, adds (w[0], w[1]) and steps again; each output steps
+    first.  So output j reads the state M^(j + 2) (w[0:2] + c) + (1 + M + ...
+    + M^(j + 1)) c, all e of them in one pass.  XSL-RR rotates high ^ low
+    right by the top six bits of the state, and random() keeps the top 53
+    bits.  _run checks row 0 against numpy's generator once per run.
+    """
+    power_hi, power_lo, sum_hi, sum_lo = _pcg_jumps(e)
+    w = words.T[:, :, None]
+    inc_hi, inc_lo = (w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1
+    start_lo = inc_lo + w[1]
+    start_hi = inc_hi + w[0] + (start_lo < inc_lo)
+    hi, lo = _mul128(start_hi, start_lo, power_hi, power_lo)
+    incs_hi, incs_lo = _mul128(inc_hi, inc_lo, sum_hi, sum_lo)
+    low = lo + incs_lo
+    hi = hi + incs_hi + (low < lo)
+    x, rotation = hi ^ low, hi >> _U58
+    x = (x >> rotation) | (x << (-rotation & _U63))
+    return (x >> _U11) * (1.0 / (1 << 53))
+
+
+def _check_click_uniforms(master_seed: int, e: int) -> None:
+    # Once per run, as SeedWords checks how numpy seeds: the port must still
+    # be numpy's generator.
+    words = _stream_words(master_seed, 0, 1, 1)
+    if _click_uniforms(words, e).tobytes() != _generator(words[0]).random(e).tobytes():
+        raise RuntimeError("the click uniforms no longer match numpy's PCG64")
+
+
 def _chunks(n_samples: int) -> range:
     # Each chunk's first index.  A range has a length without holding the
     # 2^24 chunks of a run at MAX_SAMPLES.
@@ -256,16 +330,25 @@ def _accumulate(args, tree=None):
     part = make()
     e = part.n_excited
     step = _group_size(n_sites, e)
-    # One hash per drawn stream for the chunk; each group builds its generators from its rows.
+    # One hash per stream for the chunk.  The click uniforms of the whole
+    # chunk come from the PCG64 port; each group of a fresh source builds its
+    # unitary generators from its rows.
     unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else ()
-    click_words = _stream_words(master_seed, lo, hi, 1)
+    uniforms = _click_uniforms(_stream_words(master_seed, lo, hi, 1), e)
     for start in range(lo, hi, step):
         rows = slice(start - lo, min(start + step, hi) - lo)
-        # random(e) gives the bits of e successive random() calls.
-        uniforms = np.array([_generator(words).random(e) for words in click_words[rows]])
         u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
-        part.add(start, tree.walk(u, uniforms, part.clicks))
+        part.add(start, tree.walk(u, uniforms[rows], part.clicks))
     return part
+
+
+def _accumulate_span(args, tree=None) -> list:
+    # One part per chunk of the span lo..hi, in chunk order.
+    shared, lo, hi = args
+    return [
+        _accumulate((shared, start, min(start + CHUNK_SIZE, hi)), tree)
+        for start in range(lo, hi, CHUNK_SIZE)
+    ]
 
 
 def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed: int, threads: int):
@@ -273,8 +356,11 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
 
     Trajectory i runs under unitary stream (i, 0), drawn only for fresh
     sources, and click stream (i, 1).  Each chunk derives its trajectories'
-    generators from one vectorised SeedSequence hash per stream, bit for bit
-    the generators derive_rng(master_seed, i, k) gives.  At most MAX_SAMPLES
+    seed words from one vectorised SeedSequence hash per stream, bit for bit
+    those of derive_rng(master_seed, i, k).  It draws the click uniforms of
+    all its trajectories at once from a vectorised port of PCG64, which is
+    checked against numpy's generator here, once per run, and builds the
+    unitary streams' generators one by one.  At most MAX_SAMPLES
     trajectories run, so every index is one 32-bit seed word.  Each chunk
     walks its trajectories in lockstep groups of consecutive indices, sized
     by _group_size, and hands each group's walk to its accumulator's
@@ -289,28 +375,40 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     fit its budget; a fresh source's is its root.  It is built once, here,
     and freed on return; each pool worker receives it once, from the pool's
     initializer (under fork it inherits the caller's copy), and builds none.
+
+    Chunks go in spans of consecutive chunks, one span per call or pool
+    task: about a quarter of each worker's share, at most _SPAN_CAP chunks,
+    so that a pooled run pays the pool's cost per task on several chunks.
+    A reducer whose every part holds large arrays gives their size as
+    ``part_bytes``, and its spans hold no more parts than fit _SPAN_BYTES
+    (at least one).  A span returns one part per chunk, and every part is
+    merged in chunk order, so the span length changes no result.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= n_samples <= {MAX_SAMPLES}, got {n_samples}")
     # A wrong-sized fixed matrix fails here, once.
     u = None if source.fresh_per_sample else source.draw(n_sites, [])
     starts = _chunks(n_samples)
-    shared = (make, source, n_sites, master_seed)
-    tasks = ((shared, lo, min(lo + CHUNK_SIZE, n_samples)) for lo in starts)
     workers = _worker_count(threads, len(starts))
     total = make()
+    _check_click_uniforms(master_seed, total.n_excited)
+    span = min(_SPAN_CAP, -(-len(starts) // (4 * workers)))
+    span = max(1, min(span, _SPAN_BYTES // max(getattr(total, "part_bytes", 0), 1)))
+    shared = (make, source, n_sites, master_seed)
+    tasks = ((shared, lo, min(lo + span * CHUNK_SIZE, n_samples)) for lo in starts[::span])
     with _one_blas_thread(), ExitStack() as stack:
         depth = 0 if u is None else total.clicks
         tree = trajectory._click_tree(n_sites, total.n_excited, u, depth)
-        parts = map(partial(_accumulate, tree=tree), tasks)
+        spans = map(partial(_accumulate_span, tree=tree), tasks)
         if workers > 1:
-            # Two chunks per worker keep each worker busy while this process merges.
+            # Two spans per worker keep each worker busy while this process merges.
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, initializer=_hold_tree, initargs=(tree,))
             )
-            parts = _in_order(pool, _accumulate, tasks, 2 * workers)
-        for part in parts:  # in chunk order, each merged as it arrives
-            total.merge(part)
+            spans = _in_order(pool, _accumulate_span, tasks, 2 * workers)
+        for parts in spans:  # in chunk order, each merged as it arrives
+            for part in parts:
+                total.merge(part)
     return total
 
 
@@ -567,6 +665,8 @@ class _MixtureSums:
         # The reduced state is block diagonal: one block per b of state._cut_blocks.
         blocks = _cut_blocks(n_sites, n_excited - k, cut)
         self.rho_sum = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
+        # Up to C(24, 12) numbers, 43 MB, at cut 12: _run puts fewer such parts in a span.
+        self.part_bytes = sum(rho.nbytes for rho in self.rho_sum)
         self.histogram: Counter = Counter()
 
     def add(self, first: int, walk) -> None:

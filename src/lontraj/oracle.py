@@ -18,6 +18,10 @@ import numpy as np
 
 RYSER_MAX_DIM = 30
 ENUMERATION_LIMIT = 10**6
+# Per-detector counts in one enumeration, outcomes times detectors.  It admits
+# every full-filling enumeration up to N = M = 11 (3.9e6 counts) and
+# enumerate_outcomes(2, 999_999), but not a million outcomes over many detectors.
+ENUMERATION_ENTRY_LIMIT = 4 * 10**6
 # Complex elements in any one chunk of the subset sums.
 _ELEMENT_BUDGET = 2**14
 # Complex elements in outcome_law's table of row-sum powers.  Every outcome
@@ -147,7 +151,9 @@ def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:
 
     That is the order of level m of :func:`_next_level`, which the
     click-multiset tree's levels share.  Built in at most min(m, n_detectors)
-    steps, whose levels hold at most twice the outcomes in all.
+    steps, whose levels hold at most twice the outcomes in all.  More than
+    ENUMERATION_LIMIT outcomes, or ENUMERATION_ENTRY_LIMIT counts in all, are
+    refused before anything is allocated.
     """
     if n_detectors < 1:
         raise ValueError(f"need at least one detector, got {n_detectors}")
@@ -156,6 +162,11 @@ def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:
     n_outcomes = comb(n_detectors + m - 1, m)
     if n_outcomes > ENUMERATION_LIMIT:
         raise ValueError(f"{n_outcomes} outcomes exceed the enumeration limit {ENUMERATION_LIMIT}")
+    if n_outcomes * n_detectors > ENUMERATION_ENTRY_LIMIT:
+        raise ValueError(
+            f"{n_outcomes} outcomes of {n_detectors} counts each exceed the enumeration limit "
+            f"of {ENUMERATION_ENTRY_LIMIT} counts"
+        )
     last = np.zeros(1, dtype=np.intp)
     small = np.min_scalar_type(m)  # no count exceeds m
     if m <= n_detectors:

@@ -52,8 +52,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Three each for entropy-grid, distribution and mixture-entropy, two for
 # trajectory-dump, one each for scaling-sweep and dump-unitary; then a
 # distribution and a mixture under a fixed unitary whose click-multiset tree
-# holds only its first levels, so the walk goes on past it; and a
-# distribution under the identity, whose tree holds zero-weight nodes.
+# holds only its first levels, so the walk goes on past it; a
+# distribution under the identity, whose tree holds zero-weight nodes; and a
+# mixture and a grid whose pool tasks at two threads each hold several
+# chunks of float sums.
 GOLDEN = [
     "--mode entropy-grid --n 6 --m 4 --unitary brickwall:2 --samples 600 --seed 5",
     "--mode entropy-grid --n 5 --m 5 --unitary haar --samples 520 --seed 8",
@@ -72,6 +74,8 @@ GOLDEN = [
     "--mode distribution --n 9 --m 9 --unitary haar --samples 2000 --seed 15",
     "--mode mixture-entropy --n 10 --m 10 --unitary haar --k 5 --cut 5 --samples 600 --seed 14",
     "--mode distribution --n 6 --m 6 --unitary identity --samples 300 --seed 16",
+    "--mode mixture-entropy --n 8 --m 8 --unitary haar --k 4 --cut 4 --samples 4000 --seed 17",
+    "--mode entropy-grid --n 6 --m 6 --unitary haar --samples 3000 --seed 18",
 ]
 KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 

@@ -641,20 +641,23 @@ def test_bad_point_size_names_the_option(tmp_path, capsys):
          "mode entropy-grid needs --n >= 2, so that a cut has a site on each side"),
         ("--mode distribution --n 20 --m 10",
          "20030010 outcomes exceed the enumeration limit 1000000"),
+        ("--mode distribution --n 63 --m 4",
+         "720720 outcomes of 63 counts each exceed the enumeration limit of 4000000 counts"),
     ],
     ids=["sector", "bitmask", "dump-unitary-bitmask", "point-sector", "point-bitmask", "depth",
          "dump-unitary-depth", "point-depth", "mixture-cut", "mixture-explicit-cut",
          "mixture-default-cut", "samples", "dump-samples", "dump-one-site", "mixture-one-site",
-         "grid-one-site", "outcomes"],
+         "grid-one-site", "outcomes", "outcome-counts"],
 )
 def test_oversized_inputs_are_rejected_before_running(tmp_path, capsys, args, message):
     # Sector bitmasks are int64, every state of the largest sector a run
     # reaches is enumerated, every trajectory draws and multiplies each
     # brick-wall layer, the mixture holds the averaged state of its cut,
     # every trajectory index must be one 32-bit seed word, a cut needs a site
-    # on each side, and a distribution enumerates every outcome.  The depth
-    # bound is checked when the source is built, the outcome count when the
-    # run starts, before the enumeration allocates, and the other five while
+    # on each side, and a distribution enumerates every outcome and its
+    # counts.  The depth bound is checked when the source is built, the
+    # outcome and count limits when the run starts, before the enumeration
+    # allocates, and the other five while
     # parsing: all seven before any trajectory runs.
     out = tmp_path / "out" / "o.dat"
     assert main(args.split() + ["--seed", "1", "--output", str(out)]) == 1

@@ -110,6 +110,38 @@ def test_seed_words_answer_only_the_request_pcg64_makes():
             seed_words.generate_state(n_words, dtype)
 
 
+@pytest.mark.parametrize("purpose", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 3, 2**300])
+def test_click_uniforms_are_the_generators_draws_bit_for_bit(seed, purpose):
+    # The port of PCG64 seeds from a row of seed words and draws random(e)
+    # for every row at once; numpy's generator is the reference.
+    for lo, hi in [(0, 300), (2**32 - 5, 2**32)]:
+        rows = _stream_words(seed, lo, hi, purpose)
+        for e in (0, 1, 8, 16, 63):
+            uniforms = experiments._click_uniforms(rows, e)
+            assert uniforms.shape == (hi - lo, e) and uniforms.dtype == np.float64
+            reference = np.array([_generator(words).random(e) for words in rows])
+            assert uniforms.tobytes() == reference.reshape(hi - lo, e).tobytes()
+
+
+def test_a_port_that_drifts_from_numpy_fails_the_run_before_any_chunk(monkeypatch):
+    # Each run compares the port's first row with numpy's generator once.
+    port = experiments._click_uniforms
+
+    def flipped(words, e):
+        uniforms = port(words, e)
+        uniforms.view(np.uint64)[0, -1] ^= np.uint64(1)
+        return uniforms
+
+    monkeypatch.setattr(experiments, "_click_uniforms", flipped)
+    chunks = _recorded(monkeypatch, "_accumulate")
+    with pytest.raises(RuntimeError, match="no longer match numpy's PCG64"):
+        averaged_entropy_grid(4, 2, UnitarySource.haar(), 10, 3)
+    assert chunks == []
+    monkeypatch.setattr(experiments, "_click_uniforms", port)
+    averaged_entropy_grid(4, 2, UnitarySource.haar(), 10, 3)
+
+
 def test_chunk_hash_rejects_a_negative_seed_and_wide_indices():
     with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
         _stream_words(-1, 0, 4, 1)
@@ -398,14 +430,58 @@ def test_a_fixed_n_8_run_lowers_each_multiset_once_in_the_caller(monkeypatch, sa
     assert [type(tree) for tree, in handed] == [trajectory._ClickTree] * (threads - 1)
 
 
-def test_fixed_tree_runs_keep_their_bytes_across_workers():
+def test_fixed_tree_runs_keep_their_bytes_across_workers(monkeypatch):
     # The workers walk the caller's tree, so a pooled run is the serial run.
+    # 17 chunks go in spans of 3 chunks to two workers, whose float parts
+    # must still merge one chunk at a time, in chunk order.
+    spans = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            _, lo, hi = task
+            spans.append(hi - lo)
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
     source = UnitarySource.fixed(haar_unitary(8, np.random.default_rng(96)))
-    grids = [
-        grid_csv(averaged_entropy_grid(8, 8, source, 2 * CHUNK_SIZE + 3, 6, threads))
+    samples = 16 * CHUNK_SIZE + 3
+    grids, mixtures = [], []
+    for threads in (1, 2):
+        grids.append(grid_csv(averaged_entropy_grid(8, 8, source, samples, 6, threads)))
+        mixtures.append(mixture_entropy_report(8, 8, source, 4, 4, samples, 6, threads))
+    assert grids[0] == grids[1]
+    assert mixtures[0] == mixtures[1]
+    assert spans == 2 * ([3 * CHUNK_SIZE] * 5 + [CHUNK_SIZE + 3])  # the grid's, then the mixture's
+
+
+def test_parts_that_hold_large_arrays_go_fewer_to_a_span(monkeypatch):
+    # A mixture part holds its averaged state's blocks whatever its chunk,
+    # more than _SPAN_BYTES alone at cut 12 (C(24, 12) numbers less four
+    # corners), so its spans hold one chunk each.  Under a bound of two
+    # parts, a (6, 6, k 3, cut 3) mixture's 17 chunks go two to a span
+    # instead of three, with the same bytes.
+    wide = experiments._MixtureSums(20, 10, 0, 12)
+    assert wide.part_bytes == 16 * (comb(24, 12) - 290) > experiments._SPAN_BYTES
+    spans = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            _, lo, hi = task
+            spans.append(hi - lo)
+            return super().submit(fn, task)
+
+    part_bytes = experiments._MixtureSums(6, 6, 3, 3).part_bytes
+    monkeypatch.setattr(experiments, "_SPAN_BYTES", 2 * part_bytes + 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
+    source = UnitarySource.fixed(haar_unitary(6, np.random.default_rng(97)))
+    reports = [
+        mixture_entropy_report(6, 6, source, 3, 3, 16 * CHUNK_SIZE + 3, 8, threads)
         for threads in (1, 2)
     ]
-    assert grids[0] == grids[1]
+    assert reports[0] == reports[1]
+    assert spans == [2 * CHUNK_SIZE] * 8 + [3]
 
 
 def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
@@ -776,11 +852,11 @@ def test_chunks_of_the_largest_run_are_counted_without_being_built():
 
 
 def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypatch):
-    # An in-process stand-in for the pool: a chunk runs only when some
-    # result is read, and every chunk submitted by then finishes newest
+    # An in-process stand-in for the pool: a span of chunks runs only when
+    # some result is read, and every span submitted by then finishes newest
     # first, so the merge order cannot come from the completion order.
-    queued, unread = [], []
-    most_unread = 0
+    queued, unread, spans = [], [], []
+    most_unread = most_chunks_in_flight = 0
 
     class Firsts:
         n_excited = 1
@@ -817,20 +893,30 @@ def test_pool_run_bounds_the_chunks_in_flight_and_merges_in_chunk_order(monkeypa
             pass
 
         def submit(self, fn, task):
-            nonlocal most_unread
+            nonlocal most_unread, most_chunks_in_flight
             future = ChunkFuture()
+            _, lo, hi = task
+            future.chunks = -(-(hi - lo) // CHUNK_SIZE)
+            spans.append(future.chunks)
             queued.append((future, fn, task))
             unread.append(future)
             most_unread = max(most_unread, len(unread))
+            most_chunks_in_flight = max(most_chunks_in_flight, sum(f.chunks for f in unread))
             return future
 
-    workers, n_samples = 3, 20 * CHUNK_SIZE + 5
+    # 200 chunks would make spans of 17 at three workers; the cap cuts them
+    # to 16, and the last span holds the 8 chunks left over.
+    workers, n_samples = 3, 199 * CHUNK_SIZE + 5
+    cap = experiments._SPAN_CAP
+    assert -(-200 // (4 * workers)) > cap
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_worker_count", lambda threads, n_chunks: threads)
     monkeypatch.setattr(experiments, "_worker_tree", None)  # set by the stand-in; restored after
     total = _run(Firsts, UnitarySource.haar(), 3, n_samples, 0, threads=workers)
     assert total.firsts == list(range(0, n_samples, CHUNK_SIZE))
+    assert spans == [cap] * 12 + [8]
     assert most_unread == 2 * workers
+    assert most_chunks_in_flight == 2 * workers * cap
     assert not queued and not unread
 
 

@@ -247,9 +247,22 @@ def test_enumerate_outcomes_size_guard():
         (40, 10, "^8217822536 outcomes exceed the enumeration limit 1000000$"),
         (3, -1, "^need m >= 0 clicks, got m = -1$"),
         (0, 2, "^need at least one detector, got 0$"),
+        # Within the outcome limit, but 10^12 and 4.5e7 counts in all.
+        (10**6, 1, "^1000000 outcomes of 1000000 counts each exceed the enumeration limit "
+                   "of 4000000 counts$"),
+        (63, 4, "^720720 outcomes of 63 counts each exceed the enumeration limit "
+                "of 4000000 counts$"),
     ]:
         with pytest.raises(ValueError, match=message):
             enumerate_outcomes(n, m)
+
+
+def test_enumerate_outcomes_admits_what_fits_the_count_limit():
+    # A million outcomes of two counts, and every full filling up to N = M = 11.
+    assert oracle.ENUMERATION_ENTRY_LIMIT == 4 * 10**6
+    outcomes = enumerate_outcomes(2, 999_999)
+    assert len(outcomes) == 10**6 and outcomes[0] == (999_999, 0) and outcomes[-1] == (0, 999_999)
+    assert len(enumerate_outcomes(11, 11)) * 11 == 3_879_876 <= oracle.ENUMERATION_ENTRY_LIMIT
 
 
 ORDER_CASES = [(1, 3), (2, 2), (3, 0), (3, 5), (4, 3), (7, 4), (8, 8), (10, 10)]
