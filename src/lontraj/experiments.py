@@ -8,23 +8,24 @@ and the Shannon entropy of the trajectory mixture.
 
 Every estimator, and the trajectory dump, is a reducer over the click kernel
 with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
-(see _run), and ``part_bytes`` if every part holds large arrays.  It computes once per distinct state of the walk and adds per
-trajectory, in trajectory order.  Trajectories walk in lockstep groups whose
-states fit the kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed
-or a fresh source alike.  Every group walks one click-multiset tree: the
-levels of a fixed source's tree that fit its budget, a fresh source's root
-alone, and then one state per trajectory.  The tree is built once per run,
-in the calling process, and handed to each pool worker once.  Reducers run
-in fixed-size chunks whose parts are merged in chunk order, so results are
+(see _run), and ``part_bytes`` if every part holds large arrays.  It
+computes once per distinct state of the walk and adds per trajectory, in
+trajectory order.  Trajectories walk in lockstep groups whose states fit the
+kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed or a fresh
+source alike.  Every group walks one click-multiset tree: the levels of a
+fixed source's tree that fit its budget, a fresh source's root alone, and
+then one state per trajectory.  The tree is built once per run, in the
+calling process, and handed to each pool worker once.  Reducers run in
+fixed-size chunks whose parts are merged in chunk order, so results are
 byte-identical for any worker count; a pool task runs a span of consecutive
-chunks and returns each chunk's part.
-Randomness is derived per trajectory index from the master seed, so they
-are also independent of chunking and of the group size.  A chunk's click
-uniforms come from a vectorised port of numpy's PCG64, bit for bit the
-generators derive_rng gives, and each run checks the port against numpy once.
-Click outcomes are counted by their index in the oracle's one order of
-click multisets, the order of oracle.enumerate_outcomes and of the tree's
-levels; oracle._outcome_ranks maps per-detector counts to that index.
+chunks and returns each chunk's part.  Randomness is derived per trajectory
+index from the master seed, so they are also independent of chunking and of
+the group size.  A chunk's click uniforms come from a vectorised port of
+numpy's PCG64, bit for bit the generators derive_rng gives, and each run
+checks the port against numpy once.  Click outcomes are counted by their
+index in the oracle's one order of click multisets, the order of
+oracle.enumerate_outcomes and of the tree's levels; oracle._outcome_ranks
+maps per-detector counts to that index.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +387,34 @@ def test_main_runs_end_to_end(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o.csv").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+_EXIT_FREEZE_SCRIPT = """
+import atexit, gc, sys
+# Standard modules lontraj imports, which register exit callbacks of their own.
+import concurrent.futures.process, multiprocessing.util, numpy
+before = atexit._ncallbacks()
+import lontraj, lontraj.cli
+assert atexit._ncallbacks() == before, "importing the CLI registered an exit callback"
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+for _ in range(2):
+    argv = ["--mode", "dump-unitary", "--n", "2", "--seed", "1", "--output", sys.argv[1]]
+    assert lontraj.cli.main(argv) == 0
+assert atexit._ncallbacks() == before + 2  # the handler above and the hook
+assert gc.get_freeze_count() == 0 and gc.isenabled()
+print("normal gc in process")
+"""
+
+
+def test_main_freezes_the_heap_at_exit_once_and_only_at_exit(tmp_path):
+    # The exit hook runs before every handler registered ahead of the first
+    # main(), so such a handler sees a frozen heap; in process, nothing is frozen.
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", _EXIT_FREEZE_SCRIPT, str(tmp_path / "u.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["normal gc in process", "frozen at exit: True"]
 
 
 def test_run_config_is_reusable_programmatically(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import stats
 from click_walk_reference import click_walk, pick_detector
 from dense_reference import random_sector_state
 from lontraj.oracle import ENUMERATION_LIMIT, enumerate_outcomes, outcome_law
-from lontraj.state import initial_state
+from lontraj.state import initial_state, sector_masks
 from lontraj.trajectory import (
     TrajectoryRecord,
     attach_waiting_times,
@@ -21,6 +22,7 @@ from lontraj.trajectory import (
     sample_click_sequence,
 )
 from lontraj.unitary import beamsplitter_unitary, haar_brickwall, haar_unitary
+from permanent_reference import permanent_naive
 from sector_reference import click_multiset_law, clicks_to_counts, jump_weights, occupations
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -318,6 +320,52 @@ def test_mean_clicks_past_enumeration():
     products = counts[:, :, None] * counts[:, None, :]
     stderr_pairs = products.std(axis=0, ddof=1) / np.sqrt(samples)
     assert np.all(np.abs(products.mean(axis=0) - expected_pairs) <= 5 * stderr_pairs)
+
+
+def _permanent_state(n: int, m: int, u: np.ndarray, clicks: list[int]) -> np.ndarray:
+    # c_D |I> = sum_R Per(U[D, R]) |I \ R>, R over the k-subsets of I = {0..m-1},
+    # normalized; every mask with a bit outside I has amplitude zero.
+    masks = sector_masks(n, m - len(clicks))
+    full = (1 << m) - 1
+    amplitudes = np.zeros(len(masks), dtype=complex)
+    for r in combinations(range(m), len(clicks)):
+        mask = full ^ sum(1 << j for j in r)
+        amplitudes[np.searchsorted(masks, mask)] = permanent_naive(u[np.ix_(clicks, r)])
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def _assert_equal_up_to_phase(state: np.ndarray, expected: np.ndarray, outside: np.ndarray) -> None:
+    assert np.all(state[outside] == 0)
+    phase = np.vdot(expected, state)
+    assert np.allclose(state, phase / abs(phase) * expected, rtol=0, atol=1e-12)
+
+
+def test_amplitudes_past_enumeration_are_permanents_of_the_clicked_rows():
+    # Past enumeration at (14, 10), the state after clicks D (k <= 4) must be
+    # the permanent sum above, up to a global phase.  The tree holds one level
+    # (29,029 amplitudes; a second would add 315,315), so the walk's clicks 2
+    # to 4 go through _click, as do all of evolve_clicks'.
+    n, m, depth = 14, 10, 4
+    assert comb(n + m - 1, m) > ENUMERATION_LIMIT
+    u = haar_unitary(n, np.random.default_rng(1414))
+    tree = _click_tree(n, m, u, m)
+    assert [len(s) for s in tree.states] == [1, n]
+    outside = [sector_masks(n, m - k) >= 1 << m for k in range(depth + 1)]
+
+    uniforms = np.random.default_rng(77).random((6, m))
+    clicked = [[] for _ in uniforms]
+    for k, detectors, rows, states in tree.walk(u, uniforms, depth):
+        for b, path in enumerate(clicked):
+            if k:
+                path.append(int(detectors[b]))
+            _assert_equal_up_to_phase(states[rows[b]], _permanent_state(n, m, u, path), outside[k])
+
+    for seed in (5, 6):
+        path = []
+        walk = evolve_clicks(initial_state(n, m), u, np.random.default_rng(seed))
+        for k, (detector, state) in zip(range(1, depth + 1), walk):
+            path.append(detector)
+            _assert_equal_up_to_phase(state.amplitudes, _permanent_state(n, m, u, path), outside[k])
 
 
 def test_averaged_occupations_are_unraveling_independent():
