@@ -332,16 +332,24 @@ def _parse_point(spec: str) -> int:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+    # mkstemp creates its file 0600; the output gets the mode a plain
+    # open(path, "w") would give it.  The umask can only be read by setting it.
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.chmod(tmp_name, 0o666 & ~umask)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as error:
+        raise ValueError(f"cannot write {str(path)!r}: {error.strerror}") from None
 
 
 def _manifest(config: RunConfig, outputs: list[Path]) -> str:

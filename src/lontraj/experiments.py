@@ -567,9 +567,13 @@ def _check_fixed(source: UnitarySource, estimator: str) -> None:
 
 @dataclass(frozen=True)
 class DistributionReport:
-    """Exact vs. empirical click-outcome distribution for one fixed unitary."""
+    """Exact vs. empirical click-outcome distribution for one fixed unitary.
 
-    outcomes: list[tuple[int, ...]]
+    ``outcomes`` is the counts array of oracle.enumerate_outcomes, one row
+    per outcome; ``exact`` and ``empirical`` follow its rows.
+    """
+
+    outcomes: np.ndarray
     exact: np.ndarray
     empirical: np.ndarray
     tvd: float
@@ -814,7 +818,7 @@ def distribution_csv(report: DistributionReport) -> str:
     for lo in range(0, len(stderr), 256):
         hi = lo + 256
         rows = zip(
-            report.outcomes[lo:hi], exact[lo:hi].tolist(), empirical[lo:hi].tolist(),
+            report.outcomes[lo:hi].tolist(), exact[lo:hi].tolist(), empirical[lo:hi].tolist(),
             stderr[lo:hi].tolist(),
         )
         lines += [f"{' '.join(map(str, o))},{p!r},{f!r},{s!r}\n" for o, p, f, s in rows]

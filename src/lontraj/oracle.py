@@ -146,10 +146,12 @@ def _next_level(n_detectors: int, last: np.ndarray) -> tuple[np.ndarray, np.ndar
     return parent, np.arange(len(parent)) - first[parent] + last[parent]
 
 
-def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:
+def enumerate_outcomes(n_detectors: int, m: int) -> np.ndarray:
     """All multisets of m clicks over n_detectors, first detector count descending.
 
-    That is the order of level m of :func:`_next_level`, which the
+    Returns their per-detector counts, one row per outcome, in
+    ``np.min_scalar_type(m)``, the smallest unsigned dtype that holds m.  The
+    rows are in the order of level m of :func:`_next_level`, which the
     click-multiset tree's levels share.  Built in at most min(m, n_detectors)
     steps, whose levels hold at most twice the outcomes in all.  More than
     ENUMERATION_LIMIT outcomes, or ENUMERATION_ENTRY_LIMIT counts in all, are
@@ -184,10 +186,8 @@ def enumerate_outcomes(n_detectors: int, m: int) -> list[tuple[int, ...]]:
         for _ in range(n_detectors - 1):
             parent, last = _next_level(m + 1, last)
             bars = np.column_stack([bars[parent], last.astype(small)])
-        counts = np.diff(bars[::-1], prepend=0, append=m)
-    # A slice of rows at a time, so that few Python lists are alive beside the tuples.
-    slices = (counts[lo : lo + 4096].T.tolist() for lo in range(0, len(counts), 4096))
-    return [row for columns in slices for row in zip(*columns)]
+        counts = np.diff(bars[::-1], prepend=small.type(0), append=small.type(m))
+    return counts
 
 
 def _outcome_ranks(counts: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ MAX_DEPTH = 4096  # deepest brick wall a run may ask for; above N^2 at N = 63
 
 
 def check_unitary(u: np.ndarray) -> None:
-    """Raise ValueError unless ``u`` is square with every |U U† - I| entry within UNITARITY_TOL."""
+    """Raise ValueError unless ``u`` is square with every |U U† - I| entry within
+    UNITARITY_TOL."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")

@@ -73,7 +73,7 @@ def test_criterion_1_hong_ou_mandel():
         assert abs(outcome_probability(u, (0, 2), 2) - 0.5) < 1e-12
         assert outcome_probability(u, (1, 1), 2) <= 1e-12
         report = distribution_comparison(2, 2, source, 10_000, SEED, threads=1)
-        frequency = dict(zip(report.outcomes, report.empirical))
+        frequency = dict(zip(map(tuple, report.outcomes.tolist()), report.empirical))
         assert abs(frequency[(2, 0)] - 0.5) <= 0.015
         assert abs(frequency[(0, 2)] - 0.5) <= 0.015
         assert frequency[(1, 1)] == 0.0

@@ -366,6 +366,46 @@ def test_no_temp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
+def test_outputs_get_the_mode_the_umask_gives(tmp_path):
+    # A plain open() under umask 027 creates 0640 files; so must the atomic writes.
+    previous = os.umask(0o027)
+    try:
+        code = main(
+            ["--mode", "dump-unitary", "--n", "3", "--unitary", "haar", "--seed", "1",
+             "--output", str(tmp_path / "u.json"), "--dump-unitary", str(tmp_path / "d.json")]
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0
+    for name in ["u.json", "u.json.manifest.json", "d.json"]:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
+
+
+def test_an_output_that_is_a_directory_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    code = main(
+        ["--mode", "dump-unitary", "--n", "3", "--unitary", "haar", "--seed", "1",
+         "--output", str(tmp_path / "out")]
+    )
+    assert code == 1
+    path = str(tmp_path / "out")
+    assert capsys.readouterr().err == f"error: cannot write {path!r}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_an_output_whose_folder_cannot_be_made_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "sub" / "u.json"
+    code = main(
+        ["--mode", "dump-unitary", "--n", "3", "--unitary", "haar", "--seed", "1",
+         "--output", str(target)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_main_reports_usage_errors(capsys):
     assert main("--mode distribution --n 2 --m 2 --unitary haar".split()) == 1
     assert "seed" in capsys.readouterr().err

@@ -685,7 +685,7 @@ def test_grid_entropies_of_a_whole_group_match_each_state_alone(n_sites, widest)
 
 def test_identity_distribution_is_a_point_mass():
     report = distribution_comparison(3, 3, UnitarySource.identity(3), 500, 8)
-    index = report.outcomes.index((1, 1, 1))
+    index = report.outcomes.tolist().index([1, 1, 1])
     assert report.exact[index] == pytest.approx(1.0, abs=1e-12)
     assert report.empirical[index] == 1.0
     assert report.tvd == pytest.approx(0.0, abs=1e-12)
@@ -713,8 +713,9 @@ def test_distribution_counts_match_a_tally_of_the_records(n, m, depth, threads):
     report = distribution_comparison(n, m, source, samples, seed, threads)
     records = trajectory_records(n, m, source, 1, samples, seed, threads=threads)
     tally = Counter(tuple(np.bincount(r.clicks, minlength=n).tolist()) for r in records)
-    assert set(tally) <= set(report.outcomes) and sum(tally.values()) == samples
-    counts = np.array([tally[outcome] for outcome in report.outcomes])
+    outcomes = list(map(tuple, report.outcomes.tolist()))
+    assert set(tally) <= set(outcomes) and sum(tally.values()) == samples
+    counts = np.array([tally[outcome] for outcome in outcomes])
     np.testing.assert_array_equal(counts / samples, report.empirical)
     np.testing.assert_array_equal(np.rint(report.empirical * samples), counts)
 

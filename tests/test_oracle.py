@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,23 +227,23 @@ def test_conditional_chain_rule_reproduces_sequence_probability():
 
 
 def test_enumerate_outcomes_pair():
-    assert enumerate_outcomes(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    assert enumerate_outcomes(2, 2).tolist() == [[2, 0], [1, 1], [0, 2]]
     # At the enumeration limit: one level step per click would hold
     # 5 * 10^11 multisets; the bars between the detectors take one step.
     outcomes = enumerate_outcomes(2, 999_999)
-    assert len(outcomes) == 10**6 and outcomes[1] == (999_998, 1)
+    assert len(outcomes) == 10**6 and outcomes[1].tolist() == [999_998, 1]
 
 
 def test_enumerate_outcomes_counts_collision_space():
     outcomes = enumerate_outcomes(7, 4)
     assert len(outcomes) == 210
-    assert len(set(outcomes)) == 210
-    assert all(sum(c) == 4 for c in outcomes)
+    assert len(set(map(tuple, outcomes.tolist()))) == 210
+    assert all(sum(c) == 4 for c in outcomes.tolist())
 
 
 def test_enumerate_outcomes_single_detector():
-    assert enumerate_outcomes(1, 3) == [(3,)]
-    assert enumerate_outcomes(1, 10**9) == [(10**9,)]  # in no step at all
+    assert enumerate_outcomes(1, 3).tolist() == [[3]]
+    assert enumerate_outcomes(1, 10**9).tolist() == [[10**9]]  # in no step at all
 
 
 def test_enumerate_outcomes_size_guard():
@@ -261,8 +265,30 @@ def test_enumerate_outcomes_admits_what_fits_the_count_limit():
     # A million outcomes of two counts, and every full filling up to N = M = 11.
     assert oracle.ENUMERATION_ENTRY_LIMIT == 4 * 10**6
     outcomes = enumerate_outcomes(2, 999_999)
-    assert len(outcomes) == 10**6 and outcomes[0] == (999_999, 0) and outcomes[-1] == (0, 999_999)
+    assert len(outcomes) == 10**6
+    assert outcomes[0].tolist() == [999_999, 0] and outcomes[-1].tolist() == [0, 999_999]
     assert len(enumerate_outcomes(11, 11)) * 11 == 3_879_876 <= oracle.ENUMERATION_ENTRY_LIMIT
+
+
+def test_the_largest_full_filling_enumeration_is_one_small_array():
+    # N = M = 11, the largest full filling the CLI admits: 352,716 rows of 11
+    # one-byte counts.  The bound lies between the array's rise (about
+    # 16 MiB) and that of a list of int tuples (about 57 MiB).
+    script = (
+        "import resource\n"
+        "from lontraj.oracle import enumerate_outcomes\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "outcomes = enumerate_outcomes(11, 11)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(after - before, outcomes.shape, outcomes.dtype)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", script]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rise_kib, shape = done.stdout.split(maxsplit=1)
+    assert int(rise_kib) < 30 * 1024  # ru_maxrss is in KiB on Linux
+    assert shape == "(352716, 11) uint8\n"
 
 
 ORDER_CASES = [(1, 3), (2, 2), (3, 0), (3, 5), (4, 3), (7, 4), (8, 8), (10, 10)]
@@ -272,16 +298,19 @@ ORDER_CASES = [(1, 3), (2, 2), (3, 0), (3, 5), (4, 3), (7, 4), (8, 8), (10, 10)]
 def test_enumerate_outcomes_is_lexicographic_in_sorted_detectors(n, m):
     # First count descending is the lexicographic order of the sorted
     # detectors, which combinations_with_replacement yields.  More clicks
-    # than detectors go through the bars between detectors instead.
+    # than detectors go through the bars between detectors instead.  Both
+    # build the smallest unsigned dtype that holds m.
     multisets = itertools.combinations_with_replacement(range(n), m)
-    expected = [tuple(np.bincount(s, minlength=n).tolist()) for s in multisets]
-    assert enumerate_outcomes(n, m) == expected
+    expected = [np.bincount(s, minlength=n).tolist() for s in multisets]
+    outcomes = enumerate_outcomes(n, m)
+    assert outcomes.tolist() == expected
+    assert outcomes.dtype == np.min_scalar_type(m)
 
 
 @pytest.mark.parametrize("n, m", ORDER_CASES)
 def test_outcome_ranks_invert_the_enumeration(n, m):
     # Covers no clicks, more clicks than detectors and a single detector.
     outcomes = enumerate_outcomes(n, m)
-    ranks = oracle._outcome_ranks(np.array(outcomes))
+    ranks = oracle._outcome_ranks(outcomes)
     assert ranks.dtype == np.int64
     np.testing.assert_array_equal(ranks, np.arange(len(outcomes)))

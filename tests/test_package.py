@@ -11,6 +11,17 @@ def test_every_exported_name_resolves():
     assert len(set(lontraj.__all__)) == len(lontraj.__all__)
 
 
+def test_no_package_line_is_wider_than_100_columns():
+    # Counted in UTF-8 bytes, the widest reading of a line: a "†" takes 3.
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(lontraj.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_bytes().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert wide == []
+
+
 def test_oracle_does_not_import_the_state_module():
     # The permanent oracle is the exact law the trajectory code is checked
     # against, so it shares none of that code.

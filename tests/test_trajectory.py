@@ -90,7 +90,7 @@ def test_the_trees_levels_are_the_oracles_outcomes(n, m, network):
             np.testing.assert_array_equal(children[reached[known]], stepped[known])
             children[reached] = stepped
         counts = children
-        assert counts.tolist() == [list(outcome) for outcome in enumerate_outcomes(n, k + 1)]
+        assert counts.tolist() == enumerate_outcomes(n, k + 1).tolist()
 
 
 def test_first_click_uniform_chi_squared():
