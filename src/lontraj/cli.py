@@ -386,14 +386,23 @@ def execute(config: RunConfig) -> int:
         outputs.append(config.dump_unitary)
 
     text, line = mode.run(s, source, config.seed, config.threads)
-    _write_atomic(config.output, text)
+    manifest_path = config.output.with_name(config.output.name + ".manifest.json")
+    files = [(config.output, text), (manifest_path, _manifest(config, outputs))]
+    if config.dump_unitary is not None:
+        files.insert(0, (config.dump_unitary, unitary_to_json(source.matrix) + "\n"))
+    # A run leaves all of its files or none of the ones it wrote, and reports
+    # only once every file is written.
+    written = []
+    try:
+        for path, content in files:
+            _write_atomic(path, content)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     if line is not None:
         print(line)
-    if config.dump_unitary is not None:
-        _write_atomic(config.dump_unitary, unitary_to_json(source.matrix) + "\n")
-
-    manifest_path = config.output.with_name(config.output.name + ".manifest.json")
-    _write_atomic(manifest_path, _manifest(config, outputs))
     for path in outputs + [manifest_path]:
         print(f"wrote {path}")
     return 0

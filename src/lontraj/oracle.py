@@ -107,7 +107,7 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
     (at least one), so each chunk's product holds at most max(_ELEMENT_BUDGET, 2^m) numbers.
     """
     u = np.asarray(u, dtype=complex)
-    counts = np.asarray(outcomes, dtype=np.intp)
+    counts = np.asarray(outcomes)  # as given: enumerate_outcomes' counts are one byte each
     if counts.ndim != 2 or counts.shape[1] != u.shape[0] or (counts < 0).any():
         raise ValueError(f"outcomes must be rows of {u.shape[0]} nonnegative counts")
     if (counts.sum(axis=1) != m).any() or m > min(u.shape[1], RYSER_MAX_DIM):
@@ -120,15 +120,20 @@ def outcome_law(u: np.ndarray, outcomes, m: int) -> np.ndarray:
         )
     sign, rows = _subset_sums(u[:, :m], 0, 1 << m)
     powers = np.cumprod([np.ones_like(rows)] + [rows] * m, axis=0)  # [c, i, S]: rows[i, S]^c
-    denominators = np.array([factorial(c) for c in range(m + 1)], dtype=float)[counts].prod(axis=1)
+    factorials = np.array([factorial(c) for c in range(m + 1)], dtype=float)
     step = max(1, _ELEMENT_BUDGET >> m)
     perms = np.empty(len(counts), dtype=complex)
+    denominators = np.empty(len(counts))
+    # Chunk by chunk, so no copy of the counts is wider than a chunk.  The
+    # table limit keeps m <= 15, so every product of factorials divides
+    # m! < 2^53 and is exact, however the chunks fall.
     for start in range(0, len(counts), step):
         chunk = counts[start : start + step]
         terms = powers[chunk[:, 0], 0]
         for i in range(1, u.shape[0]):
             terms *= powers[chunk[:, i], i]
         perms[start : start + step] = terms @ sign
+        denominators[start : start + step] = factorials[chunk].prod(axis=1)
     return np.clip(np.abs(perms) ** 2 / denominators, 0.0, 1.0)
 
 

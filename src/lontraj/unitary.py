@@ -90,6 +90,17 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_stack(n, [rng])[0]
 
 
+# Gates in one block of a brick-wall draw, over all its streams.  A block
+# holds its 8 normals per gate, overwritten by the gate's 8 reals, plus the
+# closed form's temporaries: under 128 bytes a gate, 4 MiB at this bound,
+# however deep the wall.  A whole depth-MAX_DEPTH draw would hold all its
+# normals; grid-deep's 195 streams at N = 10, depth 20 (17,550 gates) take
+# one block.
+_BLOCK_GATES = 2**15
+# The row signs of q2 = (-conj(q1[1]), +conj(q1[0])) times a phase.
+_SIGNS = np.array([-1.0, 1.0])[:, None]
+
+
 @lru_cache(maxsize=8)
 def _layer_plan(n_modes: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     # One brick-wall layer of the given parity as a flat (n_modes * n_modes)
@@ -107,6 +118,37 @@ def _layer_plan(n_modes: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return identity, slots
 
 
+def _gates_in_place(x: np.ndarray) -> None:
+    # x[:, :, :, g] = (re/im, row, col): gate g's Ginibre matrix G,
+    # overwritten by its Haar 2x2 Q in the same layout: the QR of G with a
+    # positive diag(R), in closed form.  Q's first column is q1 = c1 / |c1|
+    # for G's columns c1, c2.  Its second is the unit vector orthogonal to q1
+    # with q2† c2 > 0, (c2 - (q1† c2) q1) / |...|, written as
+    # (-conj(q1[1]), conj(q1[0])) times the phase of det G: orthogonal to q1
+    # to rounding even where c1 and c2 are near parallel, as Gram-Schmidt's
+    # difference is not.  Only IEEE +, -, *, / and sqrt act, each gate on its
+    # own numbers, so its bytes do not depend on the batch.  Each component
+    # is a contiguous row, and the temporaries stay under the normals' size.
+    c1, c2 = x[:, :, 0], x[:, :, 1]  # (re/im, row, gate) views
+    norm = c1**2
+    norm = np.sqrt((norm[0, 0] + norm[1, 0]) + (norm[0, 1] + norm[1, 1]))  # |c1|
+    phase_re = ((c1[0, 0] * c2[0, 1] - c1[1, 0] * c2[1, 1])
+                - (c1[0, 1] * c2[0, 0] - c1[1, 1] * c2[1, 0]))
+    phase_im = ((c1[0, 0] * c2[1, 1] + c1[1, 0] * c2[0, 1])
+                - (c1[0, 1] * c2[1, 0] + c1[1, 1] * c2[0, 0]))
+    c1 /= norm
+    norm = np.sqrt(phase_re**2 + phase_im**2)  # |det G|
+    phase_re /= norm
+    phase_im /= norm
+    swapped = c1[:, ::-1]  # (re/im, row): q1[1] then q1[0]
+    np.multiply(swapped[0], phase_re, out=c2[0])
+    c2[0] += swapped[1] * phase_im
+    c2[0] *= _SIGNS
+    np.multiply(swapped[1], phase_re, out=c2[1])
+    c2[1] -= swapped[0] * phase_im
+    c2[1] *= -_SIGNS
+
+
 def _brickwall_stack(n_modes: int, depth: int, rngs) -> np.ndarray:
     # (len(rngs), n_modes, n_modes): row b is haar_brickwall(n_modes, depth, rngs[b]).
     if n_modes < 1:
@@ -117,18 +159,34 @@ def _brickwall_stack(n_modes: int, depth: int, rngs) -> np.ndarray:
         raise ValueError(f"need at least 2 modes for depth {depth}, got {n_modes}")
     size = len(rngs)
     u = np.tile(np.eye(n_modes, dtype=complex), (size, 1, 1))
-    for layer in range(depth):
-        # Every stream draws the layer's gates in top-mode order, so each is
-        # read as the gate-by-gate draw reads it.  A dense layer over the
-        # group holds as many entries as the group's unitaries.
-        identity, slots = _layer_plan(n_modes, layer % 2)
-        normals = _normals(rngs, (len(slots) // 4, 2, 2, 2)).reshape(-1, 2, 2, 2)
-        dense = np.tile(identity, (size, 1))
-        dense[:, slots] = _haar_from_normals(normals).reshape(size, -1)
-        # Whole dense layers multiply from the left, as a dense layer product
-        # does: updating only the two rows a gate touches would sum fewer
-        # terms and could change signed zeros and last bits.
-        u = dense.reshape(size, n_modes, n_modes) @ u
+    plans = [_layer_plan(n_modes, parity) for parity in (0, 1)]
+    # Each parity's dense layers over the group, as float (re, im) pairs; a
+    # layer rewrites only its gate slots.
+    dense = [np.tile(identity, (size, 1)).view(float).reshape(size, -1, 2) for identity, _ in plans]
+    per_block = max(1, _BLOCK_GATES // max(1, size * (n_modes // 2)))
+    for first in range(0, depth, per_block):
+        layers = range(first, min(first + per_block, depth))
+        layer_gates = [len(plans[layer % 2][1]) // 4 for layer in layers]
+        # One call per stream reads the block's gates in layer-then-top-mode
+        # order, as the gate-by-gate draw reads them; gates[k, b, g] is
+        # component k = (re/im, row, col) of stream b's gate g.
+        gates = np.empty((8, size, sum(layer_gates)))
+        for b, rng in enumerate(rngs):
+            gates[:, b] = rng.standard_normal((gates.shape[2], 8)).T
+        _gates_in_place(gates.reshape(2, 2, 2, -1))
+        end = 0
+        for layer, width in zip(layers, layer_gates):
+            start, end = end, end + width
+            slots, layer_dense = plans[layer % 2][1], dense[layer % 2]
+            for part in (0, 1):  # (size, entry, gate) slots take (entry, size, gate) values
+                layer_dense[:, slots.reshape(-1, 4).T, part] = gates[
+                    4 * part : 4 * part + 4, :, start:end
+                ].transpose(1, 0, 2)
+            # Whole dense layers multiply from the left, as a dense layer
+            # product does: updating only the two rows a gate touches would
+            # sum fewer terms and could change signed zeros and last bits.
+            u = layer_dense.view(complex).reshape(size, n_modes, n_modes) @ u
+        del gates  # before the next block's are drawn
     return u
 
 
@@ -141,12 +199,17 @@ def haar_brickwall(n_modes: int, depth: int, rng: np.random.Generator) -> np.nda
     staggered layers are exact zeros, so the result is banded with
     half-width < 2 * depth; depth 0 gives the identity.
 
-    The stream holds one Haar 2x2 per gate, in layer-then-top-mode order,
-    and each gate is the ``haar_unitary(2, rng)`` draw itself: 4 real then
-    4 imaginary standard normals, one QR, the column phases of diag(R).
-    Whole dense layers multiply one by one, so the result is byte-identical
-    to placing every such draw in its own identity-padded layer (the
-    per-gate reference in the tests), however the gates are batched.
+    The stream holds one Haar 2x2 per gate, in layer-then-top-mode order: 4
+    real then 4 imaginary standard normals of a Ginibre matrix G, read as
+    ``haar_unitary(2, rng)`` reads them.  Each gate is G's QR with a positive
+    diag(R) in closed form, q1 = c1 / |c1| and q2 = (c2 - (q1† c2) q1) / |...|
+    for G's columns c1 and c2, so it is Haar, and it lies within 1e-14 of
+    the ``haar_unitary`` draw (LAPACK's QR) of the same normals.  The gates
+    of a block of layers are drawn with one call per stream and computed
+    together; whole dense layers then multiply one by one.  The result is
+    byte-identical to computing each gate alone and placing it in its own
+    identity-padded layer (the per-gate reference in the tests), however
+    the gates are batched.
     """
     return _brickwall_stack(n_modes, depth, [rng])[0]
 

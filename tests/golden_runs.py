@@ -55,7 +55,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # holds only its first levels, so the walk goes on past it; a
 # distribution under the identity, whose tree holds zero-weight nodes; and a
 # mixture and a grid whose pool tasks at two threads each hold several
-# chunks of float sums.
+# chunks of float sums; and a grid at depth N^2 = 80, whose gate draws span
+# several blocks.
 GOLDEN = [
     "--mode entropy-grid --n 6 --m 4 --unitary brickwall:2 --samples 600 --seed 5",
     "--mode entropy-grid --n 5 --m 5 --unitary haar --samples 520 --seed 8",
@@ -76,6 +77,7 @@ GOLDEN = [
     "--mode distribution --n 6 --m 6 --unitary identity --samples 300 --seed 16",
     "--mode mixture-entropy --n 8 --m 8 --unitary haar --k 4 --cut 4 --samples 4000 --seed 17",
     "--mode entropy-grid --n 6 --m 6 --unitary haar --samples 3000 --seed 18",
+    "--mode entropy-grid --n 10 --m 10 --unitary brickwall:80 --samples 256 --seed 19",
 ]
 KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 

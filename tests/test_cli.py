@@ -406,6 +406,34 @@ def test_an_output_whose_folder_cannot_be_made_is_an_error_line(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def test_a_dump_that_cannot_be_written_leaves_no_output_and_no_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "used.json").mkdir()
+    code = main(
+        "--mode distribution --n 3 --m 2 --unitary haar --samples 50 --seed 3 "
+        "--output d.csv --dump-unitary used.json".split()
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write 'used.json': Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["used.json"]
+    assert list((tmp_path / "used.json").iterdir()) == []
+
+
+def test_a_manifest_that_cannot_be_written_removes_the_run_s_other_files(tmp_path, capsys):
+    (tmp_path / "u.json.manifest.json").mkdir()
+    code = main(
+        ["--mode", "dump-unitary", "--n", "3", "--unitary", "haar", "--seed", "1",
+         "--output", str(tmp_path / "u.json"), "--dump-unitary", str(tmp_path / "d.json")]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.endswith(": Is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json.manifest.json"]
+
+
 def test_main_reports_usage_errors(capsys):
     assert main("--mode distribution --n 2 --m 2 --unitary haar".split()) == 1
     assert "seed" in capsys.readouterr().err

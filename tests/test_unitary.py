@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from brickwall_reference import brickwall_reference, haar_unitary_reference
+from brickwall_reference import brickwall_reference, haar_gate_reference, haar_unitary_reference
+from lontraj import unitary
 from lontraj.unitary import (
     _brickwall_stack,
     _haar_stack,
@@ -122,11 +124,36 @@ def test_brickwall_staggering_rule():
 
 
 def test_brickwall_gate_is_the_haar_draw():
-    # A gate enters its layer as haar_unitary(2, rng) draws it, to the byte.
+    # A gate enters its layer as the per-gate closed form computes it, to the
+    # byte, and lies within 1e-14 of haar_unitary(2, rng)'s QR of the same normals.
     for seed in range(200):
-        rng, gate_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert haar_brickwall(2, 1, rng).tobytes() == haar_unitary(2, gate_rng).tobytes()
+        rng, gate_rng, qr_rng = (np.random.default_rng(seed) for _ in range(3))
+        gate = haar_brickwall(2, 1, rng)
+        assert gate.tobytes() == haar_gate_reference(gate_rng).tobytes()
         assert rng.bit_generator.state == gate_rng.bit_generator.state
+        assert np.abs(gate - haar_unitary(2, qr_rng)).max() <= 1e-14
+        assert rng.bit_generator.state == qr_rng.bit_generator.state
+
+
+def test_brickwall_gates_are_haar_distributed():
+    # Under Haar on U(2), |U_00|^2 is uniform on [0, 1] and the phase of
+    # det U is uniform; each moment lies within 4 standard errors.
+    samples = 20_000
+    gates = _brickwall_stack(2, 1, _group(29, samples))
+    check_unitary(gates[0])
+    weight = np.abs(gates[:, 0, 0]) ** 2
+    phase = np.angle(np.linalg.det(gates))
+    # (statistic, its mean and its standard deviation under the law)
+    moments = [
+        (weight, 1 / 2, np.sqrt(1 / 12)),
+        (weight**2, 1 / 3, np.sqrt(1 / 5 - 1 / 9)),
+        (np.cos(phase), 0.0, np.sqrt(1 / 2)),
+        (np.sin(phase), 0.0, np.sqrt(1 / 2)),
+        (np.cos(2 * phase), 0.0, np.sqrt(1 / 2)),
+    ]
+    for values, mean, sd in moments:
+        assert abs(values.mean() - mean) < 4 * sd / np.sqrt(samples)
+    assert np.abs(np.einsum("bij,bkj->bik", gates, gates.conj()) - np.eye(2)).max() < 1e-15
 
 
 def test_brickwall_depth_zero_is_identity_network():
@@ -182,6 +209,37 @@ def test_compose_matches_explicit_layer_product():
                     reference = brickwall_reference(n_modes, depth, reference_rng)
                     assert row.tobytes() == reference.tobytes()
                     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 3, 40, 999])
+def test_brickwall_bytes_do_not_depend_on_the_block_split(monkeypatch, block):
+    # Blocks of one layer, of a few layers and of several, with a group's
+    # layer widths 5 and 4 (N = 10) or 3 and 3 (N = 7).
+    cases = [(n_modes, depth, size) for n_modes in (7, 10) for depth in (1, 2, 9, 30)
+             for size in GROUP_SIZES]
+    whole = {case: _brickwall_stack(case[0], case[1], _group(case[1], case[2])) for case in cases}
+    monkeypatch.setattr(unitary, "_BLOCK_GATES", block)
+    for (n_modes, depth, size), stack in whole.items():
+        rngs, reference_rngs = _group(depth, size), _group(depth, size)
+        assert _brickwall_stack(n_modes, depth, rngs).tobytes() == stack.tobytes()
+        for rng, reference_rng in zip(rngs, reference_rngs):
+            brickwall_reference(n_modes, depth, reference_rng)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_a_deep_brickwall_draw_holds_one_block_of_gates_at_a_time():
+    # 8 streams at N = 10 and the deepest wall: 147,456 gates, whose normals
+    # alone take 9.4 MB, drawn in blocks of at most _BLOCK_GATES at under
+    # 128 bytes a gate.
+    rngs = _group(4096, 8)
+    tracemalloc.start()
+    try:
+        stack = _brickwall_stack(10, unitary.MAX_DEPTH, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    check_unitary(stack[7])
+    assert peak < unitary._BLOCK_GATES * 128
 
 
 def test_unitary_json_roundtrip_is_exact(tmp_path):
