@@ -8,24 +8,26 @@ and the Shannon entropy of the trajectory mixture.
 
 Every estimator, and the trajectory dump, is a reducer over the click kernel
 with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
-(see _run), and ``part_bytes`` if every part holds large arrays.  It
-computes once per distinct state of the walk and adds per trajectory, in
-trajectory order.  Trajectories walk in lockstep groups whose states fit the
-kernel's budget, trajectory._LOCKSTEP_BUDGET, under a fixed or a fresh
-source alike.  Every group walks one click-multiset tree: the levels of a
-fixed source's tree that fit its budget, a fresh source's root alone, and
-then one state per trajectory.  The tree is built once per run, in the
-calling process, and handed to each pool worker once.  Reducers run in
-fixed-size chunks whose parts are merged in chunk order, so results are
-byte-identical for any worker count; a pool task runs a span of consecutive
-chunks and returns each chunk's part.  Randomness is derived per trajectory
-index from the master seed, so they are also independent of chunking and of
-the group size.  A chunk's click uniforms come from a vectorised port of
-numpy's PCG64, bit for bit the generators derive_rng gives, and each run
-checks the port against numpy once.  Click outcomes are counted by their
-index in the oracle's one order of click multisets, the order of
-oracle.enumerate_outcomes and of the tree's levels; oracle._outcome_ranks
-maps per-detector counts to that index.
+(see _run), and ``part_bytes`` if every part holds large arrays.  It reads
+only what it needs from the walk: the outcome counts read the clicks, and a
+reducer that reads states computes once per distinct state it takes from
+trajectory._distinct, and adds per trajectory, in trajectory order.
+Trajectories walk in lockstep groups whose states fit the kernel's budget,
+trajectory._LOCKSTEP_BUDGET, under a fixed or a fresh source alike.  Every
+group walks one click-multiset tree: the levels of a fixed source's tree
+that fit its budget, a fresh source's root alone, and then one state per
+trajectory.  The tree is built once per run, in the calling process, and
+handed to each pool worker once.  Reducers run in fixed-size chunks whose
+parts are merged in chunk order, so results are byte-identical for any
+worker count; a pool task runs a span of consecutive chunks and returns
+each chunk's part.  Randomness is derived per trajectory index from the
+master seed, so they are also independent of chunking, of the span and of
+the group size.  A span's click uniforms come from one hash per stream and
+a vectorised port of numpy's PCG64, bit for bit the generators derive_rng
+gives, and each run checks the port against numpy once.  Click outcomes
+are counted by their index in the oracle's one order of click multisets,
+the order of oracle.enumerate_outcomes and of the tree's levels;
+oracle._outcome_ranks maps per-detector counts to that index.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from . import trajectory
 from .oracle import _outcome_ranks, enumerate_outcomes, outcome_law
 from .state import _check_cut, _cut_blocks, _entropies, _spectrum_entropy
-from .trajectory import TrajectoryRecord, _records, attach_waiting_times
+from .trajectory import TrajectoryRecord, _distinct, _records, attach_waiting_times
 from .unitary import UnitarySource
 
 CHUNK_SIZE = 256  # fixed so that merge order never depends on the worker count
@@ -324,53 +326,65 @@ def _hold_tree(tree) -> None:
     _worker_tree = tree
 
 
-def _accumulate(args, tree=None):
-    (make, source, n_sites, master_seed), lo, hi = args
-    if tree is None:
-        tree = _worker_tree
-    part = make()
-    e = part.n_excited
-    step = _group_size(n_sites, e)
-    # One hash per stream for the chunk.  The click uniforms of the whole
-    # chunk come from the PCG64 port; each group of a fresh source builds its
-    # unitary generators from its rows.
-    unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else ()
-    uniforms = _click_uniforms(_stream_words(master_seed, lo, hi, 1), e)
-    for start in range(lo, hi, step):
-        rows = slice(start - lo, min(start + step, hi) - lo)
+def _accumulate(
+    part, source: UnitarySource, n_sites: int, tree, first: int, unitary_words, uniforms
+):
+    # Add trajectories first.. to ``part`` in lockstep groups of consecutive
+    # indices: row i of the click ``uniforms``, and of the ``unitary_words``
+    # of a fresh source, is trajectory first + i's.  Each group of a fresh
+    # source builds its unitary generators from its rows.
+    step = _group_size(n_sites, part.n_excited)
+    for lo in range(0, len(uniforms), step):
+        rows = slice(lo, lo + step)
         u = source.draw(n_sites, [_generator(words) for words in unitary_words[rows]])
-        part.add(start, tree.walk(u, uniforms[rows], part.clicks))
+        part.add(first + lo, tree.walk(u, uniforms[rows], part.clicks))
     return part
 
 
 def _accumulate_span(args, tree=None) -> list:
-    # One part per chunk of the span lo..hi, in chunk order.
-    shared, lo, hi = args
-    return [
-        _accumulate((shared, start, min(start + CHUNK_SIZE, hi)), tree)
-        for start in range(lo, hi, CHUNK_SIZE)
-    ]
+    # One part per chunk of the span lo..hi, in chunk order.  One hash per
+    # stream for the span, and each chunk takes its rows.  A chunk's click
+    # uniforms come from the PCG64 port over its own rows, so its (rows, e)
+    # temporaries stay small: drawn for a whole 10-chunk span at N = 8 they
+    # raised a serial run's peak RSS by 0.9 MiB and walked 16% slower (on a
+    # 2-core Xeon).
+    (make, source, n_sites, master_seed), lo, hi = args
+    if tree is None:
+        tree = _worker_tree
+    parts = [make() for _ in range(lo, hi, CHUNK_SIZE)]
+    unitary_words = _stream_words(master_seed, lo, hi, 0) if source.fresh_per_sample else ()
+    click_words = _stream_words(master_seed, lo, hi, 1)
+    for part, start in zip(parts, range(0, hi - lo, CHUNK_SIZE)):
+        rows = slice(start, start + CHUNK_SIZE)
+        uniforms = _click_uniforms(click_words[rows], part.n_excited)
+        _accumulate(part, source, n_sites, tree, lo + start, unitary_words[rows], uniforms)
+    return parts
 
 
 def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed: int, threads: int):
     """Feed trajectories 0..n_samples-1 to accumulators made by ``make``; merge them in chunk order.
 
     Trajectory i runs under unitary stream (i, 0), drawn only for fresh
-    sources, and click stream (i, 1).  Each chunk derives its trajectories'
-    seed words from one vectorised SeedSequence hash per stream, bit for bit
-    those of derive_rng(master_seed, i, k).  It draws the click uniforms of
-    all its trajectories at once from a vectorised port of PCG64, which is
-    checked against numpy's generator here, once per run, and builds the
-    unitary streams' generators one by one.  At most MAX_SAMPLES
-    trajectories run, so every index is one 32-bit seed word.  Each chunk
-    walks its trajectories in lockstep groups of consecutive indices, sized
-    by _group_size, and hands each group's walk to its accumulator's
-    ``add(first_index, walk)``.  ``walk`` is the run's trajectory._ClickTree
-    walked under the fixed matrix or the group's stacked draws, over the
-    accumulator's first ``clicks`` clicks: trajectory first_index + b clicks
-    by the n_excited uniforms in [0, 1) drawn from its click stream in one
-    call, and sits in ``states[rows[b]]`` after each yield.  Parts combine
-    by ``merge``.
+    sources, and click stream (i, 1).  Each span derives its trajectories'
+    seed words from one vectorised SeedSequence hash per stream, bit for
+    bit those of derive_rng(master_seed, i, k), and each of its chunks
+    takes its rows.  The span draws the click uniforms of all its
+    trajectories at once from a vectorised port of PCG64, which is checked
+    against numpy's generator here, once per run, and builds the unitary
+    streams' generators one by one.  At most MAX_SAMPLES trajectories run,
+    so every index is one 32-bit seed word.  Each chunk walks its
+    trajectories in lockstep groups of consecutive indices, sized by
+    _group_size, and hands each group's walk to its accumulator's
+    ``add(first_index, walk)``.  ``walk`` is the run's
+    trajectory._ClickTree walked under the fixed matrix or the group's
+    stacked draws, over the accumulator's first ``clicks`` clicks:
+    trajectory first_index + b clicks by the n_excited uniforms in [0, 1)
+    drawn from its click stream in one call.  Each yield gives the clicked
+    detectors and where every trajectory sits, as node indices into a tree
+    level or as one state per trajectory (see _ClickTree.walk); a reducer
+    that reads states takes the distinct ones with trajectory._distinct,
+    and one that reads only clicks gathers none.  Parts combine by
+    ``merge``.
 
     A fixed source's tree (trajectory._click_tree) holds as many levels as
     fit its budget; a fresh source's is its root.  It is built once, here,
@@ -494,8 +508,12 @@ class _GridSums:
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
-        # One (B, n_sites - 1) array per click count; the start's is +0.0.
-        profiles = [_entropies(n, e - k, states, cuts)[rows] for k, _, rows, states in walk]
+        # One (B, n_sites - 1) array per click count, computed once per
+        # distinct state; the start's is +0.0.
+        profiles = []
+        for k, _, nodes, states in walk:
+            rows, states = _distinct(nodes, states)
+            profiles.append(_entropies(n, e - k, states, cuts)[rows])
         for profile in np.stack(profiles, 1):  # row by row, so no sum depends on the group size
             self.sums += profile
             self.square_sums += profile * profile
@@ -590,9 +608,10 @@ class _OutcomeCounts:
         self.counts: Counter = Counter()
 
     def add(self, first: int, walk) -> None:
-        _, _, rows, _ = next(walk)  # the start state: one row per trajectory
-        counts = np.zeros((len(rows), self.n_sites), dtype=np.int64)
-        trajectories = np.arange(len(rows))
+        # Reads the clicks alone, so no state is gathered.
+        _, _, nodes, _ = next(walk)  # the start: every trajectory at the root
+        counts = np.zeros((len(nodes), self.n_sites), dtype=np.int64)
+        trajectories = np.arange(len(nodes))
         for _, detectors, _, _ in walk:
             counts[trajectories, detectors] += 1
         self.counts.update(_outcome_ranks(counts).tolist())
@@ -676,11 +695,13 @@ class _MixtureSums:
 
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited - self.clicks
-        _, _, rows, states = next(walk)  # the start state: one row per trajectory
-        sequences = [()] * len(rows)
-        for _, detectors, rows, states in walk:
+        _, _, nodes, states = next(walk)  # the start: every trajectory at the root
+        sequences = [()] * len(nodes)
+        for _, detectors, nodes, states in walk:
             sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
-        # One entropy per distinct state: a single cut gathers no more than the states hold.
+        # The states after the last click, each distinct one once.  One entropy
+        # per distinct state: a single cut gathers no more than the states hold.
+        rows, states = _distinct(nodes, states)
         entropies = _entropies(n, e, states, (self.cut,))[:, 0]
         blocks = _cut_blocks(n, e, self.cut)
         step = max(1, trajectory._LOCKSTEP_BUDGET // sum(len(idx) ** 2 for idx in blocks))
@@ -811,17 +832,29 @@ def distribution_csv(report: DistributionReport) -> str:
     """
     exact = np.asarray(report.exact, dtype=float)
     empirical = np.asarray(report.empirical, dtype=float)
-    stderr = np.sqrt(empirical * (1.0 - empirical) / report.n_samples)
     lines = ["outcome,exact,empirical,stderr\n"]
-    # 256 rows at a time, so that few Python floats are alive at once: the
-    # table is formatted near the run's memory peak.
-    for lo in range(0, len(stderr), 256):
+    tails = {}  # the "empirical,stderr" text of each frequency, formatted once
+    # 256 rows at a time, so that few Python strings and floats are alive at
+    # once: the table is formatted near the run's memory peak.
+    for lo in range(0, len(exact), 256):
         hi = lo + 256
-        rows = zip(
-            report.outcomes[lo:hi].tolist(), exact[lo:hi].tolist(), empirical[lo:hi].tolist(),
-            stderr[lo:hi].tolist(),
-        )
-        lines += [f"{' '.join(map(str, o))},{p!r},{f!r},{s!r}\n" for o, p, f, s in rows]
+        counts = report.outcomes[lo:hi]
+        # The digits of each count in the block once, then the outcomes
+        # column by column; a table over 0..m could hold 10^9 strings.
+        values, cells = np.unique(counts, return_inverse=True)
+        digits = np.array([str(value) for value in values.tolist()])
+        spaced = np.strings.add(" ", digits)
+        cells = cells.reshape(counts.shape)
+        outcomes = digits[cells[:, 0]]
+        for column in cells.T[1:]:
+            outcomes = np.strings.add(outcomes, spaced[column])
+        frequencies = empirical[lo:hi]
+        stderr = np.sqrt(frequencies * (1.0 - frequencies) / report.n_samples)
+        for f, e in zip(frequencies.tolist(), stderr.tolist()):
+            if f not in tails:
+                tails[f] = f"{f!r},{e!r}\n"
+        rows = zip(outcomes.tolist(), exact[lo:hi].tolist(), frequencies.tolist())
+        lines += [f"{o},{p!r},{tails[f]}" for o, p, f in rows]
     return "".join(lines)
 
 

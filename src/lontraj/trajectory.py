@@ -54,12 +54,18 @@ class TrajectoryRecord:
                 raise ValueError("waiting times must be >= 0")
 
 
-def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -> np.ndarray:
-    # Row b of ``weights`` holds trajectory b's jump weights and uniforms[b]
-    # its draw in [0, 1).  The collective jumps conserve the excitation
-    # number, so the weights of a normalized state sum to n_excited; a larger
-    # residual means a non-unitary network or a state that lost its norm.
-    totals = weights.sum(axis=1)
+def _pick_detectors(
+    positive: np.ndarray, totals: np.ndarray, prefix_sums: np.ndarray, rows, n_excited: int,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    # Trajectory b picks by uniforms[b] in [0, 1) from row rows[b] of a table
+    # of jump weights: their sums, their prefix sums along the row, and an
+    # array whose nonzero entries are the detectors of positive weight (the
+    # weights themselves serve).  The collective jumps conserve the
+    # excitation number, so the weights of a normalized state sum to
+    # n_excited; a larger residual means a non-unitary network or a state
+    # that lost its norm.
+    totals = totals[rows]
     faulty = ~(np.abs(totals - n_excited) <= NORM_TOL * n_excited)  # NaN fails too
     if faulty.any():
         total = float(totals[np.argmax(faulty)])
@@ -68,11 +74,24 @@ def _pick_detectors(weights: np.ndarray, n_excited: int, uniforms: np.ndarray) -
     # is searchsorted(side="right"): it skips zero-weight detectors, whose
     # cumulative entries repeat the previous value.
     r = uniforms * totals
-    detectors = (weights.cumsum(axis=1) <= r[:, None]).sum(axis=1)
-    for b in np.nonzero(detectors == weights.shape[1])[0]:
+    detectors = np.count_nonzero(prefix_sums[rows] <= r[:, None], axis=1)
+    for b in np.nonzero(detectors == prefix_sums.shape[1])[0]:
         # r fell in the ulp sliver between sum() and cumsum()[-1].
-        detectors[b] = np.nonzero(weights[b])[0][-1]
+        detectors[b] = np.nonzero(positive[rows[b]])[0][-1]
     return detectors
+
+
+def _distinct(nodes, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, distinct) from one yield of _ClickTree.walk: trajectory b sits in distinct[rows[b]].
+
+    Through the tree's levels ``distinct`` holds the nodes the group
+    visits, ascending, once each; past them (``nodes`` None) the states are
+    already one per trajectory.
+    """
+    if nodes is None:
+        return np.arange(len(states)), states
+    visited, rows = np.unique(nodes, return_inverse=True)
+    return rows, states[visited]
 
 
 # Complex elements in the states of a lockstep click group (group sizes in
@@ -120,7 +139,9 @@ def _click(
         if step < len(states):
             mine = np.nonzero((rows >= lo) & (rows < lo + step))[0]
         local = rows[mine] - lo
-        picked = _pick_detectors(weights[local], e, r[mine])
+        picked = _pick_detectors(
+            weights, weights.sum(axis=1), weights.cumsum(axis=1), local, e, r[mine]
+        )
         detectors[mine] = picked
         clicked[mine] = lowered[local, picked] / np.sqrt(weights[local, picked])[:, None]
     return detectors, clicked
@@ -128,50 +149,59 @@ def _click(
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class _ClickTree:
-    """The state of every multiset of at most ``len(weights)`` clicks under one fixed unitary.
+    """The state of every multiset of at most ``len(children)`` clicks under one fixed unitary.
 
     The collective jumps commute, so the state after k clicks depends only on
     the multiset of detectors clicked.  Level k lists the multisets of k
     detectors in the oracle's one order, lexicographic in their sorted
     detectors: node p of level k is outcome p of
     ``oracle.enumerate_outcomes(n_sites, k)``.  It has the normalized state
-    ``states[k][p]``, and on every level but the last its jump weights
-    ``weights[k][p]`` and the level-(k + 1) node of each detector's click,
-    ``children[k][p]``.  A tree may be its root alone.
+    ``states[k][p]``, and on every level but the last its jump weights'
+    sum ``totals[k][p]``, their prefix sums ``prefix_sums[k][p]``, which
+    detectors have positive weight, ``positive[k][p]``, and the
+    level-(k + 1) node of each detector's click, ``children[k][p]``: the
+    walk picks from these tables, and keeps no weights.  A tree may be its
+    root alone.
     """
 
     n_sites: int
     n_excited: int
     states: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    totals: tuple[np.ndarray, ...]
+    prefix_sums: tuple[np.ndarray, ...]
+    positive: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
 
     def walk(self, u: np.ndarray, uniforms: np.ndarray, clicks: int) -> Iterator[tuple]:
         """Walk a lockstep group from the root over its first ``clicks`` clicks.
 
         Row b of the (B, >= clicks) ``uniforms`` holds trajectory b's click
-        draws.  Yields (k, detectors, rows, states) for k = 0..clicks, where
-        trajectory b clicked detectors[b] (None at k = 0) and now sits in
-        states[rows[b]].  Through the tree's levels ``states`` holds the
-        group's distinct nodes, ascending.  Past them each click is one
-        _click through ``u``, the tree's unitary or a group's (B, n_sites,
-        n_sites) stack, and ``states`` holds one state per trajectory.
+        draws.  Yields (k, detectors, nodes, states) for k = 0..clicks, where
+        trajectory b clicked detectors[b] (None at k = 0).  Through the
+        tree's levels trajectory b sits at node nodes[b] of the level,
+        ``states`` is the level itself, self.states[k], and nothing is
+        gathered: _distinct takes the nodes the group visits.  Past them
+        each click is one _click through ``u``, the tree's unitary or a
+        group's (B, n_sites, n_sites) stack, ``nodes`` is None and row b of
+        ``states`` is trajectory b's state.
         """
-        depth = min(len(self.weights), clicks)
-        nodes = rows = np.zeros(len(uniforms), dtype=np.intp)
-        states = self.states[0]
-        yield 0, None, rows, states
+        depth = min(len(self.children), clicks)
+        nodes = np.zeros(len(uniforms), dtype=np.intp)
+        yield 0, None, nodes, self.states[0]
         for k in range(1, depth + 1):
             e = self.n_excited - k + 1
-            detectors = _pick_detectors(self.weights[k - 1][nodes], e, uniforms[:, k - 1])
-            visited, rows = np.unique(self.children[k - 1][nodes, detectors], return_inverse=True)
-            nodes, states = visited[rows], self.states[k][visited]
-            yield k, detectors, rows, states
+            table = self.positive[k - 1], self.totals[k - 1], self.prefix_sums[k - 1]
+            detectors = _pick_detectors(*table, nodes, e, uniforms[:, k - 1])
+            nodes = self.children[k - 1][nodes, detectors]
+            yield k, detectors, nodes, self.states[k]
+        if depth == clicks:
+            return
+        rows, states = _distinct(nodes, self.states[depth])  # each visited node lowers once
         for k in range(depth + 1, clicks + 1):
             e = self.n_excited - k + 1
             detectors, states = _click(self.n_sites, e, states, rows, u, uniforms[:, k - 1])
             rows = np.arange(len(uniforms))
-            yield k, detectors, rows, states
+            yield k, detectors, None, states
 
 
 def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _ClickTree:
@@ -186,13 +216,15 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
     parent, S without its largest detector d, at detector d, normalized by
     its weight as _click does; so a node's bits do not depend on which
     trajectories reach it.
-    Each level is lowered once, in _click's slices.  A canonical child of
-    exactly zero weight (behind exact zeros of ``u``) is kept unnormalized:
-    no walk picks it.
+    Each level is lowered once, in _click's slices, and its weights' sums
+    and prefix sums are taken once, for the walk's picks; the weights
+    themselves are not kept.  A canonical child
+    of exactly zero weight (behind exact zeros of ``u``) is kept
+    unnormalized: no walk picks it.
     """
     states = [_initial_amplitudes(n_sites, n_excited)[None]]
     held = states[0].size
-    weights, children = [], []
+    totals, prefix_sums, positive, children = [], [], [], []
     # Largest detector of each node of the current level (the root's counts
     # as 0), and the canonical parent of each (unused at the root).
     last = np.zeros(1, dtype=np.intp)
@@ -226,10 +258,15 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
             w = level_weights[src, det]
             next_states[made] = lowered[src - lo, det] / np.sqrt(np.where(w > 0, w, 1.0))[:, None]
         states.append(next_states)
-        weights.append(level_weights)
+        totals.append(level_weights.sum(axis=1))
+        prefix_sums.append(level_weights.cumsum(axis=1))
+        positive.append(level_weights > 0)
         children.append(table.astype(np.int32))
         last, parent = child_last, child_parent
-    return _ClickTree(n_sites, n_excited, tuple(states), tuple(weights), tuple(children))
+    return _ClickTree(
+        n_sites, n_excited, tuple(states), tuple(totals), tuple(prefix_sums), tuple(positive),
+        tuple(children),
+    )
 
 
 def evolve_clicks(
@@ -261,8 +298,9 @@ def _records(n_sites: int, n_excited: int, cut: int, walk) -> list[TrajectoryRec
     # One record per trajectory of a _ClickTree.walk over all n_excited clicks, with
     # the entropy at the (checked) ``cut`` of the start state and of every post-click state.
     detectors_by_click, entropies_by_click = [], []
-    for k, detectors, rows, states in walk:
+    for k, detectors, nodes, states in walk:
         # One entropy per distinct state: a single cut gathers no more than the states hold.
+        rows, states = _distinct(nodes, states)
         entropies_by_click.append(_entropies(n_sites, n_excited - k, states, (cut,))[rows, 0])
         if detectors is not None:
             detectors_by_click.append(detectors)

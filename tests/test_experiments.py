@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import warnings
 from collections import Counter
@@ -36,7 +37,7 @@ from lontraj.experiments import (
     trajectory_records,
 )
 from lontraj.state import _entropies, _lowered_raw, initial_state, sector_masks
-from lontraj.trajectory import run_trajectory
+from lontraj.trajectory import _distinct, run_trajectory
 from lontraj.unitary import MAX_DEPTH, beamsplitter_unitary, haar_brickwall, haar_unitary
 from sector_reference import click_multiset_levels, forced_jump
 
@@ -196,12 +197,14 @@ def test_every_source_walks_a_chunk_in_the_same_groups(monkeypatch, n_sites, fil
     starts = list(range(lo, hi, size))
     rows = [min(start + size, hi) - start for start in starts]
     fixed = UnitarySource.fixed(haar_unitary(n_sites, np.random.default_rng(90)))
-    shared = experiments._accumulate(((Groups, fixed, n_sites, 7), lo, hi), Tree()).groups
+    [shared] = experiments._accumulate_span(((Groups, fixed, n_sites, 7), lo, hi), Tree())
+    shared = shared.groups
     assert shared == [
         (start, (n_sites, n_sites), (b, n_excited), n_excited) for start, b in zip(starts, rows)
     ]
     haar = UnitarySource.haar()
-    fresh = experiments._accumulate(((Groups, haar, n_sites, 7), lo, hi), Tree()).groups
+    [fresh] = experiments._accumulate_span(((Groups, haar, n_sites, 7), lo, hi), Tree())
+    fresh = fresh.groups
     assert fresh == [
         (start, (b, n_sites, n_sites), (b, n_excited), n_excited) for start, b in zip(starts, rows)
     ]
@@ -258,8 +261,8 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
     walk = trajectory._ClickTree.walk
 
     def recording_walk(*args):
-        steps = list(walk(*args))[1:]  # after each click
-        walked.append(steps)
+        steps = list(walk(*args))
+        walked.append(steps[1:])  # after each click
         yield from steps
 
     monkeypatch.setattr(trajectory, "_lowered_raw", recording)
@@ -269,7 +272,7 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
     seed, size = 93, 200
     make = partial(experiments._OutcomeCounts, n_sites, n_sites)
     tree = trajectory._click_tree(n_sites, n_sites, u, n_sites if kind == "fixed" else 0)
-    experiments._accumulate(((make, source, n_sites, seed), 0, size), tree)
+    experiments._accumulate_span(((make, source, n_sites, seed), 0, size), tree)
     group = experiments._group_size(n_sites, n_sites)
     assert len(walked) == -(-size // group) > 1
     at_widest = [rows for e, rows in slices if comb(n_sites, e - 1) == widest]
@@ -281,7 +284,8 @@ def test_prefix_shared_chunk_matches_the_one_trajectory_loop(
         if source.fresh_per_sample:
             u = source.draw(n_sites, derive_rng(seed, index, 0))
         alone = click_walk(n_sites, n_sites, start, u, derive_rng(seed, index, 1))
-        for (_, detectors, rows, states), (detector, amplitudes) in zip(steps, alone, strict=True):
+        for (_, detectors, nodes, states), (detector, amplitudes) in zip(steps, alone, strict=True):
+            rows, states = _distinct(nodes, states)
             assert detectors[b] == detector
             assert states[rows[b]].tobytes() == amplitudes.tobytes()
 
@@ -295,7 +299,7 @@ def test_dump_records_under_a_fixed_unitary_match_their_one_trajectory_runs(monk
     n, m, cut, seed, samples = 8, 8, 4, 97, 300
     u = haar_unitary(n, np.random.default_rng(96))
     source = UnitarySource.fixed(u)
-    assert len(trajectory._click_tree(n, m, u, m).weights) == m  # every click in the tree
+    assert len(trajectory._click_tree(n, m, u, m).children) == m  # every click in the tree
     records = trajectory_records(n, m, source, cut, samples, seed)
     assert len(records) == samples
     for i, record in enumerate(records):
@@ -321,9 +325,10 @@ class _Paths:
         self.visited: dict[tuple[int, ...], np.ndarray] = {}
 
     def add(self, first, walk) -> None:
-        _, _, rows, _ = next(walk)
-        paths = [()] * len(rows)
-        for _, detectors, rows, states in walk:
+        _, _, nodes, _ = next(walk)
+        paths = [()] * len(nodes)
+        for _, detectors, nodes, states in walk:
+            rows, states = _distinct(nodes, states)
             paths = [path + (d,) for path, d in zip(paths, detectors.tolist())]
             for path, row in zip(paths, rows.tolist()):
                 self.visited.setdefault(tuple(sorted(path)), states[row])
@@ -362,8 +367,9 @@ def test_the_click_multiset_tree_walks_as_the_ordered_prefixes_do(monkeypatch, n
     ordered, root = make(), trajectory._click_tree(n, m, u, 0)
     for lo in experiments._chunks(samples):
         chunk = ((make, source, n, seed), lo, lo + CHUNK_SIZE)
-        ordered.merge(experiments._accumulate(chunk, root))
-    assert len(trajectory._click_tree(n, m, u, m).weights) == m  # every click in the tree
+        [part] = experiments._accumulate_span(chunk, root)
+        ordered.merge(part)
+    assert len(trajectory._click_tree(n, m, u, m).children) == m  # every click in the tree
     tree = _run(make, source, n, samples, seed, threads=1)
     assert len(tree.paths) == samples
     assert tree.paths == ordered.paths
@@ -390,11 +396,12 @@ def test_the_tree_fit_rule_keeps_the_levels_that_fit_the_budget():
         tree = trajectory._click_tree(n, m, haar_unitary(n, np.random.default_rng(n)), m)
         sizes = [comb(n + k - 1, k) * comb(n, m - k) for k in range(m + 1)]
         assert [level.size for level in tree.states] == sizes[: depth + 1]
-        assert len(tree.weights) == len(tree.children) == depth
+        assert len(tree.totals) == len(tree.prefix_sums) == len(tree.positive) == depth
+        assert len(tree.children) == depth
         assert sum(sizes[: depth + 1]) <= trajectory._TREE_BUDGET
         assert depth == m or sum(sizes[: depth + 2]) > trajectory._TREE_BUDGET
     u = haar_unitary(9, np.random.default_rng(3))
-    assert len(trajectory._click_tree(9, 9, u, 2).weights) == 2  # a mixture's first clicks
+    assert len(trajectory._click_tree(9, 9, u, 2).children) == 2  # a mixture's first clicks
     assert len(trajectory._click_tree(9, 9, u, 0).states) == 1  # the root alone
 
 
@@ -491,7 +498,7 @@ def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
     class RecordingPool(experiments.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs) -> None:
             (tree,) = kwargs["initargs"]
-            started.append((kwargs["max_workers"], len(tree.weights)))
+            started.append((kwargs["max_workers"], len(tree.children)))
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
@@ -617,7 +624,7 @@ def test_the_fixed_unitary_grid_meets_the_exact_multiset_average(
     u = haar_unitary(n, rng) if network == "haar" else haar_brickwall(n, 3, rng)
     if route == "past-the-tree":
         monkeypatch.setattr(trajectory, "_TREE_BUDGET", comb(n, m) + n * comb(n, m - 1))
-    assert len(trajectory._click_tree(n, m, u, m).weights) == (m if route == "tree" else 1)
+    assert len(trajectory._click_tree(n, m, u, m).children) == (m if route == "tree" else 1)
     grid = averaged_entropy_grid(n, m, UnitarySource.fixed(u), 3000, 23)
     exact = np.zeros_like(grid.values)
     for k, level in enumerate(click_multiset_levels(n, m, u)):
@@ -701,15 +708,24 @@ def test_distribution_report_is_consistent():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("n, m, depth", [(5, 4, 4), (9, 9, 4)], ids=["full-tree", "past-the-tree"])
-def test_distribution_counts_match_a_tally_of_the_records(n, m, depth, threads):
-    # The same trajectories, tallied here by their per-detector counts: at
-    # (5, 4) the tree holds every click, at (9, 9) the walk goes on past its
-    # four levels.  The counts are exact, so their frequencies are the very
-    # floats the report divides out.
-    u = haar_unitary(n, np.random.default_rng([n, m, 5]))
+@pytest.mark.parametrize(
+    "n, m, depth, network",
+    [(5, 4, 4, "haar"), (9, 9, 4, "haar"), (6, 6, 6, "identity")],
+    ids=["full-tree", "past-the-tree", "zero-weight-nodes"],
+)
+def test_distribution_counts_match_a_tally_of_the_records(n, m, depth, network, threads):
+    # The same trajectories, tallied here by their per-detector counts from
+    # the records, which read every state: at (5, 4) the tree holds every
+    # click, at (9, 9) the walk goes on past its four levels, and the
+    # identity's tree holds canonical children of zero weight.  The counts
+    # are exact, so their frequencies are the very floats the report divides
+    # out.
+    if network == "identity":
+        u = np.eye(n, dtype=complex)
+    else:
+        u = haar_unitary(n, np.random.default_rng([n, m, 5]))
     source, samples, seed = UnitarySource.fixed(u), 2 * CHUNK_SIZE + 88, 21
-    assert len(trajectory._click_tree(n, m, u, m).weights) == depth
+    assert len(trajectory._click_tree(n, m, u, m).children) == depth
     report = distribution_comparison(n, m, source, samples, seed, threads)
     records = trajectory_records(n, m, source, 1, samples, seed, threads=threads)
     tally = Counter(tuple(np.bincount(r.clicks, minlength=n).tolist()) for r in records)
@@ -718,6 +734,85 @@ def test_distribution_counts_match_a_tally_of_the_records(n, m, depth, threads):
     counts = np.array([tally[outcome] for outcome in outcomes])
     np.testing.assert_array_equal(counts / samples, report.empirical)
     np.testing.assert_array_equal(np.rint(report.empirical * samples), counts)
+
+
+class _CountedLevel:
+    """A tree level's states that count how often they are read."""
+
+    def __init__(self, states: np.ndarray) -> None:
+        self.states, self.reads = states, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.states[key]
+
+    def __len__(self) -> int:
+        self.reads += 1
+        return len(self.states)
+
+
+def test_a_distribution_walk_through_a_full_tree_gathers_no_state(monkeypatch):
+    # The outcome counts read the clicks alone, so through a tree that holds
+    # every click the walk sorts no node indices and reads no state.  A grid
+    # through the same tree takes its distinct states, as a control.
+    n = m = 8
+    u = haar_unitary(n, np.random.default_rng(31))
+    source, samples = UnitarySource.fixed(u), CHUNK_SIZE + 40
+    tree = trajectory._click_tree(n, m, u, m)
+    assert len(tree.children) == m  # every click in the tree
+    counted = dataclasses.replace(tree, states=tuple(map(_CountedLevel, tree.states)))
+    uniques = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        uniques.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    make = partial(experiments._OutcomeCounts, n, m)
+    parts = experiments._accumulate_span(((make, source, n, 3), 0, samples), counted)
+    assert uniques == []
+    assert [level.reads for level in counted.states] == [0] * (m + 1)
+    plain = experiments._accumulate_span(((make, source, n, 3), 0, samples), tree)
+    assert [part.counts for part in parts] == [part.counts for part in plain]
+    assert sum(sum(part.counts.values()) for part in parts) == samples
+    make = partial(experiments._GridSums, n, m)
+    experiments._accumulate_span(((make, source, n, 3), 0, samples), counted)
+    assert len(uniques) == 2 * (m + 1)  # each click count of each of the two chunks
+    assert [level.reads for level in counted.states] == [2] * (m + 1)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "haar"])
+def test_spans_of_one_chunk_give_the_parts_of_longer_spans(monkeypatch, kind):
+    # A span hashes the seeds and draws the click uniforms of all its
+    # trajectories at once, and each chunk takes its rows: with one chunk
+    # per span every part, the partial last chunk's included, is the same,
+    # under a fixed tree and under a fresh source.
+    n, samples = 6, 19 * CHUNK_SIZE + 77
+    u = haar_unitary(n, np.random.default_rng(32))
+    source = UnitarySource.fixed(u) if kind == "fixed" else UnitarySource.haar()
+    make = partial(experiments._GridSums, n, n)
+    span_of = experiments._accumulate_span
+
+    def parts_by_span() -> list:
+        spans = []
+
+        def keeping(args, tree=None):
+            parts = span_of(args, tree)
+            spans.append([(part.sums.tobytes(), part.square_sums.tobytes()) for part in parts])
+            return parts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_accumulate_span", keeping)
+            _run(make, source, n, samples, 33, threads=1)
+        return spans
+
+    default = parts_by_span()
+    monkeypatch.setattr(experiments, "_SPAN_CAP", 1)
+    single = parts_by_span()
+    assert [len(parts) for parts in default] == [5] * 4
+    assert [len(parts) for parts in single] == [1] * 20
+    assert sum(default, []) == sum(single, [])
 
 
 def test_tvd_shrinks_when_samples_grow_tenfold():
@@ -1106,3 +1201,41 @@ def test_distribution_csv_shape():
     assert lines[0] == "outcome,exact,empirical,stderr"
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "2 0"
+
+
+def _csv_row_by_row(report) -> str:
+    # The formatter distribution_csv replaced: one f-string per row.
+    exact = np.asarray(report.exact, dtype=float)
+    empirical = np.asarray(report.empirical, dtype=float)
+    stderr = np.sqrt(empirical * (1.0 - empirical) / report.n_samples)
+    rows = zip(report.outcomes.tolist(), exact.tolist(), empirical.tolist(), stderr.tolist())
+    lines = [f"{' '.join(map(str, o))},{p!r},{f!r},{s!r}\n" for o, p, f, s in rows]
+    return "outcome,exact,empirical,stderr\n" + "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "n, m, samples",
+    [(3, 12, 40), (5, 10, 3000), (1, 7, 9), (1, 10**9, 1), (4, 0, 5), (2, 999, 77)],
+    ids=["two-digit", "several-blocks", "one-detector", "a-billion-clicks", "no-click",
+         "wide-counts"],
+)
+def test_distribution_csv_is_the_row_by_row_text(n, m, samples):
+    # Byte for byte against the per-row formatter, over counts of one to ten
+    # digits, one detector, no click, and frequencies of 0, of 1 and
+    # repeated ones.
+    outcomes = oracle.enumerate_outcomes(n, m)
+    rng = np.random.default_rng([n, m])
+    exact = rng.random(len(outcomes)) ** 4
+    exact /= exact.sum()
+    exact[::7] = 0.0
+    counts = rng.multinomial(samples, exact)
+    report = experiments.DistributionReport(outcomes, exact, counts / samples, 0.5, samples)
+    frequencies = set(report.empirical.tolist())
+    if len(outcomes) > 1:
+        assert 0.0 in frequencies and len(frequencies) < len(outcomes)
+    else:
+        assert frequencies == {1.0}
+    text = distribution_csv(report)
+    assert text == _csv_row_by_row(report)
+    assert text.count("\n") == len(outcomes) + 1
+

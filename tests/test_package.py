@@ -66,6 +66,14 @@ def test_one_walk_driver_drives_the_click_kernel():
         ("trajectory", "sample_click_sequence"),
     }
     assert _users("_walk") == _users("_click_walk") == _users("_tree_size") == set()
+    # One inverse CDF picks for the tree's levels and for every click past
+    # them, and one helper takes the distinct states a reducer reads.
+    assert _users("_pick_detectors") == {("trajectory", "walk"), ("trajectory", "_click")}
+    assert _users("_distinct") == {
+        ("trajectory", "walk"),
+        ("trajectory", "_records"),
+        ("experiments", "add"),
+    }
 
 
 def test_the_oracle_owns_the_one_multiset_order():

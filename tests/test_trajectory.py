@@ -9,7 +9,7 @@ from scipy import stats
 
 from click_walk_reference import click_walk, pick_detector
 from dense_reference import random_sector_state
-from lontraj.oracle import ENUMERATION_LIMIT, enumerate_outcomes, outcome_law
+from lontraj.oracle import ENUMERATION_LIMIT, _outcome_ranks, enumerate_outcomes, outcome_law
 from lontraj.state import initial_state, sector_masks
 from lontraj.trajectory import (
     TrajectoryRecord,
@@ -17,6 +17,7 @@ from lontraj.trajectory import (
     evolve_clicks,
     record_to_json,
     _click_tree,
+    _distinct,
     _pick_detectors,
     run_trajectory,
     sample_click_sequence,
@@ -91,6 +92,24 @@ def test_the_trees_levels_are_the_oracles_outcomes(n, m, network):
             children[reached] = stepped
         counts = children
         assert counts.tolist() == enumerate_outcomes(n, k + 1).tolist()
+
+
+def test_the_walk_yields_each_trajectorys_node_which_is_the_rank_of_its_counts():
+    # Through a full (8, 8) tree a trajectory's node at level k is the index
+    # of its clicks' counts in enumerate_outcomes(n, k), and the walk hands
+    # over the level itself, gathering nothing.
+    n = m = 8
+    u = haar_unitary(n, np.random.default_rng(88))
+    tree = _click_tree(n, m, u, m)
+    assert len(tree.children) == m  # every click in the tree
+    uniforms = np.random.default_rng(89).random((500, m))
+    counts = np.zeros((500, n), dtype=np.int64)
+    for k, detectors, nodes, states in tree.walk(u, uniforms, m):
+        assert states is tree.states[k]
+        if k:
+            counts[np.arange(500), detectors] += 1
+        np.testing.assert_array_equal(nodes, _outcome_ranks(counts))
+    assert len(np.unique(nodes)) > 100  # many distinct leaves
 
 
 def test_first_click_uniform_chi_squared():
@@ -231,7 +250,8 @@ def test_lockstep_group_matches_the_one_trajectory_loop(n_sites, n_excited):
         assert len(group) == n_excited
         for b in range(size):
             alone = click_walk(n_sites, n_excited, start, row_u(b), np.random.default_rng(b))
-            for (_, detectors, rows, states), (detector, row) in zip(group, alone, strict=True):
+            for (_, detectors, nodes, states), (detector, row) in zip(group, alone, strict=True):
+                rows, states = _distinct(nodes, states)
                 assert detectors[b] == detector
                 assert states[rows[b]].tobytes() == row.tobytes()
 
@@ -287,9 +307,17 @@ def test_batched_pick_at_the_edges_of_the_prefix_sums():
         [[0.5, 1.5, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.5, 0.0, 1.5], [1.0, 0.0, 1.0, 0.0]]
     )
     draws = np.array([1.0, 0.3, 1.0, 0.5])
-    detectors = _pick_detectors(weights, 2, draws)
+    table = weights, weights.sum(axis=1), weights.cumsum(axis=1)
+    detectors = _pick_detectors(*table, np.arange(4), 2, draws)
     assert detectors.tolist() == [1, 0, 3, 2]
     alone = [pick_detector(w, 2, _FixedDraw(r)) for w, r in zip(weights, draws.tolist())]
+    assert detectors.tolist() == alone
+    # The tree's walk picks from the rows of its trajectories' nodes, with
+    # repeats, and keeps only which weights are positive.
+    rows, draws = np.array([2, 0, 2, 1, 0]), np.array([1.0, 1.0, 0.25, 0.5, 0.2])
+    detectors = _pick_detectors(weights > 0, *table[1:], rows, 2, draws)
+    assert detectors.tolist() == [3, 1, 3, 2, 0]
+    alone = [pick_detector(weights[b], 2, _FixedDraw(r)) for b, r in zip(rows, draws.tolist())]
     assert detectors.tolist() == alone
 
 
@@ -354,7 +382,8 @@ def test_amplitudes_past_enumeration_are_permanents_of_the_clicked_rows():
 
     uniforms = np.random.default_rng(77).random((6, m))
     clicked = [[] for _ in uniforms]
-    for k, detectors, rows, states in tree.walk(u, uniforms, depth):
+    for k, detectors, nodes, states in tree.walk(u, uniforms, depth):
+        rows, states = _distinct(nodes, states)
         for b, path in enumerate(clicked):
             if k:
                 path.append(int(detectors[b]))
