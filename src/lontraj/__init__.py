@@ -8,64 +8,49 @@ measures the entanglement the monitoring induces between the emitters.
 
 __version__ = "0.1.0"
 
-from .experiments import (
-    DistributionReport,
-    EntropyGrid,
-    MixtureEntropyReport,
-    averaged_entropy_grid,
-    distribution_comparison,
-    entropy_bound,
-    expected_tvd,
-    max_averaged_entropy,
-    mixture_entropy_report,
-    scaling_sweep,
-)
-from .oracle import (
-    build_repeated_matrix,
-    enumerate_outcomes,
-    outcome_law,
-    outcome_probability,
-    permanent_ryser,
-    sequence_probability,
-)
-from .state import SectorState, entanglement_entropy, initial_state
-from .trajectory import (
-    TrajectoryRecord,
-    attach_waiting_times,
-    run_trajectory,
-)
-from .unitary import (
-    UnitarySource,
-    beamsplitter_unitary,
-    haar_brickwall,
-    haar_unitary,
-)
+from importlib import import_module
 
-__all__ = [
-    "DistributionReport",
-    "EntropyGrid",
-    "MixtureEntropyReport",
-    "SectorState",
-    "TrajectoryRecord",
-    "UnitarySource",
-    "attach_waiting_times",
-    "averaged_entropy_grid",
-    "beamsplitter_unitary",
-    "build_repeated_matrix",
-    "distribution_comparison",
-    "entanglement_entropy",
-    "entropy_bound",
-    "enumerate_outcomes",
-    "expected_tvd",
-    "haar_brickwall",
-    "haar_unitary",
-    "initial_state",
-    "max_averaged_entropy",
-    "mixture_entropy_report",
-    "outcome_law",
-    "outcome_probability",
-    "permanent_ryser",
-    "run_trajectory",
-    "scaling_sweep",
-    "sequence_probability",
-]
+# Each public name and the module that defines it.  The namespace is lazy
+# (PEP 562): ``import lontraj`` loads no submodule, and so neither numpy, until
+# a name is first read.  The CLI relies on this: it must run before numpy
+# loads to start OpenBLAS on one thread (see cli.py).
+_OWNERS = {
+    "experiments": (
+        "DistributionReport",
+        "EntropyGrid",
+        "MixtureEntropyReport",
+        "averaged_entropy_grid",
+        "distribution_comparison",
+        "entropy_bound",
+        "expected_tvd",
+        "max_averaged_entropy",
+        "mixture_entropy_report",
+        "scaling_sweep",
+    ),
+    "oracle": (
+        "build_repeated_matrix",
+        "enumerate_outcomes",
+        "outcome_law",
+        "outcome_probability",
+        "permanent_ryser",
+        "sequence_probability",
+    ),
+    "state": ("SectorState", "entanglement_entropy", "initial_state"),
+    "trajectory": ("TrajectoryRecord", "attach_waiting_times", "run_trajectory"),
+    "unitary": ("UnitarySource", "beamsplitter_unitary", "haar_brickwall", "haar_unitary"),
+}
+_OWNER = {name: module for module, names in _OWNERS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,6 +21,16 @@ from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+# A CLI process runs BLAS on one thread; parallelism comes from the pool.  The
+# OpenBLAS that numpy bundles starts its thread pool when numpy loads, and its
+# idle thread spins: 0.13 to 0.19 s of CPU per benchmark run on a 2-core
+# host, on a core the pool's workers want.  The count is read only at load,
+# so it is set here, before this module's imports load numpy, and a user's own
+# setting wins.  A process that loaded numpy first keeps its environment;
+# experiments._one_blas_thread pins such a process while it samples.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .experiments import (
     MAX_SAMPLES,

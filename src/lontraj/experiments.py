@@ -300,8 +300,9 @@ def _one_blas_thread():
     BLAS contend for the same cores: on a 2-core host one 70 x 70 x 70
     complex product (an N = 16 Gram block) took 0.15 ms alone and 16 ms in
     each of two unpinned workers.  The count is set before the workers fork, since setting it
-    inside a forked worker slowed small products about threefold.  No result
-    depends on the BLAS thread count.
+    inside a forked worker slowed small products about threefold.  A CLI
+    process loads OpenBLAS on one thread already (see cli.py), so this pins
+    library callers.  No result depends on the BLAS thread count.
     """
     calls = _openblas_threads()
     if calls is None:

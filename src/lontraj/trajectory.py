@@ -115,30 +115,34 @@ def _slice_size(n_sites: int, e: int) -> int:
 
 
 def _click(
-    n_sites: int, e: int, states: np.ndarray, rows: np.ndarray, u: np.ndarray, r
+    n_sites: int, e: int, states: np.ndarray, rows: np.ndarray | None, u: np.ndarray, r
 ) -> tuple[np.ndarray, np.ndarray]:
-    # One click of a lockstep group: trajectory b sits in states[rows[b]] and
-    # clicks by r[b].  An (n_sites, n_sites) u is shared; under a (B, n_sites,
-    # n_sites) stack trajectory b is lowered through u[b], so every row is its
-    # own state.  Each distinct state is lowered and weighed once, in slices
-    # of _slice_size states.  Returns the detectors and the normalized
-    # post-click states, row b trajectory b's.
-    if u.shape not in ((n_sites, n_sites), (len(rows), n_sites, n_sites)):
+    # One click of a lockstep group: trajectory b sits in states[rows[b]], or
+    # in states[b] with ``rows`` None, and clicks by r[b].  An (n_sites,
+    # n_sites) u is shared; under a (B, n_sites, n_sites) stack trajectory b
+    # is lowered through u[b], so every row is its own state.  Each distinct
+    # state is lowered and weighed once, in slices of _slice_size states.
+    # Returns the detectors and the normalized post-click states, row b
+    # trajectory b's.
+    if u.shape not in ((n_sites, n_sites), (len(r), n_sites, n_sites)):
         raise ValueError(f"unitary shape {u.shape} does not match {n_sites} sites")
-    if u.ndim == 3:
-        states, rows = states[rows], np.arange(len(rows))
+    if u.ndim == 3 and rows is not None:
+        states, rows = states[rows], None
     step = _slice_size(n_sites, e)
-    detectors = np.empty(len(rows), dtype=np.intp)
-    clicked = np.empty((len(rows), comb(n_sites, e - 1)), dtype=complex)
+    detectors = np.empty(len(r), dtype=np.intp)
+    clicked = np.empty((len(r), comb(n_sites, e - 1)), dtype=complex)
     for lo in range(0, len(states), step):
         through = u[lo : lo + step] if u.ndim == 3 else u
         lowered = _lowered_raw(n_sites, e, states[lo : lo + step], through)
         weights = np.vecdot(lowered, lowered).real
         # The trajectories in this slice's states, each picking by its own uniform.
-        mine = slice(None)
-        if step < len(states):
-            mine = np.nonzero((rows >= lo) & (rows < lo + step))[0]
-        local = rows[mine] - lo
+        if rows is None:
+            mine, local = slice(lo, lo + step), np.arange(len(lowered))
+        else:
+            mine = slice(None)
+            if step < len(states):
+                mine = np.nonzero((rows >= lo) & (rows < lo + step))[0]
+            local = rows[mine] - lo
         picked = _pick_detectors(
             weights, weights.sum(axis=1), weights.cumsum(axis=1), local, e, r[mine]
         )
@@ -200,7 +204,7 @@ class _ClickTree:
         for k in range(depth + 1, clicks + 1):
             e = self.n_excited - k + 1
             detectors, states = _click(self.n_sites, e, states, rows, u, uniforms[:, k - 1])
-            rows = np.arange(len(uniforms))
+            rows = None  # one state per trajectory from here on
             yield k, detectors, None, states
 
 
@@ -277,9 +281,9 @@ def evolve_clicks(
     Each click takes one ``rng.random()`` draw as it starts, so a walk
     stopped after k clicks has advanced ``rng`` by exactly k draws.
     """
-    states, rows = state.amplitudes[None], np.zeros(1, dtype=np.intp)
+    states = state.amplitudes[None]
     for e in range(state.n_excited, 0, -1):
-        detectors, states = _click(state.n_sites, e, states, rows, u, rng.random(1))
+        detectors, states = _click(state.n_sites, e, states, None, u, rng.random(1))
         yield int(detectors[0]), SectorState(state.n_sites, e - 1, states[0])
 
 
