@@ -389,14 +389,16 @@ def execute(config: RunConfig) -> int:
             # also trajectory 0's waiting-time stream, but only trajectory-dump
             # attaches waiting times, and it draws no unitary from the seed.
             source = UnitarySource.fixed(source.draw(s["n"], derive_rng(config.seed, 0, 2)))
+    manifest_path = config.output.with_name(config.output.name + ".manifest.json")
     if config.dump_unitary is not None:
         # Checked before any mode runs, so a rejected run writes nothing.
         if source is None or source.matrix is None:
             raise ValueError("--dump-unitary needs a run with a single fixed unitary")
+        if config.dump_unitary.resolve() in (config.output.resolve(), manifest_path.resolve()):
+            raise ValueError(f"--dump-unitary {str(config.dump_unitary)!r} is an output of the run")
         outputs.append(config.dump_unitary)
 
     text, line = mode.run(s, source, config.seed, config.threads)
-    manifest_path = config.output.with_name(config.output.name + ".manifest.json")
     files = [(config.output, text), (manifest_path, _manifest(config, outputs))]
     if config.dump_unitary is not None:
         files.insert(0, (config.dump_unitary, unitary_to_json(source.matrix) + "\n"))

@@ -11,7 +11,8 @@ with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
 (see _run), and ``part_bytes`` if every part holds large arrays.  It reads
 only what it needs from the walk: the outcome counts read the clicks, and a
 reducer that reads states computes once per distinct state it takes from
-trajectory._distinct, and adds per trajectory, in trajectory order.
+trajectory._distinct, and adds a group's values at once, in trajectory
+order, with _add_in_order.
 Trajectories walk in lockstep groups whose states fit the kernel's budget,
 trajectory._LOCKSTEP_BUDGET, under a fixed or a fresh source alike.  Every
 group walks one click-multiset tree: the levels of a fixed source's tree
@@ -492,36 +493,51 @@ class EntropyGrid:
     n_samples: int
 
 
+def _add_in_order(total: np.ndarray, rows: np.ndarray, order: np.ndarray) -> None:
+    """Add rows[order[0]], rows[order[1]], ... to ``total`` in place, one at a time, in order.
+
+    The bytes are those of ``for j in order: total += rows[j]``, whatever the
+    group size: one np.add.reduce along the first axis of [total;
+    rows[order]] adds its rows in order while each holds two or more
+    numbers, but sums single numbers pairwise.  So complex rows are read as
+    (real, imaginary) pairs, and ``total``, C-contiguous, must hold two floats.
+    """
+    if not total.flags.c_contiguous or total.view(np.float64).size < 2:
+        raise ValueError(f"cannot add rows in order to a total of shape {total.shape}")
+    stack = np.empty((len(order) + 1, *total.shape), dtype=total.dtype)
+    stack[0] = total
+    # Every index is in range; mode="raise" would gather through a buffer.
+    rows.take(order, axis=0, out=stack[1:], mode="clip")
+    flat = stack.view(np.float64).reshape(len(stack), -1)
+    np.add.reduce(flat, axis=0, out=total.view(np.float64).reshape(-1))
+
+
 class _GridSums:
     """Sums and squared sums of the entropy profile after each click count.
 
-    Every part starts from zeros and adds nonnegative entropies, so no sum
-    is -0.0 and merging into a zero total adds exactly the parts' values.
+    ``sums[k]`` holds, at every cut after k clicks, the entropies' sums and
+    their squares'.  Every part starts from zeros and adds nonnegative
+    entropies, so no sum is -0.0 and merging into a zero total adds exactly
+    the parts' values.
     """
 
     def __init__(self, n_sites: int, n_excited: int) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
         self.clicks = n_excited
-        self.sums = np.zeros((n_excited + 1, n_sites - 1))
-        self.square_sums = np.zeros_like(self.sums)
+        self.sums = np.zeros((n_excited + 1, 2, n_sites - 1))
 
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited
         cuts = tuple(range(1, n))
-        # One (B, n_sites - 1) array per click count, computed once per
-        # distinct state; the start's is +0.0.
-        profiles = []
         for k, _, nodes, states in walk:
+            # Each distinct state's profile and its square, once; the start's is +0.0.
             rows, states = _distinct(nodes, states)
-            profiles.append(_entropies(n, e - k, states, cuts)[rows])
-        for profile in np.stack(profiles, 1):  # row by row, so no sum depends on the group size
-            self.sums += profile
-            self.square_sums += profile * profile
+            profiles = _entropies(n, e - k, states, cuts)
+            _add_in_order(self.sums[k], np.stack([profiles, profiles * profiles], axis=1), rows)
 
     def merge(self, other: "_GridSums") -> None:
         self.sums = self.sums + other.sums
-        self.square_sums = self.square_sums + other.square_sums
 
 
 def _mean_stderr(sums: np.ndarray, square_sums: np.ndarray, n: int):
@@ -549,7 +565,7 @@ def averaged_entropy_grid(
         raise ValueError("entropy grids need at least 2 sites")
     make = partial(_GridSums, n_sites, n_excited)
     total = _run(make, source, n_sites, n_samples, master_seed, threads)
-    mean, stderr = _mean_stderr(total.sums, total.square_sums, n_samples)
+    mean, stderr = _mean_stderr(total.sums[:, 0], total.sums[:, 1], n_samples)
     return EntropyGrid(
         n_sites=n_sites,
         n_excited=n_excited,
@@ -685,8 +701,7 @@ class _MixtureSums:
         self.n_excited = n_excited
         self.clicks = k
         self.cut = cut
-        self.entropy_sum = 0.0
-        self.entropy_square_sum = 0.0
+        self.entropy_sums = np.zeros(2)  # of the entropies and of their squares
         # The reduced state is block diagonal: one block per b of state._cut_blocks.
         blocks = _cut_blocks(n_sites, n_excited - k, cut)
         self.rho_sum = [np.zeros((len(idx), len(idx)), dtype=complex) for idx in blocks]
@@ -697,34 +712,29 @@ class _MixtureSums:
     def add(self, first: int, walk) -> None:
         n, e = self.n_sites, self.n_excited - self.clicks
         _, _, nodes, states = next(walk)  # the start: every trajectory at the root
-        sequences = [()] * len(nodes)
-        for _, detectors, nodes, states in walk:
-            sequences = [s + (d,) for s, d in zip(sequences, detectors.tolist())]
+        sequences = np.empty((len(nodes), self.clicks), dtype=np.intp)
+        for k, detectors, nodes, states in walk:
+            sequences[:, k - 1] = detectors
+        # Counted in trajectory order, as the histogram's insertion order must be.
+        self.histogram.update(map(tuple, sequences.tolist()))
         # The states after the last click, each distinct one once.  One entropy
         # per distinct state: a single cut gathers no more than the states hold.
         rows, states = _distinct(nodes, states)
         entropies = _entropies(n, e, states, (self.cut,))[:, 0]
+        _add_in_order(self.entropy_sums, np.stack([entropies, entropies * entropies], axis=1), rows)
         blocks = _cut_blocks(n, e, self.cut)
         step = max(1, trajectory._LOCKSTEP_BUDGET // sum(len(idx) ** 2 for idx in blocks))
-        # Trajectory by trajectory in index order, so neither the sums nor the
-        # histogram's insertion order depend on the group size.  The Gram blocks
-        # of at most ``step`` distinct states, within the budget, are held at a time.
+        # The Gram blocks of the distinct states of at most ``step``
+        # trajectories, within the budget, one block at a time.
         for lo in range(0, len(rows), step):
             needed, local = np.unique(rows[lo : lo + step], return_inverse=True)
             held = states[needed]
-            grams = [x @ x.conj().swapaxes(-1, -2) for x in (held.take(i, axis=-1) for i in blocks)]
-            held_entropies = entropies[needed].tolist()
-            for b, row in enumerate(local.tolist(), start=lo):
-                entropy = held_entropies[row]
-                self.entropy_sum += entropy
-                self.entropy_square_sum += entropy * entropy
-                for rho, gram in zip(self.rho_sum, grams):
-                    rho += gram[row]
-                self.histogram[sequences[b]] += 1
+            for rho, idx in zip(self.rho_sum, blocks):
+                x = held.take(idx, axis=-1)
+                _add_in_order(rho, x @ x.conj().swapaxes(-1, -2), local)
 
     def merge(self, other: "_MixtureSums") -> None:
-        self.entropy_sum += other.entropy_sum
-        self.entropy_square_sum += other.entropy_square_sum
+        self.entropy_sums = self.entropy_sums + other.entropy_sums
         self.rho_sum = [mine + theirs for mine, theirs in zip(self.rho_sum, other.rho_sum)]
         self.histogram.update(other.histogram)
 
@@ -754,7 +764,7 @@ def mixture_entropy_report(
     make = partial(_MixtureSums, n_sites, n_excited, k, cut)
     total = _run(make, source, n_sites, n_samples, master_seed, threads)
     histogram = total.histogram
-    mean, stderr = _mean_stderr(total.entropy_sum, total.entropy_square_sum, n_samples)
+    mean, stderr = _mean_stderr(total.entropy_sums[0], total.entropy_sums[1], n_samples)
     eigenvalues = np.concatenate([np.linalg.eigvalsh(rho / n_samples) for rho in total.rho_sum])
     averaged_state_entropy = float(_spectrum_entropy(np.maximum(eigenvalues, 0.0)))
     frequencies = np.array([c / n_samples for c in histogram.values()])

@@ -55,30 +55,26 @@ class TrajectoryRecord:
 
 
 def _pick_detectors(
-    positive: np.ndarray, totals: np.ndarray, prefix_sums: np.ndarray, rows, n_excited: int,
-    uniforms: np.ndarray,
+    prefix_sums: np.ndarray, rows, n_excited: int, uniforms: np.ndarray
 ) -> np.ndarray:
-    # Trajectory b picks by uniforms[b] in [0, 1) from row rows[b] of a table
-    # of jump weights: their sums, their prefix sums along the row, and an
-    # array whose nonzero entries are the detectors of positive weight (the
-    # weights themselves serve).  The collective jumps conserve the
-    # excitation number, so the weights of a normalized state sum to
-    # n_excited; a larger residual means a non-unitary network or a state
-    # that lost its norm.
-    totals = totals[rows]
+    # Trajectory b picks by uniforms[b] in [0, 1) from row rows[b] of the
+    # prefix sums of a table of jump weights, whose last column is the
+    # weights' total.  The collective jumps conserve the excitation number,
+    # so the weights of a normalized state sum to n_excited; a larger
+    # residual means a non-unitary network or a state that lost its norm.
+    prefix_sums = prefix_sums[rows]
+    totals = prefix_sums[:, -1]
     faulty = ~(np.abs(totals - n_excited) <= NORM_TOL * n_excited)  # NaN fails too
     if faulty.any():
         total = float(totals[np.argmax(faulty)])
         raise RuntimeError(f"jump weights sum to {total!r}, expected {n_excited}")
     # Inverse CDF over the weight prefix sums.  Counting the prefix sums <= r
     # is searchsorted(side="right"): it skips zero-weight detectors, whose
-    # cumulative entries repeat the previous value.
+    # cumulative entries repeat the previous value.  The check keeps each
+    # total T near n_excited, and for u < 1, u * T rounds below T: the count
+    # stays below the row's length and never lands on a zero-weight detector.
     r = uniforms * totals
-    detectors = np.count_nonzero(prefix_sums[rows] <= r[:, None], axis=1)
-    for b in np.nonzero(detectors == prefix_sums.shape[1])[0]:
-        # r fell in the ulp sliver between sum() and cumsum()[-1].
-        detectors[b] = np.nonzero(positive[rows[b]])[0][-1]
-    return detectors
+    return np.count_nonzero(prefix_sums <= r[:, None], axis=1)
 
 
 def _distinct(nodes, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,9 +139,7 @@ def _click(
             if step < len(states):
                 mine = np.nonzero((rows >= lo) & (rows < lo + step))[0]
             local = rows[mine] - lo
-        picked = _pick_detectors(
-            weights, weights.sum(axis=1), weights.cumsum(axis=1), local, e, r[mine]
-        )
+        picked = _pick_detectors(weights.cumsum(axis=1), local, e, r[mine])
         detectors[mine] = picked
         clicked[mine] = lowered[local, picked] / np.sqrt(weights[local, picked])[:, None]
     return detectors, clicked
@@ -161,19 +155,16 @@ class _ClickTree:
     detectors: node p of level k is outcome p of
     ``oracle.enumerate_outcomes(n_sites, k)``.  It has the normalized state
     ``states[k][p]``, and on every level but the last its jump weights'
-    sum ``totals[k][p]``, their prefix sums ``prefix_sums[k][p]``, which
-    detectors have positive weight, ``positive[k][p]``, and the
-    level-(k + 1) node of each detector's click, ``children[k][p]``: the
-    walk picks from these tables, and keeps no weights.  A tree may be its
-    root alone.
+    prefix sums ``prefix_sums[k][p]``, the last of them their total, and
+    the level-(k + 1) node of each detector's click, ``children[k][p]``:
+    the walk picks from these tables, and keeps no weights.  A tree may be
+    its root alone.
     """
 
     n_sites: int
     n_excited: int
     states: tuple[np.ndarray, ...]
-    totals: tuple[np.ndarray, ...]
     prefix_sums: tuple[np.ndarray, ...]
-    positive: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
 
     def walk(self, u: np.ndarray, uniforms: np.ndarray, clicks: int) -> Iterator[tuple]:
@@ -194,8 +185,7 @@ class _ClickTree:
         yield 0, None, nodes, self.states[0]
         for k in range(1, depth + 1):
             e = self.n_excited - k + 1
-            table = self.positive[k - 1], self.totals[k - 1], self.prefix_sums[k - 1]
-            detectors = _pick_detectors(*table, nodes, e, uniforms[:, k - 1])
+            detectors = _pick_detectors(self.prefix_sums[k - 1], nodes, e, uniforms[:, k - 1])
             nodes = self.children[k - 1][nodes, detectors]
             yield k, detectors, nodes, self.states[k]
         if depth == clicks:
@@ -220,15 +210,14 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
     parent, S without its largest detector d, at detector d, normalized by
     its weight as _click does; so a node's bits do not depend on which
     trajectories reach it.
-    Each level is lowered once, in _click's slices, and its weights' sums
-    and prefix sums are taken once, for the walk's picks; the weights
-    themselves are not kept.  A canonical child
-    of exactly zero weight (behind exact zeros of ``u``) is kept
-    unnormalized: no walk picks it.
+    Each level is lowered once, in _click's slices, and its weights' prefix
+    sums are taken once, for the walk's picks; the weights themselves are
+    not kept.  A canonical child of exactly zero weight (behind exact zeros
+    of ``u``) is kept unnormalized: no walk picks it.
     """
     states = [_initial_amplitudes(n_sites, n_excited)[None]]
     held = states[0].size
-    totals, prefix_sums, positive, children = [], [], [], []
+    prefix_sums, children = [], []
     # Largest detector of each node of the current level (the root's counts
     # as 0), and the canonical parent of each (unused at the root).
     last = np.zeros(1, dtype=np.intp)
@@ -262,15 +251,10 @@ def _click_tree(n_sites: int, n_excited: int, u: np.ndarray, clicks: int) -> _Cl
             w = level_weights[src, det]
             next_states[made] = lowered[src - lo, det] / np.sqrt(np.where(w > 0, w, 1.0))[:, None]
         states.append(next_states)
-        totals.append(level_weights.sum(axis=1))
         prefix_sums.append(level_weights.cumsum(axis=1))
-        positive.append(level_weights > 0)
         children.append(table.astype(np.int32))
         last, parent = child_last, child_parent
-    return _ClickTree(
-        n_sites, n_excited, tuple(states), tuple(totals), tuple(prefix_sums), tuple(positive),
-        tuple(children),
-    )
+    return _ClickTree(n_sites, n_excited, tuple(states), tuple(prefix_sums), tuple(children))
 
 
 def evolve_clicks(

@@ -55,8 +55,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # holds only its first levels, so the walk goes on past it; a
 # distribution under the identity, whose tree holds zero-weight nodes; and a
 # mixture and a grid whose pool tasks at two threads each hold several
-# chunks of float sums; and a grid at depth N^2 = 80, whose gate draws span
-# several blocks.
+# chunks of float sums; a grid at depth N^2 = 80, whose gate draws span
+# several blocks; and a wide-cut mixture whose Gram step holds one state.
 GOLDEN = [
     "--mode entropy-grid --n 6 --m 4 --unitary brickwall:2 --samples 600 --seed 5",
     "--mode entropy-grid --n 5 --m 5 --unitary haar --samples 520 --seed 8",
@@ -78,6 +78,7 @@ GOLDEN = [
     "--mode mixture-entropy --n 8 --m 8 --unitary haar --k 4 --cut 4 --samples 4000 --seed 17",
     "--mode entropy-grid --n 6 --m 6 --unitary haar --samples 3000 --seed 18",
     "--mode entropy-grid --n 10 --m 10 --unitary brickwall:80 --samples 256 --seed 19",
+    "--mode mixture-entropy --n 18 --m 9 --unitary haar --k 1 --cut 9 --samples 20 --seed 20",
 ]
 KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 

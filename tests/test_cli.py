@@ -421,6 +421,26 @@ def test_a_dump_that_cannot_be_written_leaves_no_output_and_no_line(tmp_path, mo
     assert list((tmp_path / "used.json").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "dump", ["d.csv", "./d.csv", "sub/../d.csv", "d.csv.manifest.json", "{tmp}/d.csv"]
+)
+def test_a_dump_that_would_overwrite_the_output_or_its_manifest_is_rejected(
+    tmp_path, monkeypatch, capsys, dump
+):
+    # Compared as resolved paths, before the mode runs: nothing is written.
+    monkeypatch.chdir(tmp_path)
+    dump = dump.format(tmp=tmp_path)
+    code = main(
+        "--mode distribution --n 3 --m 2 --unitary haar --samples 50 --seed 3 "
+        f"--output d.csv --dump-unitary {dump}".split()
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --dump-unitary {str(Path(dump))!r} is an output of the run\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_manifest_that_cannot_be_written_removes_the_run_s_other_files(tmp_path, capsys):
     (tmp_path / "u.json.manifest.json").mkdir()
     code = main(

@@ -396,8 +396,7 @@ def test_the_tree_fit_rule_keeps_the_levels_that_fit_the_budget():
         tree = trajectory._click_tree(n, m, haar_unitary(n, np.random.default_rng(n)), m)
         sizes = [comb(n + k - 1, k) * comb(n, m - k) for k in range(m + 1)]
         assert [level.size for level in tree.states] == sizes[: depth + 1]
-        assert len(tree.totals) == len(tree.prefix_sums) == len(tree.positive) == depth
-        assert len(tree.children) == depth
+        assert len(tree.prefix_sums) == len(tree.children) == depth
         assert sum(sizes[: depth + 1]) <= trajectory._TREE_BUDGET
         assert depth == m or sum(sizes[: depth + 2]) > trajectory._TREE_BUDGET
     u = haar_unitary(9, np.random.default_rng(3))
@@ -799,7 +798,7 @@ def test_spans_of_one_chunk_give_the_parts_of_longer_spans(monkeypatch, kind):
 
         def keeping(args, tree=None):
             parts = span_of(args, tree)
-            spans.append([(part.sums.tobytes(), part.square_sums.tobytes()) for part in parts])
+            spans.append([part.sums.tobytes() for part in parts])
             return parts
 
         with monkeypatch.context() as patch:
@@ -813,6 +812,72 @@ def test_spans_of_one_chunk_give_the_parts_of_longer_spans(monkeypatch, kind):
     assert [len(parts) for parts in default] == [5] * 4
     assert [len(parts) for parts in single] == [1] * 20
     assert sum(default, []) == sum(single, [])
+
+
+@pytest.mark.parametrize("groups", [1, 2, 8, 9, 195, 256])
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((2,), float), ((1, 1), complex), ((2, 1), float), ((3, 1), float), ((11, 9), float),
+     ((2, 9), float), ((36, 36), complex)],
+    ids=["pair", "1x1-complex", "grid-n2", "k2-n2", "k10-n10", "grid-n10", "36x36-complex"],
+)
+def test_rows_are_added_in_order_as_a_python_loop_adds_them(shape, dtype, groups):
+    # The reducers' shapes: the mixture's entropy pair and its Gram blocks,
+    # the 1 x 1 block of every mixture included, and the grid's profiles
+    # with their squares; then k + 1 profiles at n = 2 and n = 10, and one
+    # large block.  A bare np.add.reduce sums a column of single numbers
+    # pairwise, and such rows, by magnitudes far apart, would round
+    # differently.
+    rng = np.random.default_rng(groups)
+
+    def draw(*size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+
+    rows = draw(7, *shape)
+    if dtype is complex:
+        rows = rows + 1j * draw(7, *shape)
+    order = rng.integers(0, 7, groups)
+    total = np.abs(rows[0]) * 3.0 + 1.0 if dtype is float else rows[0] * (2 - 1j)
+    expected = total.copy()
+    for j in order.tolist():
+        expected += rows[j]
+    experiments._add_in_order(total, rows, order)
+    assert total.tobytes() == expected.tobytes()
+
+
+def test_adding_in_order_needs_a_contiguous_total_of_two_floats():
+    with pytest.raises(ValueError, match="cannot add rows in order"):
+        experiments._add_in_order(np.zeros(1), np.ones((3, 1)), np.arange(3))
+    with pytest.raises(ValueError, match="cannot add rows in order"):
+        experiments._add_in_order(np.zeros((4, 2))[:, 0], np.ones((3, 4)), np.arange(3))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_no_reducer_sum_depends_on_the_group_size(monkeypatch, threads):
+    # With the budget cut to one or three widest states, chunks walk in
+    # groups of one or three, past a fixed unitary's two-level tree and
+    # under fresh draws.  The (6, 6, k 3, cut 3) mixture's blocks hold
+    # 1 + 9 + 9 + 1 = C(6, 3) numbers, so its Gram step holds as many states
+    # as a group.  The grids' CSV and the mixture's report keep the bytes of
+    # a serial run in default groups.
+    n, samples, seed = 6, 300, 23
+    fixed = UnitarySource.fixed(haar_unitary(n, np.random.default_rng(24)))
+    monkeypatch.setattr(trajectory, "_TREE_BUDGET", 1 + n * n + comb(n + 1, 2) * comb(n, 4))
+
+    def outputs(threads):
+        grids = [
+            grid_csv(averaged_entropy_grid(n, m, source, samples, seed, threads))
+            for m, source in ((6, fixed), (5, UnitarySource.haar()))
+        ]
+        return grids, repr(mixture_entropy_report(n, 6, fixed, 3, 3, samples, seed, threads))
+
+    assert len(trajectory._click_tree(n, n, fixed.matrix, n).children) == 2
+    default = outputs(1)
+    assert experiments._group_size(n, 6) > 3
+    for size in (1, 3):
+        monkeypatch.setattr(trajectory, "_LOCKSTEP_BUDGET", size * comb(n, 3))
+        assert experiments._group_size(n, 6) == experiments._group_size(n, 5) == size
+        assert outputs(threads) == default
 
 
 def test_tvd_shrinks_when_samples_grow_tenfold():

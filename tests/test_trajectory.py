@@ -299,23 +299,23 @@ class _FixedDraw:
 
 
 def test_batched_pick_at_the_edges_of_the_prefix_sums():
-    # A draw of exactly 1.0 puts r at the weight sum, past every prefix sum,
-    # as when rounding leaves r in the ulp sliver between sum() and
-    # cumsum()[-1]: the last nonzero-weight detector clicks.  An r equal to a
-    # prefix sum goes right, past the zero-weight detector after it.
+    # The largest draw below 1.0 puts r just below the weight total, the
+    # last prefix sum, so the last nonzero-weight detector clicks, never a
+    # zero-weight one after it.  An r equal to a prefix sum goes right, past
+    # the zero-weight detector after it.
     weights = np.array(
         [[0.5, 1.5, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.5, 0.0, 1.5], [1.0, 0.0, 1.0, 0.0]]
     )
-    draws = np.array([1.0, 0.3, 1.0, 0.5])
-    table = weights, weights.sum(axis=1), weights.cumsum(axis=1)
-    detectors = _pick_detectors(*table, np.arange(4), 2, draws)
+    below_one = np.nextafter(1.0, 0.0)
+    draws = np.array([below_one, 0.3, below_one, 0.5])
+    prefix_sums = weights.cumsum(axis=1)
+    detectors = _pick_detectors(prefix_sums, np.arange(4), 2, draws)
     assert detectors.tolist() == [1, 0, 3, 2]
     alone = [pick_detector(w, 2, _FixedDraw(r)) for w, r in zip(weights, draws.tolist())]
     assert detectors.tolist() == alone
-    # The tree's walk picks from the rows of its trajectories' nodes, with
-    # repeats, and keeps only which weights are positive.
-    rows, draws = np.array([2, 0, 2, 1, 0]), np.array([1.0, 1.0, 0.25, 0.5, 0.2])
-    detectors = _pick_detectors(weights > 0, *table[1:], rows, 2, draws)
+    # The tree's walk picks from the rows of its trajectories' nodes, with repeats.
+    rows, draws = np.array([2, 0, 2, 1, 0]), np.array([below_one, below_one, 0.25, 0.5, 0.2])
+    detectors = _pick_detectors(prefix_sums, rows, 2, draws)
     assert detectors.tolist() == [3, 1, 3, 2, 0]
     alone = [pick_detector(weights[b], 2, _FixedDraw(r)) for b, r in zip(rows, draws.tolist())]
     assert detectors.tolist() == alone
