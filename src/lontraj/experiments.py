@@ -8,11 +8,12 @@ and the Shannon entropy of the trajectory mixture.
 
 Every estimator, and the trajectory dump, is a reducer over the click kernel
 with ``n_excited``, ``clicks``, ``add(first, walk)`` and ``merge(other)``
-(see _run), and ``part_bytes`` if every part holds large arrays.  It reads
-only what it needs from the walk: the outcome counts read the clicks, and a
-reducer that reads states computes once per distinct state it takes from
-trajectory._distinct, and adds a group's values at once, in trajectory
-order, with _add_in_order.
+(see _run), ``part_bytes`` if every part holds large arrays, and
+``reads_states = False`` if it reads the clicks alone.  It reads only what
+it needs from the walk: the outcome counts read the clicks, or the last
+level's nodes while the walk stays in the tree, and a reducer that reads
+states computes once per distinct state it takes from trajectory._distinct,
+and adds a group's values at once, in trajectory order, with _add_in_order.
 Trajectories walk in lockstep groups whose states fit the kernel's budget,
 trajectory._LOCKSTEP_BUDGET, under a fixed or a fresh source alike.  Every
 group walks one click-multiset tree: the levels of a fixed source's tree
@@ -57,6 +58,9 @@ _SPAN_CAP = 16  # chunks per pool task at most: 2 * workers * _SPAN_CAP parts in
 _SPAN_BYTES = 2**22  # a span's parts' part_bytes at most, unless one part alone holds more
 MIXTURE_MAX_SUBSYSTEM = 12
 MAX_SAMPLES = 2**32  # so every trajectory index is one 32-bit seed word
+# Trajectory-clicks (n_samples * clicks) from which a pick-only run starts a
+# pool: below it two workers cost more than they save (see _run).
+_POOL_PICKS = 2**17
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -393,6 +397,15 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     and freed on return; each pool worker receives it once, from the pool's
     initializer (under fork it inherits the caller's copy), and builds none.
 
+    A pick-only run, whose reducer sets ``reads_states`` False and whose
+    tree holds every click it walks, is a few table picks per trajectory:
+    below _POOL_PICKS trajectory-clicks (n_samples * clicks) it walks every
+    span in this process, since two workers cost more to start than its
+    whole walk.  On a 2-core Xeon, two workers lost to one at 8e4 picks
+    and broke even at 1.3e5 to 1.6e5, at N = M = 8 and at (7, 4) alike.
+    Every other run takes up to ``threads`` workers, at most one per chunk
+    and per core.
+
     Chunks go in spans of consecutive chunks, one span per call or pool
     task: about a quarter of each worker's share, at most _SPAN_CAP chunks,
     so that a pooled run pays the pool's cost per task on several chunks.
@@ -406,16 +419,19 @@ def _run(make, source: UnitarySource, n_sites: int, n_samples: int, master_seed:
     # A wrong-sized fixed matrix fails here, once.
     u = None if source.fresh_per_sample else source.draw(n_sites, [])
     starts = _chunks(n_samples)
-    workers = _worker_count(threads, len(starts))
     total = make()
     _check_click_uniforms(master_seed, total.n_excited)
-    span = min(_SPAN_CAP, -(-len(starts) // (4 * workers)))
-    span = max(1, min(span, _SPAN_BYTES // max(getattr(total, "part_bytes", 0), 1)))
-    shared = (make, source, n_sites, master_seed)
-    tasks = ((shared, lo, min(lo + span * CHUNK_SIZE, n_samples)) for lo in starts[::span])
     with _one_blas_thread(), ExitStack() as stack:
         depth = 0 if u is None else total.clicks
         tree = trajectory._click_tree(n_sites, total.n_excited, u, depth)
+        # A pick-only run below _POOL_PICKS walks in this process: one chunk's bound.
+        pick_only = not getattr(total, "reads_states", True) and len(tree.children) >= total.clicks
+        in_caller = pick_only and n_samples * total.clicks < _POOL_PICKS
+        workers = _worker_count(threads, 1 if in_caller else len(starts))
+        span = min(_SPAN_CAP, -(-len(starts) // (4 * workers)))
+        span = max(1, min(span, _SPAN_BYTES // max(getattr(total, "part_bytes", 0), 1)))
+        shared = (make, source, n_sites, master_seed)
+        tasks = ((shared, lo, min(lo + span * CHUNK_SIZE, n_samples)) for lo in starts[::span])
         spans = map(partial(_accumulate_span, tree=tree), tasks)
         if workers > 1:
             # Two spans per worker keep each worker busy while this process merges.
@@ -618,6 +634,8 @@ class DistributionReport:
 class _OutcomeCounts:
     """How often each click outcome occurred, by its index in enumerate_outcomes."""
 
+    reads_states = False  # it reads the clicks alone, so no state is gathered
+
     def __init__(self, n_sites: int, n_excited: int) -> None:
         self.n_sites = n_sites
         self.n_excited = n_excited
@@ -625,13 +643,17 @@ class _OutcomeCounts:
         self.counts: Counter = Counter()
 
     def add(self, first: int, walk) -> None:
-        # Reads the clicks alone, so no state is gathered.
-        _, _, nodes, _ = next(walk)  # the start: every trajectory at the root
-        counts = np.zeros((len(nodes), self.n_sites), dtype=np.int64)
-        trajectories = np.arange(len(nodes))
-        for _, detectors, _, _ in walk:
-            counts[trajectories, detectors] += 1
-        self.counts.update(_outcome_ranks(counts).tolist())
+        clicked = []
+        for _, detectors, nodes, _ in walk:
+            clicked.append(detectors)
+        # A walk that stays in the tree ends on each outcome's node, which is its rank.
+        if nodes is None:
+            counts = np.zeros((len(clicked[-1]), self.n_sites), dtype=np.int64)
+            trajectories = np.arange(len(counts))
+            for detectors in clicked[1:]:  # the start clicked none
+                counts[trajectories, detectors] += 1
+            nodes = _outcome_ranks(counts)
+        self.counts.update(nodes.tolist())
 
     def merge(self, other: "_OutcomeCounts") -> None:
         self.counts.update(other.counts)

@@ -56,7 +56,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # distribution under the identity, whose tree holds zero-weight nodes; and a
 # mixture and a grid whose pool tasks at two threads each hold several
 # chunks of float sums; a grid at depth N^2 = 80, whose gate draws span
-# several blocks; and a wide-cut mixture whose Gram step holds one state.
+# several blocks; a wide-cut mixture whose Gram step holds one state; and a
+# distribution of enough clicks (160,000) that two threads still start a pool.
 GOLDEN = [
     "--mode entropy-grid --n 6 --m 4 --unitary brickwall:2 --samples 600 --seed 5",
     "--mode entropy-grid --n 5 --m 5 --unitary haar --samples 520 --seed 8",
@@ -79,6 +80,7 @@ GOLDEN = [
     "--mode entropy-grid --n 6 --m 6 --unitary haar --samples 3000 --seed 18",
     "--mode entropy-grid --n 10 --m 10 --unitary brickwall:80 --samples 256 --seed 19",
     "--mode mixture-entropy --n 18 --m 9 --unitary haar --k 1 --cut 9 --samples 20 --seed 20",
+    "--mode distribution --n 7 --m 4 --unitary haar --samples 40000 --seed 21",
 ]
 KEPT = ("out.dat", "out.dat.manifest.json")  # each run's files in OUTDIR
 

@@ -511,11 +511,108 @@ def test_a_fixed_n_9_run_keeps_the_pool_and_its_bytes(monkeypatch):
     assert grids[0] == grids[1]
 
 
-def test_worker_count_is_bounded_by_chunks_and_cores():
+def _two_cores(monkeypatch) -> None:
+    # Whatever the host, _worker_count sees two cores.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _started_pools(monkeypatch) -> list:
+    # The worker count of each pool a run starts; the pools still run.
+    started = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize("pool_picks", [None, 8 * 10_000])
+def test_a_pick_only_run_below_the_break_even_walks_in_the_caller(monkeypatch, pool_picks):
+    # An (8, 8) tree holds every click, and the outcome counts read no
+    # state: 10,000 samples of 8 clicks stay below _POOL_PICKS and start no
+    # pool at two threads.  With the constant at their 80,000 picks the
+    # same run starts two workers.  Either way the bytes are a serial run's.
+    _two_cores(monkeypatch)
+    started = _started_pools(monkeypatch)
+    if pool_picks is not None:
+        monkeypatch.setattr(experiments, "_POOL_PICKS", pool_picks)
+    source = UnitarySource.fixed(haar_unitary(8, np.random.default_rng(98)))
+    texts = [
+        distribution_csv(distribution_comparison(8, 8, source, 10_000, 4, threads))
+        for threads in (1, 2)
+    ]
+    assert texts[0] == texts[1]
+    assert started == ([] if pool_picks is None else [2])
+
+
+FIXED_8 = UnitarySource.fixed(haar_unitary(8, np.random.default_rng(99)))
+RUNS_THAT_KEEP_THEIR_POOL = {  # each reads states, or walks past its tree
+    "grid": lambda threads: grid_csv(averaged_entropy_grid(8, 8, FIXED_8, 300, 3, threads)),
+    "mixture": lambda threads: mixture_entropy_report(8, 8, FIXED_8, 4, 4, 300, 3, threads),
+    "dump": lambda threads: trajectory_records(8, 8, FIXED_8, 4, 300, 3, threads=threads),
+    "distribution-9": lambda threads: distribution_csv(distribution_comparison(
+        9, 9, UnitarySource.fixed(haar_unitary(9, np.random.default_rng(99))), 300, 3, threads
+    )),
+}
+
+
+@pytest.mark.parametrize("run", RUNS_THAT_KEEP_THEIR_POOL)
+def test_runs_that_are_not_pick_only_keep_their_pool_at_few_samples(monkeypatch, run):
+    # 300 samples, far below _POOL_PICKS, in two chunks: two workers start.
+    _two_cores(monkeypatch)
+    started = _started_pools(monkeypatch)
+    results = [RUNS_THAT_KEEP_THEIR_POOL[run](threads) for threads in (1, 2)]
+    assert results[0] == results[1]
+    assert started == [2]
+
+
+def test_worker_count_is_bounded_by_chunks_and_cores(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     assert _worker_count(10**6, 3) == min(3, cores)
     assert _worker_count(10**6, 10**6) == cores
     assert _worker_count(1, 40) == 1
+    # _run bounds a pick-only run below _POOL_PICKS trajectory-clicks by
+    # one chunk, and every other run by its chunks.
+    bounds = []
+    monkeypatch.setattr(
+        experiments, "_worker_count", lambda threads, n_chunks: bounds.append(n_chunks) or 1
+    )
+    counts = partial(experiments._OutcomeCounts, 8, 8)
+    below = experiments._POOL_PICKS // 8  # samples of 8 clicks that reach the constant
+    for samples in (below - 1, below):
+        _run(counts, FIXED_8, 8, samples, 0, threads=2)
+    fixed_9 = UnitarySource.fixed(haar_unitary(9, np.random.default_rng(99)))
+    _run(partial(experiments._OutcomeCounts, 9, 9), fixed_9, 9, 300, 0, threads=2)
+    _run(partial(experiments._GridSums, 8, 8), FIXED_8, 8, 300, 0, threads=2)
+    assert bounds == [1, below // CHUNK_SIZE, 2, 2]
+
+
+@pytest.mark.parametrize("n, m, kind", [(8, 8, "haar"), (7, 4, "haar"), (6, 6, "identity"), (9, 9, "haar")])
+def test_outcome_counts_take_the_leaf_node_as_the_rank(monkeypatch, n, m, kind):
+    # Through a tree that holds every click, a trajectory's last node is the
+    # rank of its clicked counts, and the counts are not ranked again.  The
+    # identity's tree holds zero-weight nodes, which no walk reaches.  The
+    # (9, 9) tree holds four levels, so its walks rank through _outcome_ranks.
+    u = np.eye(n, dtype=complex) if kind == "identity" else haar_unitary(n, np.random.default_rng(n))
+    tree = trajectory._click_tree(n, m, u, m)
+    uniforms = np.random.default_rng(90).random((400, m))
+    counts = np.zeros((400, n), dtype=np.int64)
+    for k, detectors, nodes, _ in tree.walk(u, uniforms, m):
+        if k:
+            counts[np.arange(400), detectors] += 1
+    ranks = oracle._outcome_ranks(counts)
+    in_tree = len(tree.children) == m
+    assert in_tree == ((n, m) != (9, 9))
+    if in_tree:
+        np.testing.assert_array_equal(nodes, ranks)
+    ranked = _recorded(monkeypatch, "_outcome_ranks")
+    part = experiments._OutcomeCounts(n, m)
+    part.add(0, tree.walk(u, uniforms, m))
+    assert part.counts == Counter(ranks.tolist())
+    assert len(ranked) == (not in_tree)
 
 
 def test_unitary_source_draw_kinds():
